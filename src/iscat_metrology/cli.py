@@ -23,7 +23,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -90,12 +89,7 @@ def _scan_presets() -> dict:
     iscat_base = FieldConfig(
         alpha_r=2.3e-5, particle=_particle(2e-5, 2.0 * PI / 3.0)
     )
-    fig2b_base = FieldConfig(
-        alpha_r=2.3e-5,
-        particle=_particle(2e-5, 5.0 * PI / 6.0),
-        reference=ReferenceArm(4.5e-5, 0.0),
-    )
-    fig2c_base = FieldConfig(
+    fig2bc_base = FieldConfig(
         alpha_r=2.3e-5,
         particle=_particle(2e-5, 5.0 * PI / 6.0),
         reference=ReferenceArm(4.5e-5, 0.0),
@@ -119,13 +113,13 @@ def _scan_presets() -> dict:
             y=phases,
         ),
         "fig2b": dict(
-            base=fig2b_base,
+            base=fig2bc_base,
             target=EstimationTarget.MASS,
             x=tuner.AxisSpec.linspace("phi_s", 0.0, 2.0 * PI, 73),
             y=tuner.AxisSpec.linspace("phi_i", 0.0, 2.0 * PI, 721),
         ),
         "fig2c": dict(
-            base=fig2c_base,
+            base=fig2bc_base,
             target=EstimationTarget.MASS,
             x=tuner.AxisSpec.linspace("mag_i", 0.0, 9e-5, 181),
             y=tuner.AxisSpec.linspace("phi_i", 0.0, 2.0 * PI, 721),
@@ -238,7 +232,7 @@ def cmd_scan(args) -> int:
         target = _target(args.target)
         x = _parse_axis(args.x_axis)
         y = _parse_axis(args.y_axis) if args.y_axis else None
-    grid = tuner.scan_ratio_grid(base, target, x, y, threads=args.threads)
+    grid = tuner.scan_ratio_grid(base, target, x, y)
     out = Path(args.out)
     if args.format == "json":
         values = [
@@ -261,7 +255,6 @@ def cmd_scan(args) -> int:
             "x": x.to_dict(),
             "y": y.to_dict() if y is not None else None,
             "format": args.format,
-            "threads": args.threads,
         },
         outputs=outputs,
     )
@@ -378,7 +371,6 @@ def cmd_montecarlo(args) -> int:
         samples_per_trial=args.samples,
         n_trials=args.trials,
         seed=args.seed,
-        threads=args.threads,
     )
     out = Path(args.out)
     dump_json(out, {"setup": cfg.setup, **report.to_dict()})
@@ -391,7 +383,6 @@ def cmd_montecarlo(args) -> int:
             "target": target.value,
             "samples": args.samples,
             "trials": args.trials,
-            "threads": args.threads,
         },
         outputs=[str(out), str(trials_path)],
         seed=args.seed,
@@ -450,12 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=["csv", "json"], default=fmt_default
         )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker threads (results are thread-count independent)",
-        )
+        p.add_argument("--threads", type=int, help="accepted; has no effect")
 
     p = sub.add_parser("fisher", help="information report for one config")
     p.add_argument("--config", required=True)

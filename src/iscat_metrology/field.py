@@ -32,6 +32,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .errors import EnergyBudgetError
 
 TAU = 2.0 * math.pi
@@ -57,6 +59,13 @@ def wrap_angle(theta: float) -> float:
     return r
 
 
+def _require_finite(fields: dict) -> None:
+    """Raise ValueError naming the first non-finite entry of ``fields``."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def from_polar(mag: float, phase: float) -> complex:
     """Complex amplitude from magnitude and argument."""
     return cmath.rect(mag, phase)
@@ -79,6 +88,13 @@ class ParticleModel:
     phi_s: float
 
     def __post_init__(self):
+        _require_finite(
+            {
+                "particle.mass_kda": self.mass_kda,
+                "particle.scale_per_kda": self.scale_per_kda,
+                "particle.phi_s": self.phi_s,
+            }
+        )
         if not (self.mass_kda >= 0.0):
             raise ValueError(f"mass_kda must be >= 0, got {self.mass_kda}")
         if not (self.scale_per_kda > 0.0):
@@ -96,6 +112,9 @@ class ReferenceArm:
     phi_i: float
 
     def __post_init__(self):
+        _require_finite(
+            {"reference.mag": self.mag, "reference.phi_i": self.phi_i}
+        )
         if not (self.mag >= 0.0):
             raise ValueError(f"reference magnitude must be >= 0, got {self.mag}")
         object.__setattr__(self, "phi_i", wrap_angle(self.phi_i))
@@ -118,6 +137,13 @@ class FieldConfig:
     alpha0_mag: float = 1.0
 
     def __post_init__(self):
+        _require_finite(
+            {
+                "alpha_r.re": self.alpha_r.real,
+                "alpha_r.im": self.alpha_r.imag,
+                "alpha0_mag": self.alpha0_mag,
+            }
+        )
         if not (self.alpha0_mag > 0.0):
             raise ValueError(f"alpha0_mag must be > 0, got {self.alpha0_mag}")
 
@@ -143,28 +169,36 @@ def first_arm_amplitude(cfg: FieldConfig) -> complex:
     return cfg.alpha_r + scattered_amplitude(cfg.particle)
 
 
-def validate_energy(cfg: FieldConfig) -> list[str]:
-    """Check the photon-budget bounds; return one message per violation.
+def budget_violations(first_mag, reference_mag, alpha0_mag: float) -> list[str]:
+    """Photon-budget rule; return one message per violated arm bound.
 
-    An empty list means the configuration is valid.  The bounds carry an
-    absolute slack of BUDGET_TOL * alpha0_mag so round-off at the boundary
-    does not trip them.
+    ``first_mag`` is |alpha_r + alpha_s| and ``reference_mag`` is |alpha_i|
+    (0 without a reference arm), each a scalar or an array of scan cells;
+    an array is judged by its largest entry.  The bounds carry an absolute
+    slack of BUDGET_TOL * alpha0_mag so round-off at the boundary does not
+    trip them.
     """
-    bound = 0.5 * cfg.alpha0_mag
-    slack = BUDGET_TOL * cfg.alpha0_mag
+    bound = 0.5 * alpha0_mag
     violations = []
-    first = abs(first_arm_amplitude(cfg))
-    if first > bound + slack:
-        violations.append(
-            f"sample arm |alpha_r + alpha_s| = {first!r} exceeds the bound "
-            f"alpha0_mag/2 = {bound!r}"
-        )
-    if cfg.reference is not None and cfg.reference.mag > bound + slack:
-        violations.append(
-            f"reference arm |alpha_i| = {cfg.reference.mag!r} exceeds the "
-            f"bound alpha0_mag/2 = {bound!r}"
-        )
+    for arm, mags in (
+        ("sample arm |alpha_r + alpha_s|", first_mag),
+        ("reference arm |alpha_i|", reference_mag),
+    ):
+        worst = float(np.max(mags))
+        if worst > bound + BUDGET_TOL * alpha0_mag:
+            violations.append(
+                f"{arm} = {worst!r} exceeds the bound alpha0_mag/2 = {bound!r}"
+            )
     return violations
+
+
+def validate_energy(cfg: FieldConfig) -> list[str]:
+    """Budget violations of one configuration; empty when it is valid."""
+    return budget_violations(
+        abs(first_arm_amplitude(cfg)),
+        cfg.reference.mag if cfg.reference is not None else 0.0,
+        cfg.alpha0_mag,
+    )
 
 
 def detector_amplitude(cfg: FieldConfig) -> complex:

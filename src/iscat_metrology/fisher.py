@@ -5,11 +5,14 @@ and a target derivative ``dalpha = d(alpha_s)/d(mu)``:
 
 * coherent-state QFI          F_q  = 4*|dalpha|**2
 * phase-averaged-state QFI    F_pa = 4*Re[(conj(alpha_d)/|alpha_d|)*dalpha]**2
-* photon-counting CFI         F_pn = F_pa   (identical formula path)
+* photon-counting CFI         F_pn = F_pa
 
 With psi = arg(dalpha) and chi = arg(alpha_d) the ratio F_pn/F_q equals
 cos^2(psi - chi): photon counting is quantum-optimal exactly when the
 detector phase is aligned with the derivative phase (mod pi).
+
+One array kernel, :func:`information`, evaluates them for the report below,
+the ratio scans of ``tuner`` and the broadband integrals of ``spectrum``.
 
 Two independent oracles back the closed forms: a truncated Fock-basis sum
 over the diagonal logarithmic-derivative spectrum, and a central
@@ -27,6 +30,7 @@ from scipy import stats
 
 from .errors import NotEstimableError, TruncationError, VacuumPhaseError
 from .field import (
+    TAU,
     VACUUM_TOL,
     EstimationTarget,
     FieldConfig,
@@ -34,19 +38,61 @@ from .field import (
     target_derivative,
     target_value,
     with_target_value,
-    wrap_angle,
 )
 
 #: Poisson probability mass allowed beyond a Fock truncation.
 FOCK_TAIL_MASS = 1e-12
 
 
-def qfi_coherent(dalpha: complex) -> float:
-    """QFI of the pure coherent state: 4*|dalpha|^2.
+def qfi_coherent(dalpha):
+    """QFI of the pure coherent state: 4*|dalpha|^2 (scalar or array).
 
     Independent of the reflected and reference arms by construction.
     """
     return 4.0 * (dalpha.real * dalpha.real + dalpha.imag * dalpha.imag)
+
+
+def _wrapped_phase(z: np.ndarray) -> np.ndarray:
+    """arg(z) reduced to [0, 2*pi), rounding like field.wrap_angle."""
+    theta = np.arctan2(z.imag, z.real)
+    theta = np.where(theta < 0.0, theta + TAU, theta)
+    return np.where(theta >= TAU, 0.0, theta)
+
+
+def information(alpha_d, dalpha, vacuum_tol: float = 0.0):
+    """Information quantities of broadcast detector labels and derivatives.
+
+    Returns float arrays ``(qfi, cfi, psi, chi, ratio)`` of the broadcast
+    shape: F_q, F_pn (= F_pa), psi = arg(dalpha) and chi = arg(alpha_d) in
+    [0, 2*pi), and cos^2(psi - chi).  A value is NaN where it is undefined:
+    cfi and chi where the detector field is vacuum (|alpha_d| <= vacuum_tol),
+    psi where dalpha vanishes, and ratio at either.
+    """
+    ad = np.asarray(alpha_d, dtype=complex)
+    ad, dal = np.broadcast_arrays(ad, np.asarray(dalpha, dtype=complex))
+    # hypot rounds like Python's abs(complex); np.abs on complex may not
+    mag = np.hypot(ad.real, ad.imag)
+    vacuum = mag <= vacuum_tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Re[conj(alpha_d)*dalpha] from real parts: numpy's complex product
+        # rounds differently from Python's, and exact zeros must stay zero.
+        proj = (ad.real * dal.real + ad.imag * dal.imag) / mag
+    cfi = np.where(vacuum, np.nan, 4.0 * proj * proj)
+    psi = np.where(dal == 0, np.nan, _wrapped_phase(dal))
+    chi = np.where(vacuum, np.nan, _wrapped_phase(ad))
+    c = np.cos(psi - chi)
+    return qfi_coherent(dal), cfi, psi, chi, c * c
+
+
+def _single_information(alpha_d, dalpha, vacuum_tol: float) -> list[float]:
+    """:func:`information` of one pair as floats; raises at the vacuum."""
+    values = [float(v) for v in information(alpha_d, dalpha, vacuum_tol)]
+    if math.isnan(values[1]):
+        raise VacuumPhaseError(
+            "detector field is vacuum; chi = arg(alpha_d) and the counting "
+            "CFI are undefined"
+        )
+    return values
 
 
 def mismatch_angles(
@@ -59,16 +105,11 @@ def mismatch_angles(
     no defined phase).  ``vacuum_tol`` widens the vacuum test to
     |alpha_d| <= vacuum_tol.
     """
-    if abs(alpha_d) <= vacuum_tol or alpha_d == 0:
-        raise VacuumPhaseError(
-            "detector field is vacuum; chi = arg(alpha_d) is undefined"
-        )
-    if dalpha == 0:
+    _, _, psi, chi, _ = _single_information(alpha_d, dalpha, vacuum_tol)
+    if math.isnan(psi):
         raise VacuumPhaseError(
             "target derivative vanishes; psi = arg(dalpha) is undefined"
         )
-    psi = wrap_angle(math.atan2(dalpha.imag, dalpha.real))
-    chi = wrap_angle(math.atan2(alpha_d.imag, alpha_d.real))
     return psi, chi
 
 
@@ -79,33 +120,12 @@ def qfi_phase_averaged(
 
     4*Re[(conj(alpha_d)/|alpha_d|)*dalpha]^2, undefined at the vacuum.
     """
-    mag = abs(alpha_d)
-    if mag <= vacuum_tol or mag == 0.0:
-        raise VacuumPhaseError(
-            "detector field is vacuum; the phase-averaged QFI is undefined"
-        )
-    r = (alpha_d.conjugate() * dalpha).real / mag
-    return 4.0 * r * r
+    return _single_information(alpha_d, dalpha, vacuum_tol)[1]
 
 
-def cfi_photon_number(
-    alpha_d: complex, dalpha: complex, vacuum_tol: float = 0.0
-) -> float:
-    """CFI of the photon-number measurement.
-
-    Same formula path as qfi_phase_averaged, so the equality of the two is
-    exact by construction.
-    """
-    return qfi_phase_averaged(alpha_d, dalpha, vacuum_tol)
-
-
-def saturation_ratio(
-    alpha_d: complex, dalpha: complex, vacuum_tol: float = 0.0
-) -> float:
-    """cos^2(psi - chi), the CFI/QFI ratio in [0, 1]."""
-    psi, chi = mismatch_angles(alpha_d, dalpha, vacuum_tol)
-    c = math.cos(psi - chi)
-    return c * c
+#: CFI of the photon-number measurement; the same function as the
+#: phase-averaged QFI, so the two are equal by construction.
+cfi_photon_number = qfi_phase_averaged
 
 
 @dataclass(frozen=True)
@@ -143,18 +163,16 @@ def fisher_report(cfg: FieldConfig, target: EstimationTarget) -> FisherReport:
         raise NotEstimableError(
             "target derivative vanishes; the parameter leaves no imprint"
         )
-    tol = VACUUM_TOL * cfg.alpha0_mag
-    psi, chi = mismatch_angles(alpha_d, dalpha, vacuum_tol=tol)
-    qfi = qfi_coherent(dalpha)
-    cfi = cfi_photon_number(alpha_d, dalpha, vacuum_tol=tol)
-    c = math.cos(psi - chi)
+    qfi, cfi, psi, chi, ratio = _single_information(
+        alpha_d, dalpha, VACUUM_TOL * cfg.alpha0_mag
+    )
     return FisherReport(
         qfi_coherent=qfi,
         qfi_phase_averaged=cfi,
         cfi_photon_number=cfi,
         psi=psi,
         chi=chi,
-        saturation_ratio=c * c,
+        saturation_ratio=ratio,
     )
 
 

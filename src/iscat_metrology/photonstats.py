@@ -9,14 +9,13 @@ lam(mu) = |alpha_d(mu)|^2, so the log-likelihood of counts n_1..n_N is
 The MLE is bracketed on a coarse grid and refined by golden-section search;
 its variance across trials is compared against 1/(N*F) with F the counting
 CFI.  Sampling uses numpy's PCG64 generator with explicit 64-bit seeds, and
-per-trial streams are derived as seed + trial_index so parallel and serial
-runs produce identical results.
+trial k draws from its own stream seeded with seed + k, so a trial's counts
+do not depend on the trials run before it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -210,12 +209,10 @@ def crb_validation(
     n_trials: int,
     seed: int,
     search_bracket: tuple[float, float] | None = None,
-    threads: int = 1,
 ) -> CrbValidationReport:
     """Repeatedly sample counts, fit the MLE, and compare var against CRB.
 
-    Trial k uses the derived seed ``seed + k``; trials are independent, so
-    the report is identical for any thread count.  Non-estimable
+    Trial k uses the derived seed ``seed + k``.  Non-estimable
     configurations raise before any sampling.
     """
     if samples_per_trial < 2 or n_trials < 2:
@@ -228,15 +225,10 @@ def crb_validation(
     lam = abs(detector_amplitude(cfg)) ** 2
     true_value = target_value(cfg, target)
 
-    def run_trial(k: int) -> float:
-        s = sample_counts(lam, samples_per_trial, seed + k)
-        return mle_estimate(s, cfg, target, search_bracket)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = np.array(list(pool.map(run_trial, range(n_trials))))
-    else:
-        estimates = np.array([run_trial(k) for k in range(n_trials)])
+    estimates = np.empty(n_trials)
+    for k in range(n_trials):
+        sample = sample_counts(lam, samples_per_trial, seed + k)
+        estimates[k] = mle_estimate(sample, cfg, target, search_bracket)
     variance = float(np.var(estimates, ddof=1))
     crb = 1.0 / (samples_per_trial * report.cfi_photon_number)
     ratio = variance / crb

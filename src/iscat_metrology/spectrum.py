@@ -8,14 +8,17 @@ single-point grid uses weight 1 so it reduces exactly to the single-mode
 case.
 
 Because frequencies are uncorrelated, the information quantities are plain
-integrals of their single-mode counterparts:
+integrals of their single-mode counterparts, whose densities come from
+``fisher.information`` at every grid point:
 
     F_q  = 4 * integral |d(alpha_s)(omega)|^2 d(omega)
     F_pa = 4 * integral Re[(conj(alpha_d)/|alpha_d|) * d(alpha_s)]^2 d(omega)
 
-and the broadband photon-counting bound on the relative mass error is
+For the mass target d(alpha_s) = s(omega)*exp(i*phi_s), so F_q = 4*I[s^2]
+and F_pa = 4*I[s^2 * cos^2(psi-chi)], and the broadband photon-counting
+bound on the relative mass error is
 
-    (dm/m)*sqrt(n_s) >= (1/2)*sqrt(I[s^2] / I[s^2 * cos^2(psi-chi)]).
+    (dm/m)*sqrt(n_s) >= (1/2)*sqrt(F_q / F_pa).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fisher
 from .errors import NotEstimableError, VacuumPhaseError
 from .field import EstimationTarget
 
@@ -168,7 +172,7 @@ def scattered_photons(f: SpectralField) -> float:
 
 def qfi_multifrequency(f: SpectralField, target: EstimationTarget) -> float:
     """Coherent-state QFI of the broadband field."""
-    return 4.0 * f.integrate(np.abs(f.derivative(target)) ** 2)
+    return f.integrate(fisher.information(f.detector(), f.derivative(target))[0])
 
 
 def qfi_multifrequency_phase_averaged(
@@ -180,49 +184,30 @@ def qfi_multifrequency_phase_averaged(
     the detector field vanishes at a frequency whose integrand contributes.
     """
     dal = f.derivative(target)
-    ad = f.detector()
-    mag = np.abs(ad)
-    contributing = np.abs(dal) > 0
-    dead = contributing & (mag == 0.0)
+    cfi = fisher.information(f.detector(), dal)[1]
+    undefined = np.isnan(cfi)
+    dead = undefined & (dal != 0)
     if np.any(dead):
         idx = int(np.argmax(dead))
         raise VacuumPhaseError(
             f"detector field is vacuum at grid point {idx} "
             f"(omega={f.omega[idx]!r}); the counting CFI is undefined there"
         )
-    integrand = np.zeros_like(mag)
-    proj = np.real(np.conj(ad[contributing]) * dal[contributing])
-    integrand[contributing] = (proj / mag[contributing]) ** 2
-    return 4.0 * f.integrate(integrand)
+    # a vacuum point with a vanishing derivative contributes nothing
+    return f.integrate(np.where(undefined, 0.0, cfi))
 
 
 def relative_mass_bound_multifrequency(f: SpectralField) -> float:
     """Broadband counting bound on (dm/m)*sqrt(total scattered photons)."""
-    s2 = f.scale_s**2
-    num = f.integrate(s2)
-    if not (num > 0.0):
+    qfi = qfi_multifrequency(f, EstimationTarget.MASS)
+    if not (qfi > 0.0):
         raise NotEstimableError("spectrum scatters no photons")
-    ad = f.detector()
-    mag = np.abs(ad)
-    contributing = s2 > 0
-    dead = contributing & (mag == 0.0)
-    if np.any(dead):
-        idx = int(np.argmax(dead))
-        raise VacuumPhaseError(
-            f"detector field is vacuum at grid point {idx} "
-            f"(omega={f.omega[idx]!r})"
-        )
-    cos2 = np.zeros_like(mag)
-    direction = np.exp(1j * f.phi_s[contributing])
-    cos2[contributing] = (
-        np.real(np.conj(ad[contributing]) * direction) / mag[contributing]
-    ) ** 2
-    den = f.integrate(s2 * cos2)
-    if not (den > 0.0):
+    cfi = qfi_multifrequency_phase_averaged(f, EstimationTarget.MASS)
+    if not (cfi > 0.0):
         raise NotEstimableError(
             "every frequency is orthogonal; the mass cannot be estimated"
         )
-    return 0.5 * math.sqrt(num / den)
+    return 0.5 * math.sqrt(qfi / cfi)
 
 
 # --- serialization ------------------------------------------------------------

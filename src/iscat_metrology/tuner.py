@@ -25,21 +25,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import fisher
+from .errors import EnergyBudgetError
 from .field import (
     VACUUM_TOL,
     EstimationTarget,
     FieldConfig,
     ReferenceArm,
+    budget_violations,
     config_to_dict,
-    detector_amplitude,
     first_arm_amplitude,
+    from_polar,
+    scattered_amplitude,
     target_derivative,
     wrap_angle,
 )
@@ -135,16 +137,27 @@ class AxisSpec:
             raise ValueError(
                 f"unknown axis {self.name!r}; expected one of {AXIS_NAMES}"
             )
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=float)
-        )
+        values = np.asarray(self.values, dtype=float)
+        if values.size == 0 or not np.all(np.isfinite(values)):
+            raise ValueError(f"axis {self.name!r} needs finite values: {values}")
+        object.__setattr__(self, "values", values)
+
+    @staticmethod
+    def _check_range(name: str, lo: float, hi: float, steps: int) -> None:
+        if steps < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(
+                f"axis {name!r} needs steps >= 1 and finite bounds, "
+                f"got [{lo}, {hi}] in {steps} steps"
+            )
 
     @classmethod
     def linspace(cls, name: str, lo: float, hi: float, steps: int) -> "AxisSpec":
+        cls._check_range(name, lo, hi, steps)
         return cls(name, np.linspace(lo, hi, steps), "linear")
 
     @classmethod
     def logspace(cls, name: str, lo: float, hi: float, steps: int) -> "AxisSpec":
+        cls._check_range(name, lo, hi, steps)
         if not (0.0 < lo < hi):
             raise ValueError(f"log axis needs 0 < lo < hi, got [{lo}, {hi}]")
         return cls(
@@ -222,44 +235,49 @@ class ScanGrid:
         write_csv(path, ["x", "y", "ratio", "defined_flag"], self.rows())
 
 
-def _cell_ratio(cfg: FieldConfig, target: EstimationTarget) -> float:
-    alpha_d = detector_amplitude(cfg)
-    dalpha = target_derivative(cfg, target)
-    if dalpha == 0 or abs(alpha_d) <= VACUUM_TOL * cfg.alpha0_mag:
-        return math.nan
-    return fisher.saturation_ratio(alpha_d, dalpha)
-
-
 def scan_ratio_grid(
     base: FieldConfig,
     target: EstimationTarget,
     x: AxisSpec,
     y: Optional[AxisSpec] = None,
-    threads: int = 1,
 ) -> ScanGrid:
     """Evaluate the saturation ratio over a 1-D or 2-D parameter grid.
 
-    Cells are independent single-point evaluations; with ``threads > 1``
-    rows are dispatched to a thread pool and assembled by index, so the
-    result is identical for any thread count.
+    Each axis value goes through apply_axis once, so it is validated and
+    wrapped as in a single configuration, and each axis sets only its own
+    parameter (x wins if both axes set the same one).  The detector label
+    and target derivative are broadcast over the grid, the photon budget is
+    checked once over all cells (EnergyBudgetError names the bound), and
+    the ratio comes from :func:`fisher.information`.
     """
-    nx = len(x.values)
-    y_values = y.values if y is not None else np.array([math.nan])
-    ny = len(y_values)
+    # without a reference arm, a zero-magnitude arm at phase 0 adds nothing
+    cfg0 = base if base.reference else replace(base, reference=ReferenceArm(0, 0))
+    axes = {}
+    for axis, shape in ((y, (-1, 1)), (x, (1, -1))):
+        if axis is not None:
+            cfgs = [apply_axis(cfg0, axis.name, float(v)) for v in axis.values]
+            axes[axis.name] = cfgs, shape
 
-    def eval_row(iy: int) -> np.ndarray:
-        row_cfg = base
-        if y is not None:
-            row_cfg = apply_axis(base, y.name, float(y_values[iy]))
-        out = np.empty(nx)
-        for ix in range(nx):
-            cfg = apply_axis(row_cfg, x.name, float(x.values[ix]))
-            out[ix] = _cell_ratio(cfg, target)
-        return out
+    def column(name, get):
+        """get(cfg) per value of the axis that sets ``name``, else of cfg0."""
+        if name not in axes:
+            return get(cfg0)
+        cfgs, shape = axes[name]
+        return np.array([get(c) for c in cfgs]).reshape(shape)
 
-    if threads > 1 and ny > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(eval_row, range(ny)))
-    else:
-        rows = [eval_row(iy) for iy in range(ny)]
-    return ScanGrid(x, y, base, target, np.vstack(rows))
+    first = np.broadcast_to(
+        column("alpha_r_mag", lambda c: c.alpha_r)
+        + column("phi_s", lambda c: scattered_amplitude(c.particle)),
+        (len(y.values) if y is not None else 1, len(x.values)),
+    )
+    mag_i = column("mag_i", lambda c: c.reference.mag)
+    first_mag = np.hypot(first.real, first.imag)  # rounds like abs(complex)
+    violations = budget_violations(first_mag, mag_i, base.alpha0_mag)
+    if violations:
+        raise EnergyBudgetError("; ".join(violations))
+    phasor_i = column("phi_i", lambda c: from_polar(1.0, c.reference.phi_i))
+    dalpha = column("phi_s", lambda c: target_derivative(c, target))
+    ratio = fisher.information(
+        first + mag_i * phasor_i, dalpha, VACUUM_TOL * base.alpha0_mag
+    )[4]
+    return ScanGrid(x, y, base, target, ratio)

@@ -15,6 +15,7 @@ from iscat_metrology.field import (
     FieldConfig,
     ParticleModel,
     ReferenceArm,
+    config_to_dict,
     save_config,
 )
 
@@ -55,6 +56,26 @@ class TestFisherCommand:
         out = tmp_path / "report.json"
         rc = main(["fisher", "--config", str(tmp_path / "nope.json"), "--out", str(out)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "section,key,value,field",
+        [
+            ("alpha_r", "re", math.nan, "alpha_r.re"),
+            ("particle", "phi_s", math.nan, "particle.phi_s"),
+            (None, "alpha0_mag", math.inf, "alpha0_mag"),
+        ],
+    )
+    def test_non_finite_input_exits_2(
+        self, tmp_path, capsys, section, key, value, field
+    ):
+        d = config_to_dict(fig2_config())
+        (d[section] if section else d)[key] = value
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(d))  # writes NaN / Infinity tokens
+        out = tmp_path / "report.json"
+        assert main(["fisher", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_format(self, tmp_path, config_file):
         cfg_path = config_file(worked_example_config())
@@ -125,6 +146,31 @@ class TestScanCommand:
         assert rc == 0
         data = json.loads(out.read_text())
         assert len(data["ratio"]) == 3 and len(data["ratio"][0]) == 5
+
+    @pytest.mark.parametrize("axis", ["phi_s:0:1:0", "phi_s:0:nan:5"])
+    def test_empty_or_non_finite_axis_exits_2(
+        self, tmp_path, capsys, config_file, axis
+    ):
+        cfg_path = config_file(fig2_config())
+        out = tmp_path / "grid.csv"
+        rc = main([
+            "scan", "--config", str(cfg_path), "--x-axis", axis,
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert "axis 'phi_s'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_over_budget_axis_exits_2(self, tmp_path, capsys, config_file):
+        cfg_path = config_file(fig2_config())
+        out = tmp_path / "grid.csv"
+        rc = main([
+            "scan", "--config", str(cfg_path),
+            "--x-axis", "alpha_r_mag:0.1:0.9:5", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "alpha0_mag/2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_thread_count_byte_identical(self, tmp_path, config_file):
         cfg_path = config_file(fig2_config())

@@ -181,12 +181,6 @@ class TestCrbValidation:
         with pytest.raises(NotEstimableError):
             ps.crb_validation(cfg, PHASE, samples_per_trial=100, n_trials=10, seed=0)
 
-    def test_thread_count_does_not_change_results(self, mc_saturated_cfg):
-        kwargs = dict(samples_per_trial=100, n_trials=60, seed=9)
-        serial = ps.crb_validation(mc_saturated_cfg, MASS, threads=1, **kwargs)
-        threaded = ps.crb_validation(mc_saturated_cfg, MASS, threads=4, **kwargs)
-        np.testing.assert_array_equal(serial.estimates, threaded.estimates)
-
     def test_efficiency_approaches_bound_from_above(self):
         cfg = FieldConfig(
             alpha_r=0j, particle=ParticleModel(10.0, 0.3, 0.7), alpha0_mag=12.0

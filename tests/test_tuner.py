@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from iscat_metrology import fisher, tuner
+from iscat_metrology.errors import EnergyBudgetError, NotEstimableError
 from iscat_metrology.field import (
     EstimationTarget,
     FieldConfig,
@@ -210,18 +211,91 @@ class TestScanGrid:
         assert grid.values.shape == (1, 13)
         assert grid.y is None
 
-    def test_threads_do_not_change_values(self, fig2_cfg):
-        x = tuner.AxisSpec.linspace("phi_s", 0.0, 2 * PI, 17)
-        y = tuner.AxisSpec.linspace("phi_i", 0.0, 2 * PI, 9)
-        serial = tuner.scan_ratio_grid(fig2_cfg, MASS, x, y, threads=1)
-        threaded = tuner.scan_ratio_grid(fig2_cfg, MASS, x, y, threads=4)
-        np.testing.assert_array_equal(serial.values, threaded.values)
+    @pytest.mark.parametrize(
+        "reference,x,y",
+        [
+            (None, ("mag_i", 0.0, 4e-5, 5), None),
+            (None, ("alpha_r_mag", 1e-6, 1e-4, 4), ("phi_s", 0.1, 6.0, 3)),
+            (None, ("phi_s", 0.0, 6.0, 4), ("mag_i", 0.0, 4e-5, 3)),
+            ((3e-5, 0.5), ("phi_i", 0.0, 6.0, 4), ("phi_i", 1.0, 2.0, 3)),
+            ((3e-5, 0.5), ("mag_i", 0.0, 4e-5, 4), ("alpha_r_mag", 0.0, 1e-4, 3)),
+        ],
+        ids=["mag_i_no_arm", "alpha_r_by_phi_s", "phi_s_by_mag_i",
+             "same_axis_x_wins", "mag_i_by_alpha_r"],
+    )
+    def test_cells_match_sequential_apply_axis(self, fig2_cfg, reference, x, y):
+        base = fig2_cfg if reference is None else with_reference(fig2_cfg, *reference)
+        xs = tuner.AxisSpec.linspace(*x)
+        ys = tuner.AxisSpec.linspace(*y) if y is not None else None
+        grid = tuner.scan_ratio_grid(base, MASS, xs, ys)
+        for iy in range(grid.values.shape[0]):
+            row = base
+            if ys is not None:
+                row = tuner.apply_axis(base, ys.name, float(ys.values[iy]))
+            for ix, value in enumerate(xs.values):
+                cfg = tuner.apply_axis(row, xs.name, float(value))
+                rep = fisher.fisher_report(cfg, MASS)
+                assert grid.values[iy, ix] == rep.saturation_ratio
+
+    def test_cells_match_reports_around_vacuum(self, fig2_cfg):
+        # mag_i = |alpha_first| at ix = 2 and the cancelling phase at iy = 1
+        # put exactly one vacuum cell in the grid
+        first = first_arm_amplitude(fig2_cfg)
+        x = tuner.AxisSpec.linspace("mag_i", 0.0, 2 * abs(first), 5)
+        y = tuner.AxisSpec(
+            "phi_i", np.array([0.3, cmath.phase(-first) % (2 * PI), 4.0])
+        )
+        grid = tuner.scan_ratio_grid(fig2_cfg, MASS, x, y)
+        undefined = []
+        for iy, phi in enumerate(y.values):
+            for ix, mag in enumerate(x.values):
+                cfg = tuner.apply_axis(fig2_cfg, "phi_i", float(phi))
+                cfg = tuner.apply_axis(cfg, "mag_i", float(mag))
+                try:
+                    want = fisher.fisher_report(cfg, MASS).saturation_ratio
+                except NotEstimableError:
+                    undefined.append((iy, ix))
+                    continue
+                assert grid.values[iy, ix] == want
+        assert undefined == [(1, 2)]
+        assert [tuple(c) for c in np.argwhere(np.isnan(grid.values))] == undefined
+
+    def test_zero_mass_phase_target_all_undefined(self):
+        cfg = FieldConfig(alpha_r=0.1, particle=ParticleModel(0.0, 1.0, 0.0))
+        grid = tuner.scan_ratio_grid(
+            cfg,
+            PHASE,
+            tuner.AxisSpec.linspace("phi_s", 0.0, 2 * PI, 7),
+            tuner.AxisSpec.linspace("alpha_r_mag", 0.01, 0.4, 3),
+        )
+        assert grid.values.shape == (3, 7)
+        assert np.isnan(grid.values).all()
+
+    def test_over_budget_cell_rejected(self, fig2_cfg):
+        x = tuner.AxisSpec.linspace("alpha_r_mag", 0.1, 0.9, 5)
+        with pytest.raises(EnergyBudgetError, match="alpha0_mag/2"):
+            tuner.scan_ratio_grid(fig2_cfg, MASS, x)
 
     def test_unknown_axis_rejected(self, fig2_cfg):
         with pytest.raises(ValueError, match="unknown axis"):
             tuner.AxisSpec.linspace("mass_kda", 0.0, 1.0, 5)
         with pytest.raises(ValueError, match="unknown axis"):
             tuner.apply_axis(fig2_cfg, "nope", 1.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: tuner.AxisSpec.linspace("phi_s", 0.0, 1.0, 0),
+            lambda: tuner.AxisSpec.linspace("phi_s", 0.0, math.nan, 5),
+            lambda: tuner.AxisSpec.logspace("phi_s", 1.0, math.inf, 5),
+            lambda: tuner.AxisSpec("phi_s", np.array([])),
+            lambda: tuner.AxisSpec("phi_s", np.array([0.0, math.nan])),
+        ],
+        ids=["zero_steps", "nan_bound", "inf_bound", "empty", "nan_value"],
+    )
+    def test_empty_or_non_finite_axis_rejected(self, make):
+        with pytest.raises(ValueError, match="axis 'phi_s'"):
+            make()
 
     def test_csv_and_header(self, tmp_path, fig2_cfg):
         grid = tuner.scan_ratio_grid(
