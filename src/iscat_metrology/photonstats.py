@@ -6,17 +6,19 @@ lam(mu) = |alpha_d(mu)|^2, so the log-likelihood of counts n_1..n_N is
 
     ll(mu) = S*log(lam(mu)) - N*lam(mu) + const,   S = sum(n_i).
 
-The MLE is bracketed on a coarse grid and refined by golden-section search;
-its variance across trials is compared against 1/(N*F) with F the counting
-CFI.  Sampling uses numpy's PCG64 generator with explicit 64-bit seeds, and
-trial k draws from its own stream seeded with seed + k, so a trial's counts
-do not depend on the trials run before it.
+It is largest where lam(mu) = S/N, so the MLE inverts the counting mean in
+closed form (roots of a quadratic in mass, of a cosine in phase); of two
+roots inside the search bracket, equally likely, the one nearest the
+configured value is taken.  The MLE variance across trials is compared
+against 1/(N*F) with F the counting CFI.  Sampling uses numpy's PCG64
+generator with explicit 64-bit seeds, and trial k draws from its own stream
+seeded with seed + k, so a trial's counts do not depend on earlier trials.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy import stats
@@ -24,14 +26,14 @@ from scipy import stats
 from . import fisher, tuner
 from .errors import BracketError, NotEstimableError
 from .field import (
+    TAU,
     EstimationTarget,
     FieldConfig,
     ReferenceArm,
     detector_amplitude,
-    first_arm_amplitude,
+    from_polar,
     reference_amplitude,
     target_value,
-    with_target_value,
 )
 
 
@@ -78,46 +80,69 @@ def sample_counts(mean: float, length: int, seed: int) -> CountSample:
 
 # --- Maximum likelihood -------------------------------------------------------
 
-DEFAULT_COARSE_POINTS = 65
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def default_bracket(
     cfg: FieldConfig, target: EstimationTarget
 ) -> tuple[float, float]:
-    """Unimodal search window around the configured parameter value."""
+    """Search window around the configured value mu: [mu/10, 10*mu] for the
+    mass (BracketError at mass 0, where it is empty), mu +- pi/2 for phase."""
     mu = target_value(cfg, target)
     if target is EstimationTarget.MASS:
+        if mu == 0.0:
+            raise BracketError("mass 0: the mass search bracket is empty")
         return 0.1 * mu, 10.0 * mu
     return mu - 0.5 * math.pi, mu + 0.5 * math.pi
 
 
-def _golden_max(f, lo: float, hi: float, xatol: float) -> float:
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xatol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def mle_candidates(
+    mean_count: float,
+    cfg: FieldConfig,
+    target: EstimationTarget,
+    bracket: tuple[float, float],
+) -> list[float]:
+    """Closed-form maximizers of the likelihood inside ``bracket``.
 
-
-def model_mean(cfg: FieldConfig, target: EstimationTarget, mu: float) -> float:
-    """Counting mean |alpha_d(mu)|^2 of the likelihood model.
-
-    Evaluated without the photon-budget check: hypothetical parameter values
-    explored by an estimator need not correspond to realizable setups.
+    They solve lam(mu) = ``mean_count``.  In mass, lam = |A + m*d|^2 with
+    A = alpha_r + alpha_i and d = s*e^(i*phi_s) is a quadratic; in phase,
+    lam = |A|^2 + c^2 + 2|A|c*cos(phi - arg A) with c = m*s, and the roots
+    are shifted by multiples of 2*pi into the bracket.  Out of reach, the
+    maximizer is the mass vertex or the phase extremum.  Values within 1e-6
+    of the bracket width of an edge do not count (BracketError if none is
+    left); the rest come nearest the configured value first.
     """
-    trial = with_target_value(cfg, target, mu)
-    amp = first_arm_amplitude(trial) + reference_amplitude(trial)
-    return abs(amp) ** 2
+    lo, hi = bracket
+    base = cfg.alpha_r + reference_amplitude(cfg)
+    p = cfg.particle
+    if target is EstimationTarget.MASS:
+        d = from_polar(p.scale_per_kda, p.phi_s)
+        b, dd = (base.conjugate() * d).real, p.scale_per_kda**2
+        gap = abs(base) ** 2 - mean_count
+        disc = b * b - dd * gap
+        # q has no cancellation between b and sqrt(disc)
+        q = -(b + math.copysign(math.sqrt(max(disc, 0.0)), b))
+        roots = [q / dd, gap / q] if disc > 0.0 else [-b / dd]
+    else:
+        c = p.mass_kda * p.scale_per_kda
+        if abs(base) * c == 0.0:
+            raise NotEstimableError("the counting mean does not depend on phi_s")
+        cosine = (mean_count - abs(base) ** 2 - c * c) / (2.0 * abs(base) * c)
+        delta = math.acos(max(-1.0, min(1.0, cosine)))
+        arg = math.atan2(base.imag, base.real)
+        roots = [arg - delta, arg + delta] if 0.0 < delta < math.pi else [arg + delta]
+        roots = [
+            r + k * TAU
+            for r in roots
+            for k in range(math.ceil((lo - r) / TAU), math.floor((hi - r) / TAU) + 1)
+        ]
+    edge = 1e-6 * (hi - lo)
+    inside = [r for r in roots if lo + edge < r < hi - edge]
+    if not inside:
+        raise BracketError(
+            "likelihood maximum at the bracket edge; parameter not identifiable."
+            f" bracket=[{lo!r}, {hi!r}], mean count={mean_count!r}"
+        )
+    mu = target_value(cfg, target)
+    return sorted(inside, key=lambda r: abs(r - mu))
 
 
 def mle_estimate(
@@ -128,44 +153,20 @@ def mle_estimate(
 ) -> float:
     """Maximum-likelihood value of the target parameter.
 
-    The bracket (default: the unimodal window around the configured value)
-    is scanned on a coarse grid and the best cell refined by golden-section
-    search to 1e-10 of the bracket width.  If the maximum sits at a bracket
-    edge the parameter is not identifiable from these counts and a
-    BracketError with edge diagnostics is raised.
+    By MLE invariance the fit matches the Poisson mean, lam(mu) = S/N,
+    inverted in closed form by :func:`mle_candidates` inside the bracket
+    (default: :func:`default_bracket`).  Two roots inside the bracket have
+    equal likelihood; the one nearest the configured value is returned.  A
+    maximum at a bracket edge means the parameter is not identifiable from
+    these counts, and raises BracketError.
     """
-    lo, hi = search_bracket if search_bracket is not None else default_bracket(
-        cfg, target
-    )
+    lo, hi = search_bracket or default_bracket(cfg, target)
     if not (lo < hi):
         raise ValueError(f"empty bracket [{lo}, {hi}]")
     counts = np.asarray(sample.counts)
-    total = float(counts.sum())
-    n_obs = len(counts)
-
-    def loglike(mu: float) -> float:
-        lam = model_mean(cfg, target, mu)
-        if lam <= 0.0:
-            return -math.inf  # vacuum: zero likelihood unless all counts are 0
-        return total * math.log(lam) - n_obs * lam
-
-    grid = np.linspace(lo, hi, DEFAULT_COARSE_POINTS)
-    values = [loglike(mu) for mu in grid]
-    k = int(np.argmax(values))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    xatol = 1e-10 * (hi - lo)
-    estimate = _golden_max(loglike, a, b, xatol)
-    edge = 1e-6 * (hi - lo)
-    if estimate - lo <= edge or hi - estimate <= edge:
-        mean_count = total / n_obs if n_obs else math.nan
-        raise BracketError(
-            "likelihood maximum at the bracket edge; parameter not "
-            f"identifiable. bracket=[{lo!r}, {hi!r}], estimate={estimate!r}, "
-            f"ll(lo)={loglike(lo)!r}, ll(hi)={loglike(hi)!r}, "
-            f"mean count={mean_count!r}"
-        )
-    return estimate
+    if counts.size == 0:
+        raise ValueError("empty count sample")
+    return mle_candidates(float(counts.sum()) / len(counts), cfg, target, (lo, hi))[0]
 
 
 # --- Monte Carlo CRB validation -------------------------------------------------
@@ -184,22 +185,15 @@ class CrbValidationReport:
     ratio_var_over_crb: float
     ratio_standard_error: float
     bias: float
+    ambiguous_trials: int
     seed: int
     estimates: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target.value,
-            "true_value": self.true_value,
-            "n_trials": self.n_trials,
-            "samples_per_trial": self.samples_per_trial,
-            "empirical_variance": self.empirical_variance,
-            "crb": self.crb,
-            "ratio_var_over_crb": self.ratio_var_over_crb,
-            "ratio_standard_error": self.ratio_standard_error,
-            "bias": self.bias,
-            "seed": self.seed,
-        }
+        """Scalar fields in declaration order (``estimates`` left out)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        del out["estimates"]
+        return {**out, "target": self.target.value}
 
 
 def crb_validation(
@@ -208,27 +202,30 @@ def crb_validation(
     samples_per_trial: int,
     n_trials: int,
     seed: int,
-    search_bracket: tuple[float, float] | None = None,
 ) -> CrbValidationReport:
     """Repeatedly sample counts, fit the MLE, and compare var against CRB.
 
-    Trial k uses the derived seed ``seed + k``.  Non-estimable
-    configurations raise before any sampling.
+    Trial k uses the derived seed ``seed + k`` and is fitted as in
+    :func:`mle_estimate`; ``ambiguous_trials`` counts the trials with two
+    roots inside the bracket.  Non-estimable configurations, and a mass
+    target at zero mass, raise before any sampling.
     """
     if samples_per_trial < 2 or n_trials < 2:
         raise ValueError("need at least 2 samples per trial and 2 trials")
     report = fisher.fisher_report(cfg, target)  # raises if not estimable
     if not (report.cfi_photon_number > 0.0):
-        raise NotEstimableError(
-            "counting CFI is zero; the bound is infinite"
-        )
+        raise NotEstimableError("counting CFI is zero; the bound is infinite")
     lam = abs(detector_amplitude(cfg)) ** 2
     true_value = target_value(cfg, target)
+    bracket = default_bracket(cfg, target)
 
     estimates = np.empty(n_trials)
+    ambiguous = 0
     for k in range(n_trials):
-        sample = sample_counts(lam, samples_per_trial, seed + k)
-        estimates[k] = mle_estimate(sample, cfg, target, search_bracket)
+        total = float(sample_counts(lam, samples_per_trial, seed + k).counts.sum())
+        found = mle_candidates(total / samples_per_trial, cfg, target, bracket)
+        estimates[k] = found[0]
+        ambiguous += len(found) > 1
     variance = float(np.var(estimates, ddof=1))
     crb = 1.0 / (samples_per_trial * report.cfi_photon_number)
     ratio = variance / crb
@@ -242,6 +239,7 @@ def crb_validation(
         ratio_var_over_crb=ratio,
         ratio_standard_error=ratio * math.sqrt(2.0 / (n_trials - 1)),
         bias=float(np.mean(estimates) - true_value),
+        ambiguous_trials=ambiguous,
         seed=seed,
         estimates=estimates,
     )

@@ -36,7 +36,8 @@ from .errors import DegenerateFieldError
 class RealFieldTriple:
     """Real amplitudes and phases of the three detector-field components.
 
-    Fields may be scalars or broadcastable numpy arrays.
+    Fields may be scalars or broadcastable numpy arrays; every entry must
+    be finite and the amplitudes non-negative.
     """
 
     e_r: float
@@ -46,6 +47,9 @@ class RealFieldTriple:
     phi_i: float = 0.0
 
     def __post_init__(self):
+        for name in ("e_r", "e_s", "e_i", "phi_s", "phi_i"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         for name in ("e_r", "e_s", "e_i"):
             if np.any(np.asarray(getattr(self, name)) < 0):
                 raise ValueError(f"{name} must be >= 0")

@@ -72,6 +72,15 @@ class SpectralField:
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
         object.__setattr__(self, "omega", omega)
+        # checked per CSV column, so a bad file names the column at fault
+        columns = {"omega": omega, "weight": self.weights}
+        for name in ("alpha_r", "alpha_s", "alpha_i"):
+            z = np.asarray(getattr(self, name))
+            columns[f"{name}_re"], columns[f"{name}_im"] = z.real, z.imag
+        columns.update(scale_s=self.scale_s, phi_s=self.phi_s)
+        for column, values in columns.items():
+            if values is not None and not np.all(np.isfinite(values)):
+                raise ValueError(f"spectrum column {column} must be finite")
         if len(omega) == 0:
             raise ValueError("empty frequency grid")
         if len(omega) > 1 and not np.all(np.diff(omega) > 0):

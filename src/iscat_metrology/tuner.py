@@ -87,7 +87,7 @@ class SaturationSolution:
             if abs(t) <= tol:
                 continue  # vacuum point: counting carries no phase there
             alpha_i = t * cmath.exp(1j * self.psi) - self.alpha_first
-            phases.append(wrap_angle(cmath.phase(alpha_i)))
+            phases.append(wrap_angle(math.atan2(alpha_i.imag, alpha_i.real)))
         return tuple(sorted(phases))
 
 
@@ -100,7 +100,7 @@ def saturating_reference_set(
         raise ValueError(
             "target derivative vanishes; no alignment direction exists"
         )
-    psi = wrap_angle(cmath.phase(dalpha))
+    psi = wrap_angle(math.atan2(dalpha.imag, dalpha.real))
     alpha_first = first_arm_amplitude(cfg)
     min_mag = abs((alpha_first * cmath.exp(-1j * psi)).imag)
     return SaturationSolution(
@@ -175,7 +175,8 @@ class AxisSpec:
 def apply_axis(cfg: FieldConfig, name: str, value: float) -> FieldConfig:
     """Baseline config with one scan parameter replaced."""
     if name == "alpha_r_mag":
-        phase = cmath.phase(cfg.alpha_r) if cfg.alpha_r != 0 else 0.0
+        z = cfg.alpha_r
+        phase = math.atan2(z.imag, z.real) if z != 0 else 0.0
         return replace(cfg, alpha_r=cmath.rect(value, phase))
     if name == "phi_s":
         return replace(

@@ -172,6 +172,20 @@ class TestScanCommand:
         assert "alpha0_mag/2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_alpha_r_phase_scans(self, tmp_path):
+        # the argument of 2 + 5e-324j underflows; cmath.phase raised on it
+        cfg = config_to_dict(fig2_config())
+        cfg.update(alpha0_mag=10.0, alpha_r={"re": 2.0, "im": 5e-324})
+        cfg_path = tmp_path / "subnormal.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "grid.csv"
+        rc = main([
+            "scan", "--config", str(cfg_path),
+            "--x-axis", "alpha_r_mag:1:2:3", "--out", str(out),
+        ])
+        assert rc == 0
+        assert len(read_csv(out)) == 3
+
     def test_thread_count_byte_identical(self, tmp_path, config_file):
         cfg_path = config_file(fig2_config())
         outs = []
@@ -262,6 +276,21 @@ class TestSnrCommand:
         assert rc == 2
 
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--e-r", "nan", "e_r"), ("--e-s", "inf", "e_s"), ("--phi-s", "-inf", "phi_s")],
+    )
+    def test_non_finite_field_exits_2(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "x.csv"
+        rc = main([
+            "snr", "--mode", "mass", f"{flag}={value}",
+            "--sweep", "phi_i:0:1:3", "--out", str(out),
+        ])
+        assert rc == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMonteCarloCommand:
     def test_report_and_trials(self, tmp_path, config_file, mc_saturated_cfg):
         cfg_path = config_file(mc_saturated_cfg)
@@ -305,6 +334,31 @@ class TestMonteCarloCommand:
             "--trials", "10", "--samples", "10", "--seed", "1",
         ])
         assert rc == 3
+
+
+    def test_zero_mass_mass_target_exits_3(self, tmp_path, capsys, config_file):
+        cfg = FieldConfig(
+            alpha_r=2.3, particle=ParticleModel(0.0, 0.1, 1.0), alpha0_mag=10.0
+        )
+        cfg_path = config_file(cfg)
+        out = tmp_path / "mc.json"
+        rc = main([
+            "montecarlo", "--config", str(cfg_path), "--out", str(out),
+            "--trials", "10", "--samples", "10", "--seed", "1",
+        ])
+        assert rc == 3
+        assert "mass 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ambiguous_trials_reported(self, tmp_path, config_file, mc_saturated_cfg):
+        cfg_path = config_file(mc_saturated_cfg)
+        out = tmp_path / "mc.json"
+        rc = main([
+            "montecarlo", "--config", str(cfg_path), "--out", str(out),
+            "--trials", "20", "--samples", "100", "--seed", "5",
+        ])
+        assert rc == 0
+        assert json.loads(out.read_text())["ambiguous_trials"] == 0
 
 
 class TestSpectrumCommand:
@@ -353,6 +407,21 @@ class TestSpectrumCommand:
         data = json.loads(out.read_text())
         assert data["relative_mass_bound_sqrt_n"] == pytest.approx(0.5, abs=1e-10)
         assert data["scattered_photons"] == pytest.approx(220.0, abs=1e-10)
+
+    @pytest.mark.parametrize("column", ["alpha_s_re", "omega", "scale_s", "weight"])
+    def test_non_finite_column_exits_2(self, tmp_path, capsys, column):
+        path = self.spectrum_csv_for(tmp_path, worked_example_config())
+        rows = read_csv(path)
+        rows[0][column] = "nan" if column != "weight" else "inf"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "o.json"
+        rc = main(["spectrum", "--spectrum", str(path), "--out", str(out)])
+        assert rc == 2
+        assert f"spectrum column {column} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_csv_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

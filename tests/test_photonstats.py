@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import quarter_ratio_mc_config, saturated_mc_config
 from iscat_metrology import fisher, photonstats as ps
 from iscat_metrology.errors import BracketError, NotEstimableError
 from iscat_metrology.field import (
@@ -11,6 +12,9 @@ from iscat_metrology.field import (
     ParticleModel,
     ReferenceArm,
     detector_amplitude,
+    first_arm_amplitude,
+    reference_amplitude,
+    with_target_value,
 )
 
 PI = math.pi
@@ -101,9 +105,75 @@ class TestSampling:
 
 
 def saturated_config():
-    from conftest import saturated_mc_config
-
     return saturated_mc_config()
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo, hi, xatol):
+    """Golden-section maximiser of a function unimodal on [lo, hi]."""
+    a, b = lo, hi
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > xatol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def oracle_mle(sample, cfg, target, xatol_rel=1e-10, points=2049):
+    """Numerical MLE, independent of the closed form: the Poisson
+    log-likelihood is evaluated through the field model on a fine grid over
+    the default bracket, and its best cell refined by golden-section search.
+
+    The log-likelihood is shifted by its value at lam = S/N and scaled by
+    1/S, to log1p(x) - x with x = lam/(S/N) - 1, so its peak is resolved to
+    round-off rather than to the ~1e-8 relative flatness of S*log(lam) - N*lam.
+    """
+    lo, hi = ps.default_bracket(cfg, target)
+    level = sample.counts.sum() / len(sample.counts)
+
+    def loglike(mu):
+        trial = with_target_value(cfg, target, mu)
+        lam = abs(first_arm_amplitude(trial) + reference_amplitude(trial)) ** 2
+        x = lam / level - 1.0
+        return math.log1p(x) - x
+
+    grid = np.linspace(lo, hi, points)
+    k = int(np.argmax([loglike(mu) for mu in grid]))
+    xatol = xatol_rel * (hi - lo)
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]
+    return _golden_max(loglike, a, b, xatol), xatol
+
+
+def spurious_edge_config():
+    """Phase-target config whose narrow interior likelihood peak a 65-point
+    grid missed at seed 373 (it reported a bracket-edge maximum)."""
+    return FieldConfig(
+        alpha_r=-1.0159440439964649,
+        particle=ParticleModel(
+            90.49263834987944, 0.03181666977803612, 5.3622171814831425
+        ),
+        reference=ReferenceArm(2.682105602310639, 4.949209912513873),
+        alpha0_mag=20.0,
+    )
+
+
+def vertex_inside_config():
+    """Mass target with lam(m) = (s*(m - 20))^2: the vertex m = 20 lies in
+    the bracket [1, 100], and the configured m = 10 has a mirror root near
+    m = 30."""
+    return FieldConfig(
+        alpha_r=-10.0, particle=ParticleModel(10.0, 0.5, 0.0), alpha0_mag=20.0
+    )
 
 
 class TestMleEstimate:
@@ -152,6 +222,84 @@ class TestMleEstimate:
         assert est == pytest.approx(66.0, abs=3.0)
         with pytest.raises(ValueError):
             ps.mle_estimate(sample, cfg, MASS, search_bracket=(5.0, 5.0))
+
+
+class TestClosedFormMle:
+    @pytest.mark.parametrize(
+        "make_cfg, target",
+        [
+            (saturated_mc_config, MASS),
+            (quarter_ratio_mc_config, MASS),
+            (quarter_ratio_mc_config, PHASE),
+            (spurious_edge_config, PHASE),
+        ],
+        ids=["saturated-mass", "quarter-mass", "quarter-phase", "spurious-phase"],
+    )
+    def test_agrees_with_golden_section_oracle(self, make_cfg, target):
+        cfg = make_cfg()
+        lam = abs(detector_amplitude(cfg)) ** 2
+        bracket = ps.default_bracket(cfg, target)
+        checked = 0
+        for seed in range(12):
+            sample = ps.sample_counts(lam, 1000, 7000 + seed)
+            level = sample.counts.sum() / len(sample.counts)
+            if len(ps.mle_candidates(level, cfg, target, bracket)) != 1:
+                continue  # two equally likely roots: no unique maximum
+            est = ps.mle_estimate(sample, cfg, target)
+            reference, xatol = oracle_mle(sample, cfg, target)
+            assert abs(est - reference) <= xatol
+            # the estimate solves lam(estimate) = S/N to round-off
+            trial = with_target_value(cfg, target, est)
+            fitted = abs(detector_amplitude(trial)) ** 2
+            assert fitted == pytest.approx(level, rel=1e-12)
+            checked += 1
+        assert checked >= 10
+
+    def test_spurious_edge_case_finds_interior_peak(self):
+        cfg = spurious_edge_config()
+        lam = abs(detector_amplitude(cfg)) ** 2
+        sample = ps.sample_counts(lam, 1000, 373)
+        est = ps.mle_estimate(sample, cfg, PHASE)
+        assert est == pytest.approx(5.34832, abs=1e-5)
+        reference, xatol = oracle_mle(sample, cfg, PHASE)
+        assert abs(est - reference) <= xatol
+
+    def test_two_roots_return_nearest_and_count_as_ambiguous(self):
+        cfg = vertex_inside_config()
+        lam = abs(detector_amplitude(cfg)) ** 2
+        sample = ps.sample_counts(lam, 1000, 11)
+        level = sample.counts.sum() / len(sample.counts)
+        found = ps.mle_candidates(level, cfg, MASS, ps.default_bracket(cfg, MASS))
+        assert len(found) == 2
+        assert found[0] == pytest.approx(20.0 - 2.0 * math.sqrt(level), rel=1e-12)
+        assert found[1] == pytest.approx(20.0 + 2.0 * math.sqrt(level), rel=1e-12)
+        assert ps.mle_estimate(sample, cfg, MASS) == found[0]
+        report = ps.crb_validation(
+            cfg, MASS, samples_per_trial=1000, n_trials=50, seed=11
+        )
+        assert report.ambiguous_trials == 50
+        assert report.estimates[0] == found[0]
+        assert np.all(report.estimates < 20.0)
+        assert report.to_dict()["ambiguous_trials"] == 50
+
+    def test_out_of_reach_mean_gives_the_vertex(self):
+        # a mean count below the vertex value of lam: the likelihood peaks
+        # where lam is smallest
+        cfg = FieldConfig(
+            alpha_r=-10.0, particle=ParticleModel(10.0, 0.5, 0.3),
+            alpha0_mag=20.0,
+        )
+        (vertex,) = ps.mle_candidates(0.0, cfg, MASS, (1.0, 100.0))
+        assert vertex == pytest.approx(20.0 * math.cos(0.3), rel=1e-12)
+
+    def test_zero_mass_bracket_not_estimable(self):
+        cfg = FieldConfig(
+            alpha_r=2.3, particle=ParticleModel(0.0, 0.1, 1.0), alpha0_mag=10.0
+        )
+        with pytest.raises(BracketError, match="mass 0"):
+            ps.default_bracket(cfg, MASS)
+        with pytest.raises(BracketError, match="mass 0"):
+            ps.crb_validation(cfg, MASS, samples_per_trial=10, n_trials=10, seed=0)
 
 
 class TestCrbValidation:
