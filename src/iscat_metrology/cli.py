@@ -9,22 +9,29 @@ Subcommands map one-to-one onto the library surfaces:
     montecarlo  Monte Carlo MLE validation of the Cramer-Rao bound
     spectrum    broadband bounds from a spectrum CSV
 
-Exit codes: 0 success, 2 input/config error, 3 well-formed but
-non-estimable configuration (vacuum detector field, zero information).
+The parser is built from the ``SUBCOMMANDS`` table.  Each subcommand is a
+``run_<name>(args, out)`` function that writes its data files and returns
+``(arguments, outputs, seed)``: the resolved inputs, the paths it wrote and
+the seed (None unless the run samples).  :func:`main` owns the rest: it
+writes one ``<out>.manifest.json`` sidecar per successful run (those three
+plus tool version and timestamp) and maps errors to exit codes: 0 success,
+2 input/config error, 3 well-formed but non-estimable configuration (vacuum
+detector field, zero information).  Data files contain no timestamps, so
+identical inputs reproduce them byte for byte.
 
-Every data file is accompanied by a ``<out>.manifest.json`` sidecar holding
-the resolved inputs, seed, tool version and timestamp.  Data files contain
-no timestamps, so identical inputs reproduce them byte for byte.
+Only ``fisher``, ``scan`` and ``snr`` take ``--format``; the others always
+write JSON.  Option values such as ``-1e-3``, ``-inf`` or ``-nan`` are read
+as numbers, not as flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
-import json
 import math
+import re
 import sys
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -44,38 +51,7 @@ from .textio import dump_json
 PI = math.pi
 
 
-def _target(name: str) -> EstimationTarget:
-    return EstimationTarget(name)
-
-
-# --- manifests ----------------------------------------------------------------
-
-
-@dataclass
-class RunManifest:
-    subcommand: str
-    arguments: dict
-    outputs: list[str] = dc_field(default_factory=list)
-    seed: int | None = None
-    tool_version: str = __version__
-    timestamp: str = ""
-
-    def write(self, primary_out: str) -> None:
-        self.timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        dump_json(
-            str(primary_out) + ".manifest.json",
-            {
-                "subcommand": self.subcommand,
-                "arguments": self.arguments,
-                "outputs": self.outputs,
-                "seed": self.seed,
-                "tool_version": self.tool_version,
-                "timestamp": self.timestamp,
-            },
-        )
-
-
-# --- scan presets (figure parameter sets) --------------------------------------
+# --- presets (figure parameter sets) -------------------------------------------
 
 _PHASE_TRIPLE = [PI / 3.0, 2.0 * PI / 3.0, 5.0 * PI / 6.0]
 
@@ -86,6 +62,7 @@ def _particle(mass_s: float, phi_s: float) -> ParticleModel:
 
 
 def _scan_presets() -> dict:
+    """name: (baseline config, target, x axis, y axis)."""
     iscat_base = FieldConfig(
         alpha_r=2.3e-5, particle=_particle(2e-5, 2.0 * PI / 3.0)
     )
@@ -104,66 +81,52 @@ def _scan_presets() -> dict:
         particle=_particle(2e-5, 5.0 * PI / 6.0),
         reference=ReferenceArm(0.045, 0.0),
     )
+    mass, phase = EstimationTarget.MASS, EstimationTarget.SCATTER_PHASE
+    linspace, logspace = tuner.AxisSpec.linspace, tuner.AxisSpec.logspace
     phases = tuner.AxisSpec("phi_s", np.array(_PHASE_TRIPLE))
+    phi_i = linspace("phi_i", 0.0, 2.0 * PI, 721)
     return {
-        "fig2a": dict(
-            base=iscat_base,
-            target=EstimationTarget.MASS,
-            x=tuner.AxisSpec.logspace("alpha_r_mag", 1e-6, 1e-1, 121),
-            y=phases,
+        "fig2a": (
+            iscat_base, mass, logspace("alpha_r_mag", 1e-6, 1e-1, 121), phases
         ),
-        "fig2b": dict(
-            base=fig2bc_base,
-            target=EstimationTarget.MASS,
-            x=tuner.AxisSpec.linspace("phi_s", 0.0, 2.0 * PI, 73),
-            y=tuner.AxisSpec.linspace("phi_i", 0.0, 2.0 * PI, 721),
+        "fig2b": (fig2bc_base, mass, linspace("phi_s", 0.0, 2.0 * PI, 73), phi_i),
+        "fig2c": (fig2bc_base, mass, linspace("mag_i", 0.0, 9e-5, 181), phi_i),
+        "fig2d": (fig2d_base, mass, linspace("mag_i", 0.0, 2e-2, 201), phi_i),
+        "fig3a": (
+            iscat_base, phase, logspace("alpha_r_mag", 1e-6, 1e-1, 121), phases
         ),
-        "fig2c": dict(
-            base=fig2bc_base,
-            target=EstimationTarget.MASS,
-            x=tuner.AxisSpec.linspace("mag_i", 0.0, 9e-5, 181),
-            y=tuner.AxisSpec.linspace("phi_i", 0.0, 2.0 * PI, 721),
-        ),
-        "fig2d": dict(
-            base=fig2d_base,
-            target=EstimationTarget.MASS,
-            x=tuner.AxisSpec.linspace("mag_i", 0.0, 2e-2, 201),
-            y=tuner.AxisSpec.linspace("phi_i", 0.0, 2.0 * PI, 721),
-        ),
-        "fig3a": dict(
-            base=iscat_base,
-            target=EstimationTarget.SCATTER_PHASE,
-            x=tuner.AxisSpec.logspace("alpha_r_mag", 1e-6, 1e-1, 121),
-            y=phases,
-        ),
-        "fig3b": dict(
-            base=fig3b_base,
-            target=EstimationTarget.SCATTER_PHASE,
-            x=tuner.AxisSpec.linspace("phi_s", 0.0, 2.0 * PI, 73),
-            y=tuner.AxisSpec.linspace("phi_i", 0.0, 2.0 * PI, 721),
-        ),
+        "fig3b": (fig3b_base, phase, linspace("phi_s", 0.0, 2.0 * PI, 73), phi_i),
     }
 
 
 def _snr_presets() -> dict:
+    """name: (mode, field triple, sweep variable, sweep values, log scale)."""
     return {
-        "figsnr1": dict(
-            mode="mass",
-            triple=snr.RealFieldTriple(
-                e_r=1.0, e_s=0.01, e_i=1.0, phi_s=PI / 2.0
-            ),
-            sweep=("phi_i", np.linspace(0.0, 2.0 * PI, 721)),
-            log_scale=False,
+        "figsnr1": (
+            "mass",
+            snr.RealFieldTriple(e_r=1.0, e_s=0.01, e_i=1.0, phi_s=PI / 2.0),
+            "phi_i",
+            np.linspace(0.0, 2.0 * PI, 721),
+            False,
         ),
-        "figsnr2": dict(
-            mode="phase",
-            triple=snr.RealFieldTriple(
+        "figsnr2": (
+            "phase",
+            snr.RealFieldTriple(
                 e_r=1.0, e_s=0.01, e_i=1.0, phi_s=0.0, phi_i=PI / 2.0
             ),
-            sweep=("phi_s", np.logspace(-4, -2, 101)),
-            log_scale=True,
+            "phi_s",
+            np.logspace(-4, -2, 101),
+            True,
         ),
     }
+
+
+def _preset(presets: dict, name: str):
+    if name not in presets:
+        raise ValueError(
+            f"unknown preset {name!r}; expected one of {sorted(presets)}"
+        )
+    return presets[name]
 
 
 def _parse_axis(spec: str) -> tuner.AxisSpec:
@@ -181,14 +144,13 @@ def _parse_axis(spec: str) -> tuner.AxisSpec:
     return tuner.AxisSpec.linspace(name, lo, hi, steps)
 
 
-# --- subcommand implementations -------------------------------------------------
+# --- subcommands: each returns (arguments, outputs, seed) -----------------------
 
 
-def cmd_fisher(args) -> int:
+def run_fisher(args, out: Path):
     cfg = load_config(args.config)
-    target = _target(args.target)
+    target = EstimationTarget(args.target)
     report = fisher.fisher_report(cfg, target)
-    out = Path(args.out)
     if args.format == "csv":
         fisher.write_report_csv(out, [(cfg, target, report)])
     else:
@@ -202,74 +164,52 @@ def cmd_fisher(args) -> int:
                 "qcrb_photon_counting": fisher.qcrb(report.cfi_photon_number),
             },
         )
-    manifest = RunManifest(
-        "fisher",
-        {
-            "config": config_to_dict(cfg),
-            "target": target.value,
-            "format": args.format,
-        },
-        outputs=[str(out)],
-    )
-    manifest.write(out)
-    return 0
+    arguments = {
+        "config": config_to_dict(cfg),
+        "target": target.value,
+        "format": args.format,
+    }
+    return arguments, [out], None
 
 
-def cmd_scan(args) -> int:
-    presets = _scan_presets()
+def run_scan(args, out: Path):
     if args.preset is not None:
-        if args.preset not in presets:
-            raise ValueError(
-                f"unknown preset {args.preset!r}; "
-                f"expected one of {sorted(presets)}"
-            )
-        p = presets[args.preset]
-        base, target, x, y = p["base"], p["target"], p["x"], p["y"]
+        base, target, x, y = _preset(_scan_presets(), args.preset)
+    elif args.config is None or args.x_axis is None:
+        raise ValueError("scan needs either --preset or --config + --x-axis")
     else:
-        if args.config is None or args.x_axis is None:
-            raise ValueError("scan needs either --preset or --config + --x-axis")
         base = load_config(args.config)
-        target = _target(args.target)
+        target = EstimationTarget(args.target)
         x = _parse_axis(args.x_axis)
         y = _parse_axis(args.y_axis) if args.y_axis else None
     grid = tuner.scan_ratio_grid(base, target, x, y)
-    out = Path(args.out)
+    outputs = [out]
     if args.format == "json":
-        values = [
-            [None if math.isnan(v) else float(v) for v in row]
-            for row in grid.values
+        ratio = [
+            [None if math.isnan(v) else v for v in row]
+            for row in grid.values.tolist()
         ]
-        dump_json(out, {"header": grid.header_dict(), "ratio": values})
-        outputs = [str(out)]
+        dump_json(out, {"header": grid.header_dict(), "ratio": ratio})
     else:
         grid.to_csv(out)
-        header_path = out.with_suffix(out.suffix + ".header.json")
-        dump_json(header_path, grid.header_dict())
-        outputs = [str(out), str(header_path)]
-    manifest = RunManifest(
-        "scan",
-        {
-            "preset": args.preset,
-            "baseline": config_to_dict(base),
-            "target": target.value,
-            "x": x.to_dict(),
-            "y": y.to_dict() if y is not None else None,
-            "format": args.format,
-        },
-        outputs=outputs,
-    )
-    manifest.write(out)
-    return 0
+        outputs.append(out.with_suffix(out.suffix + ".header.json"))
+        dump_json(outputs[1], grid.header_dict())
+    arguments = {
+        "preset": args.preset,
+        "baseline": config_to_dict(base),
+        "target": target.value,
+        "x": x.to_dict(),
+        "y": y.to_dict() if y is not None else None,
+        "format": args.format,
+    }
+    return arguments, outputs, None
 
 
-def cmd_optimize(args) -> int:
+def run_optimize(args, out: Path):
     cfg = load_config(args.config)
-    target = _target(args.target)
+    target = EstimationTarget(args.target)
     sol = tuner.saturating_reference_set(cfg, target)
-    phases = None
-    if cfg.reference is not None:
-        phases = list(sol.solutions_at(cfg.reference.mag))
-    out = Path(args.out)
+    ref = cfg.reference
     dump_json(
         out,
         {
@@ -278,93 +218,58 @@ def cmd_optimize(args) -> int:
             "min_mag_i": sol.min_mag_i,
             "psi": sol.psi,
             "feasible": sol.feasible,
-            "reference_mag": cfg.reference.mag if cfg.reference else None,
-            "phi_solutions_at_reference_mag": phases,
+            "reference_mag": ref.mag if ref is not None else None,
+            "phi_solutions_at_reference_mag": (
+                list(sol.solutions_at(ref.mag)) if ref is not None else None
+            ),
         },
     )
-    manifest = RunManifest(
-        "optimize",
-        {"config": config_to_dict(cfg), "target": target.value},
-        outputs=[str(out)],
-    )
-    manifest.write(out)
-    return 0
+    return {"config": config_to_dict(cfg), "target": target.value}, [out], None
 
 
-def cmd_snr(args) -> int:
-    presets = _snr_presets()
-    log_scale = False
+def run_snr(args, out: Path):
     if args.preset is not None:
-        if args.preset not in presets:
-            raise ValueError(
-                f"unknown preset {args.preset!r}; "
-                f"expected one of {sorted(presets)}"
-            )
-        p = presets[args.preset]
-        mode, triple = p["mode"], p["triple"]
-        sweep_var, sweep_values = p["sweep"]
-        log_scale = p["log_scale"]
+        mode, triple, sweep_var, sweep_values, log_scale = _preset(
+            _snr_presets(), args.preset
+        )
     else:
         mode = args.mode
         triple = snr.RealFieldTriple(
-            e_r=args.e_r,
-            e_s=args.e_s,
-            e_i=args.e_i,
-            phi_s=args.phi_s,
-            phi_i=args.phi_i,
+            args.e_r, args.e_s, args.e_i, args.phi_s, args.phi_i
         )
         if args.sweep is None:
             raise ValueError("snr needs either --preset or --sweep")
         axis = _parse_axis(args.sweep)  # reuse NAME:LO:HI:STEPS[:log]
         sweep_var, sweep_values = axis.name, axis.values
         log_scale = axis.scale == "log"
-    if mode == "mass":
-        if sweep_var != "phi_i":
-            raise ValueError("mass-mode sweeps run over phi_i")
-        sweep = snr.mass_snr_sweep(triple, sweep_values)
-    else:
-        if sweep_var != "phi_s":
-            raise ValueError("phase-mode sweeps run over phi_s")
-        sweep = snr.phase_snr_sweep(triple, sweep_values)
-    out = Path(args.out)
-    meta = [f"mode: {mode}", f"log_scale: {str(log_scale).lower()}"]
+    swept, sweep_fn = {
+        "mass": ("phi_i", snr.mass_snr_sweep),
+        "phase": ("phi_s", snr.phase_snr_sweep),
+    }[mode]
+    if sweep_var != swept:
+        raise ValueError(f"{mode}-mode sweeps run over {swept}")
+    sweep = sweep_fn(triple, sweep_values)
     if args.format == "json":
-        dump_json(
-            out,
-            {
-                "mode": mode,
-                "log_scale": log_scale,
-                "sweep": {k: [float(v) for v in vals] for k, vals in sweep.items()},
-            },
-        )
+        columns = {name: values.tolist() for name, values in sweep.items()}
+        dump_json(out, {"mode": mode, "log_scale": log_scale, "sweep": columns})
     else:
+        meta = [f"mode: {mode}", f"log_scale: {str(log_scale).lower()}"]
         snr.write_sweep_csv(out, sweep, meta)
-    manifest = RunManifest(
-        "snr",
-        {
-            "preset": args.preset,
-            "mode": mode,
-            "triple": {
-                "e_r": triple.e_r,
-                "e_s": triple.e_s,
-                "e_i": triple.e_i,
-                "phi_s": triple.phi_s,
-                "phi_i": triple.phi_i,
-            },
-            "sweep_var": sweep_var,
-            "sweep_values": [float(v) for v in sweep_values],
-            "log_scale": log_scale,
-            "format": args.format,
-        },
-        outputs=[str(out)],
-    )
-    manifest.write(out)
-    return 0
+    arguments = {
+        "preset": args.preset,
+        "mode": mode,
+        "triple": dataclasses.asdict(triple),
+        "sweep_var": sweep_var,
+        "sweep_values": sweep_values.tolist(),
+        "log_scale": log_scale,
+        "format": args.format,
+    }
+    return arguments, [out], None
 
 
-def cmd_montecarlo(args) -> int:
+def run_montecarlo(args, out: Path):
     cfg = load_config(args.config)
-    target = _target(args.target)
+    target = EstimationTarget(args.target)
     report = photonstats.crb_validation(
         cfg,
         target,
@@ -372,35 +277,27 @@ def cmd_montecarlo(args) -> int:
         n_trials=args.trials,
         seed=args.seed,
     )
-    out = Path(args.out)
     dump_json(out, {"setup": cfg.setup, **report.to_dict()})
     trials_path = out.with_suffix(out.suffix + ".trials.csv")
     photonstats.write_trials_csv(trials_path, report)
-    manifest = RunManifest(
-        "montecarlo",
-        {
-            "config": config_to_dict(cfg),
-            "target": target.value,
-            "samples": args.samples,
-            "trials": args.trials,
-        },
-        outputs=[str(out), str(trials_path)],
-        seed=args.seed,
-    )
-    manifest.write(out)
-    return 0
+    arguments = {
+        "config": config_to_dict(cfg),
+        "target": target.value,
+        "samples": args.samples,
+        "trials": args.trials,
+    }
+    return arguments, [out, trials_path], args.seed
 
 
-def cmd_spectrum(args) -> int:
+def run_spectrum(args, out: Path):
     f = spectrum.spectrum_from_csv(args.spectrum)
-    target = _target(args.target)
+    target = EstimationTarget(args.target)
     qfi = spectrum.qfi_multifrequency(f, target)
     cfi = spectrum.qfi_multifrequency_phase_averaged(f, target)
-    photons = spectrum.scattered_photons(f)
     result = {
         "target": target.value,
         "points": int(len(f.omega)),
-        "scattered_photons": photons,
+        "scattered_photons": spectrum.scattered_photons(f),
         "qfi_coherent": qfi,
         "qfi_phase_averaged": cfi,
         "cfi_photon_counting": cfi,
@@ -411,22 +308,102 @@ def cmd_spectrum(args) -> int:
         result["relative_mass_bound_sqrt_n"] = (
             spectrum.relative_mass_bound_multifrequency(f)
         )
-    out = Path(args.out)
     dump_json(out, result)
-    manifest = RunManifest(
-        "spectrum",
-        {"spectrum": str(args.spectrum), "target": target.value},
-        outputs=[str(out)],
-    )
-    manifest.write(out)
-    return 0
+    return {"spectrum": args.spectrum, "target": target.value}, [out], None
 
 
 # --- parser -------------------------------------------------------------------
 
+# Options several subcommands share; a subcommand's entry adds to these.
+_SHARED = {
+    "--config": {"help": "JSON config path"},
+    "--target": {"choices": ["mass", "phase"], "default": "mass"},
+    "--format": {"choices": ["csv", "json"]},
+}
+_REQUIRED = {"required": True}
+_AXIS = "NAME:LO:HI:STEPS[:log]"
+
+# name: (runner, help, options beyond --out and --threads)
+SUBCOMMANDS = {
+    "fisher": (
+        run_fisher,
+        "information report for one config",
+        {"--config": _REQUIRED, "--target": {}, "--format": {"default": "json"}},
+    ),
+    "scan": (
+        run_scan,
+        "saturation-ratio grid scans",
+        {
+            "--config": {},
+            "--target": {},
+            "--preset": {"help": "fig2a|fig2b|fig2c|fig2d|fig3a|fig3b"},
+            "--x-axis": {"help": _AXIS},
+            "--y-axis": {"help": _AXIS},
+            "--format": {"default": "csv"},
+        },
+    ),
+    "optimize": (
+        run_optimize,
+        "saturating reference-arm solutions",
+        {"--config": _REQUIRED, "--target": {}},
+    ),
+    "snr": (
+        run_snr,
+        "signal-to-noise sweeps",
+        {
+            "--preset": {"help": "figsnr1|figsnr2"},
+            "--mode": {"choices": ["mass", "phase"], "default": "mass"},
+            "--e-r": {"type": float, "default": 1.0},
+            "--e-s": {"type": float, "default": 0.01},
+            "--e-i": {"type": float, "default": 1.0},
+            "--phi-s": {"type": float, "default": 0.0},
+            "--phi-i": {"type": float, "default": 0.0},
+            "--sweep": {"help": "VAR:LO:HI:STEPS[:log] over phi_i or phi_s"},
+            "--format": {"default": "csv"},
+        },
+    ),
+    "montecarlo": (
+        run_montecarlo,
+        "Monte Carlo CRB validation",
+        {
+            "--config": _REQUIRED,
+            "--target": {},
+            "--trials": {"type": int, "default": 1000},
+            "--samples": {"type": int, "default": 1000},
+            "--seed": {"type": int, "required": True},
+        },
+    ),
+    "spectrum": (
+        run_spectrum,
+        "broadband bounds from a spectrum CSV",
+        {
+            "--spectrum": {"required": True, "help": "spectrum CSV path"},
+            "--target": {},
+        },
+    ),
+}
+
+# argparse reads only the -1 and -1.5 forms as values and any other word
+# starting with '-' as a flag; this adds exponents, inf and nan.  It replaces
+# the private pattern argparse sets on each parser in __init__.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads -1e-3, -inf and -nan as values, not flags.
+
+    Subparsers are built with the parser's own class, so they inherit it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iscat-metrology",
         description=(
             "Fisher-information bounds, reference-arm tuning and shot-noise "
@@ -435,76 +412,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, fmt_default="json"):
+    for name, (run, help_text, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **{**_SHARED.get(flag, {}), **kwargs})
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument(
-            "--format", choices=["csv", "json"], default=fmt_default
-        )
         p.add_argument("--threads", type=int, help="accepted; has no effect")
-
-    p = sub.add_parser("fisher", help="information report for one config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--target", choices=["mass", "phase"], default="mass")
-    common(p)
-    p.set_defaults(func=cmd_fisher)
-
-    p = sub.add_parser("scan", help="saturation-ratio grid scans")
-    p.add_argument("--config")
-    p.add_argument("--target", choices=["mass", "phase"], default="mass")
-    p.add_argument("--preset", help="fig2a|fig2b|fig2c|fig2d|fig3a|fig3b")
-    p.add_argument("--x-axis", help="NAME:LO:HI:STEPS[:log]")
-    p.add_argument("--y-axis", help="NAME:LO:HI:STEPS[:log]")
-    common(p, fmt_default="csv")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("optimize", help="saturating reference-arm solutions")
-    p.add_argument("--config", required=True)
-    p.add_argument("--target", choices=["mass", "phase"], default="mass")
-    common(p)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("snr", help="signal-to-noise sweeps")
-    p.add_argument("--preset", help="figsnr1|figsnr2")
-    p.add_argument("--mode", choices=["mass", "phase"], default="mass")
-    p.add_argument("--e-r", type=float, default=1.0)
-    p.add_argument("--e-s", type=float, default=0.01)
-    p.add_argument("--e-i", type=float, default=1.0)
-    p.add_argument("--phi-s", type=float, default=0.0)
-    p.add_argument("--phi-i", type=float, default=0.0)
-    p.add_argument("--sweep", help="VAR:LO:HI:STEPS[:log over phi_i or phi_s]")
-    common(p, fmt_default="csv")
-    p.set_defaults(func=cmd_snr)
-
-    p = sub.add_parser("montecarlo", help="Monte Carlo CRB validation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--target", choices=["mass", "phase"], default="mass")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_montecarlo)
-
-    p = sub.add_parser("spectrum", help="broadband bounds from a spectrum CSV")
-    p.add_argument("--spectrum", required=True, help="spectrum CSV path")
-    p.add_argument("--target", choices=["mass", "phase"], default="mass")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
-
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
-        return args.func(args)
+        arguments, outputs, seed = args.run(args, out)
+        dump_json(
+            f"{out}.manifest.json",
+            {
+                "subcommand": args.subcommand,
+                "arguments": arguments,
+                "outputs": [str(path) for path in outputs],
+                "seed": seed,
+                "tool_version": __version__,
+                "timestamp": datetime.datetime.now(
+                    datetime.timezone.utc
+                ).isoformat(),
+            },
+        )
     except (NotEstimableError, BracketError) as exc:
         print(f"not estimable: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entrypoint() -> None:

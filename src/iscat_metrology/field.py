@@ -29,12 +29,12 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import EnergyBudgetError
+from .textio import dump_json
 
 TAU = 2.0 * math.pi
 
@@ -258,8 +258,20 @@ def complex_to_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def complex_from_json(d: dict) -> complex:
-    return complex(float(d["re"]), float(d["im"]))
+def _number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be a number, got {value!r}") from None
+
+
+def _numbers(obj, field: str, keys) -> list[float]:
+    """The numbers under ``keys`` of the JSON object ``obj`` named ``field``."""
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"{field} must be an object with keys {', '.join(keys)}, got {obj!r}"
+        )
+    return [_number(obj.get(key), f"{field}.{key}") for key in keys]
 
 
 def config_to_dict(cfg: FieldConfig) -> dict:
@@ -279,21 +291,21 @@ def config_to_dict(cfg: FieldConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> FieldConfig:
-    particle = ParticleModel(
-        float(d["particle"]["mass_kda"]),
-        float(d["particle"]["scale_per_kda"]),
-        float(d["particle"]["phi_s"]),
-    )
+    """FieldConfig from the JSON schema; ValueError names a malformed field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+    keys = ("mass_kda", "scale_per_kda", "phi_s")
+    particle = ParticleModel(*_numbers(d.get("particle"), "particle", keys))
     reference = None
     if d.get("reference") is not None:
         reference = ReferenceArm(
-            float(d["reference"]["mag"]), float(d["reference"]["phi_i"])
+            *_numbers(d["reference"], "reference", ("mag", "phi_i"))
         )
     return FieldConfig(
-        alpha_r=complex_from_json(d["alpha_r"]),
+        alpha_r=complex(*_numbers(d.get("alpha_r"), "alpha_r", ("re", "im"))),
         particle=particle,
         reference=reference,
-        alpha0_mag=float(d.get("alpha0_mag", 1.0)),
+        alpha0_mag=_number(d.get("alpha0_mag", 1.0), "alpha0_mag"),
     )
 
 
@@ -303,6 +315,4 @@ def load_config(path) -> FieldConfig:
 
 
 def save_config(cfg: FieldConfig, path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8"
-    )
+    dump_json(path, config_to_dict(cfg))

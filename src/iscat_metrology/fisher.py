@@ -327,37 +327,31 @@ REPORT_CSV_COLUMNS = (
 )
 
 
-def report_csv_row(
-    cfg: FieldConfig, target: EstimationTarget, report: FisherReport
-) -> str:
-    from .textio import fmt
-
-    if cfg.reference is not None:
-        mag_i = fmt(cfg.reference.mag)
-        phi_i = fmt(cfg.reference.phi_i)
-    else:
-        mag_i = phi_i = ""  # absent arm, not a zero-magnitude one
-    cells = [
-        target.value,
-        fmt(cfg.alpha_r.real),
-        fmt(cfg.alpha_r.imag),
-        fmt(cfg.particle.mass_kda),
-        fmt(cfg.particle.scale_per_kda),
-        fmt(cfg.particle.phi_s),
-        mag_i,
-        phi_i,
-        fmt(report.qfi_coherent),
-        fmt(report.cfi_photon_number),
-        fmt(report.psi),
-        fmt(report.chi),
-        fmt(report.saturation_ratio),
-    ]
-    return ",".join(cells)
-
-
 def write_report_csv(path, rows) -> None:
-    """Write (cfg, target, report) triples as one CSV row each."""
-    lines = [REPORT_CSV_COLUMNS]
-    lines.extend(report_csv_row(cfg, t, rep) for cfg, t, rep in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write (cfg, target, report) triples as one CSV row each.
+
+    ``mag_i`` and ``phi_i`` are blank without a reference arm (an absent
+    arm, not a zero-magnitude one).
+    """
+    from .textio import write_csv
+
+    rows = list(rows)
+    cfgs = [cfg for cfg, _, _ in rows]
+    arms = [cfg.reference for cfg in cfgs]
+    reports = [report for _, _, report in rows]
+    columns = [
+        [target.value for _, target, _ in rows],
+        [cfg.alpha_r.real for cfg in cfgs],
+        [cfg.alpha_r.imag for cfg in cfgs],
+        [cfg.particle.mass_kda for cfg in cfgs],
+        [cfg.particle.scale_per_kda for cfg in cfgs],
+        [cfg.particle.phi_s for cfg in cfgs],
+        ["" if arm is None else arm.mag for arm in arms],
+        ["" if arm is None else arm.phi_i for arm in arms],
+        [r.qfi_coherent for r in reports],
+        [r.cfi_photon_number for r in reports],
+        [r.psi for r in reports],
+        [r.chi for r in reports],
+        [r.saturation_ratio for r in reports],
+    ]
+    write_csv(path, dict(zip(REPORT_CSV_COLUMNS.split(","), columns)))

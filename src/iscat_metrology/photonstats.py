@@ -250,12 +250,12 @@ def write_trials_csv(path, report: CrbValidationReport) -> None:
 
     write_csv(
         path,
-        ["trial", "seed", "estimate"],
-        (
-            (str(k), str(report.seed + k), float(report.estimates[k]))
-            for k in range(report.n_trials)
-        ),
-        header_comments=[f"seed: {report.seed}"],
+        {
+            "trial": range(report.n_trials),
+            "seed": range(report.seed, report.seed + report.n_trials),
+            "estimate": report.estimates,
+        },
+        comments=[f"seed: {report.seed}"],
     )
 
 
@@ -342,14 +342,8 @@ def mean_sensitivity_scan(
 def write_sensitivity_csv(path, rows: list[MeanSensitivityRow]) -> None:
     from .textio import write_csv
 
-    write_csv(
-        path,
-        ["alpha_s_sq", "detector_mean", "dmean_dm", "dmean_dpower"],
-        (
-            (r.alpha_s_sq, r.detector_mean, r.dmean_dm, r.dmean_dpower)
-            for r in rows
-        ),
-    )
+    names = ("alpha_s_sq", "detector_mean", "dmean_dm", "dmean_dpower")
+    write_csv(path, {n: [getattr(r, n) for r in rows] for n in names})
 
 
 def sensitivity_to_json(rows: list[MeanSensitivityRow]) -> list[dict]:

@@ -159,10 +159,4 @@ def phase_snr_sweep(
 def write_sweep_csv(path, sweep: dict[str, np.ndarray], meta=()) -> None:
     from .textio import write_csv
 
-    names = list(sweep.keys())
-    columns = [np.asarray(sweep[n]) for n in names]
-    rows = (
-        tuple(float(col[k]) for col in columns)
-        for k in range(len(columns[0]))
-    )
-    write_csv(path, names, rows, header_comments=meta)
+    write_csv(path, sweep, comments=meta)

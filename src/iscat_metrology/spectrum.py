@@ -222,41 +222,45 @@ def relative_mass_bound_multifrequency(f: SpectralField) -> float:
 # --- serialization ------------------------------------------------------------
 
 
-def spectrum_rows(f: SpectralField):
-    for k in range(len(f.omega)):
-        yield (
-            float(f.omega[k]),
-            float(f.weights[k]),
-            float(f.alpha_r[k].real),
-            float(f.alpha_r[k].imag),
-            float(f.alpha_s[k].real),
-            float(f.alpha_s[k].imag),
-            float(f.alpha_i[k].real),
-            float(f.alpha_i[k].imag),
-            float(f.scale_s[k]),
-            float(f.phi_s[k]),
-        )
+def spectrum_columns(f: SpectralField) -> dict[str, np.ndarray]:
+    """The columns of ``f`` under their SPECTRUM_CSV_COLUMNS names."""
+    arrays = [f.omega, f.weights]
+    for z in (f.alpha_r, f.alpha_s, f.alpha_i):
+        arrays += [z.real, z.imag]
+    return dict(zip(SPECTRUM_CSV_COLUMNS, arrays + [f.scale_s, f.phi_s]))
 
 
 def spectrum_to_csv(f: SpectralField, path) -> None:
     from .textio import write_csv
 
-    write_csv(path, SPECTRUM_CSV_COLUMNS, spectrum_rows(f))
+    write_csv(path, spectrum_columns(f))
 
 
 def spectrum_to_json_rows(f: SpectralField) -> list[dict]:
-    return [dict(zip(SPECTRUM_CSV_COLUMNS, row)) for row in spectrum_rows(f)]
+    columns = {name: col.tolist() for name, col in spectrum_columns(f).items()}
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def spectrum_from_rows(rows: list[dict]) -> SpectralField:
     def col(name):
-        return np.array([float(r[name]) for r in rows])
+        try:
+            return np.array([float(r[name]) for r in rows])
+        except (TypeError, ValueError):  # a missing (None) or non-numeric cell
+            raise ValueError(
+                f"spectrum column {name} holds a missing or non-numeric cell"
+            ) from None
+
+    def amplitude(name):
+        # re + 1j*im would turn a signed zero in either part into +0.0
+        z = col(f"{name}_re").astype(complex)
+        z.imag = col(f"{name}_im")
+        return z
 
     return SpectralField(
         omega=col("omega"),
-        alpha_r=col("alpha_r_re") + 1j * col("alpha_r_im"),
-        alpha_s=col("alpha_s_re") + 1j * col("alpha_s_im"),
-        alpha_i=col("alpha_i_re") + 1j * col("alpha_i_im"),
+        alpha_r=amplitude("alpha_r"),
+        alpha_s=amplitude("alpha_s"),
+        alpha_i=amplitude("alpha_i"),
         scale_s=col("scale_s"),
         phi_s=col("phi_s"),
         weights=col("weight"),

@@ -214,26 +214,24 @@ class ScanGrid:
             "shape": list(self.values.shape),
         }
 
-    def rows(self):
-        """Long-form rows (x, y, ratio, defined_flag); y is '' for 1-D scans."""
-        from .textio import fmt
-
-        for iy in range(self.values.shape[0]):
-            y_cell = fmt(float(self.y.values[iy])) if self.y is not None else ""
-            for ix in range(self.values.shape[1]):
-                v = self.values[iy, ix]
-                defined = not math.isnan(v)
-                yield (
-                    fmt(float(self.x.values[ix])),
-                    y_cell,
-                    fmt(v) if defined else "nan",
-                    "1" if defined else "0",
-                )
-
     def to_csv(self, path) -> None:
-        from .textio import write_csv
+        """Long-form x, y, ratio, defined_flag; y is blank in 1-D scans."""
+        from .textio import fmt, write_csv
 
-        write_csv(path, ["x", "y", "ratio", "defined_flag"], self.rows())
+        ny, nx = self.values.shape
+        # each axis value is formatted once, not once per cell
+        x = [fmt(v) for v in self.x.values.tolist()]
+        y = [""] if self.y is None else [fmt(v) for v in self.y.values.tolist()]
+        ratio = self.values.ravel()
+        write_csv(
+            path,
+            {
+                "x": x * ny,
+                "y": [cell for cell in y for _ in range(nx)],
+                "ratio": ratio,
+                "defined_flag": np.where(np.isnan(ratio), "0", "1").tolist(),
+            },
+        )
 
 
 def scan_ratio_grid(

@@ -17,6 +17,23 @@ from iscat_metrology.field import (
 
 PI = math.pi
 
+#: Doubles every CSV writer must read back bit for bit: a signed zero, the
+#: smallest subnormal and the largest finite double.
+EXTREME_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308)
+
+
+def read_csv_columns(path) -> dict:
+    """Columns of a written CSV (comment lines skipped), as cell strings."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if not line.startswith("#")]
+    names, *rows = (line.split(",") for line in lines)
+    return {name: [row[k] for row in rows] for k, name in enumerate(names)}
+
+
+def same_bits(cells, values) -> bool:
+    """Cells parse back to exactly ``values``, sign of zero included."""
+    return [float(c).hex() for c in cells] == [float(v).hex() for v in values]
+
 
 def fig2_config() -> FieldConfig:
     """One-arm baseline of the ratio scans: |alpha_s| = 2e-5, phi_s = 5*pi/6,

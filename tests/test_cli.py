@@ -10,6 +10,7 @@ from conftest import (
     vacuum_config,
     worked_example_config,
 )
+from iscat_metrology import spectrum as sp
 from iscat_metrology.cli import main
 from iscat_metrology.field import (
     FieldConfig,
@@ -290,6 +291,18 @@ class TestSnrCommand:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, rc", [("-1e-3", 0), ("-inf", 2), ("-nan", 2)])
+    def test_negative_value_forms_are_values(self, tmp_path, capsys, value, rc):
+        out = tmp_path / "x.csv"
+        argv = ["snr", "--mode", "mass", "--phi-s", value, "--sweep", "phi_i:0:1:3"]
+        assert main(argv + ["--out", str(out)]) == rc
+        if rc == 0:
+            manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+            assert manifest["arguments"]["triple"]["phi_s"] == -0.001
+        else:
+            assert "phi_s must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestMonteCarloCommand:
     def test_report_and_trials(self, tmp_path, config_file, mc_saturated_cfg):
@@ -430,7 +443,101 @@ class TestSpectrumCommand:
         assert rc == 2
 
 
+def _config_with(edit):
+    """Input writer: the fig2 config as JSON after ``edit`` (which may
+    return a replacement document)."""
+
+    def write(tmp_path):
+        d = config_to_dict(fig2_config())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(edit(d) or d))
+        return ["fisher", "--config", str(path)]
+
+    return write
+
+
+def _short_spectrum_row(tmp_path):
+    path = tmp_path / "band.csv"
+    path.write_text(",".join(sp.SPECTRUM_CSV_COLUMNS) + "\n1,1,0.1,0,0.01,0,0,0\n")
+    return ["spectrum", "--spectrum", str(path)]
+
+
+@pytest.mark.parametrize(
+    "write_input, name",
+    [
+        (_config_with(lambda d: d.update(alpha_r=5)), "alpha_r"),
+        (_config_with(lambda d: d["particle"].update(mass_kda=None)),
+         "particle.mass_kda"),
+        (_config_with(lambda d: [d]), "config"),
+        (_config_with(lambda d: d.update(reference=3)), "reference"),
+        (_short_spectrum_row, "scale_s"),
+    ],
+    ids=["alpha_r_number", "null_mass", "top_level_list", "reference_number",
+         "short_spectrum_row"],
+)
+def test_malformed_input_shape_exits_2(tmp_path, capsys, write_input, name):
+    out = tmp_path / "o.json"
+    assert main(write_input(tmp_path) + ["--out", str(out)]) == 2
+    assert f"{name} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def subcommand_argv(tmp_path, config_file, mc_saturated_cfg):
+    """A small valid argv, without --out, for every subcommand."""
+    cfg = str(config_file(fig2_config()))
+    band = tmp_path / "band.csv"
+    sp.spectrum_to_csv(sp.flat_white_spectrum(1.0, 2.0, 5, 9.0, 0.4), band)
+    mc_cfg = str(config_file(mc_saturated_cfg, "mc_config.json"))
+    return {
+        "fisher": ["fisher", "--config", cfg],
+        "scan": ["scan", "--config", cfg, "--x-axis", "phi_s:0:1:3"],
+        "optimize": ["optimize", "--config", cfg],
+        "snr": ["snr", "--sweep", "phi_i:0:1:3"],
+        "montecarlo": [
+            "montecarlo", "--config", mc_cfg, "--trials", "4",
+            "--samples", "20", "--seed", str(2**64 - 1),
+        ],
+        "spectrum": ["spectrum", "--spectrum", str(band)],
+    }
+
+
+@pytest.mark.parametrize("subcommand", ["optimize", "montecarlo", "spectrum"])
+def test_format_only_where_honoured(tmp_path, subcommand_argv, subcommand):
+    out = tmp_path / "o.csv"
+    argv = subcommand_argv[subcommand] + ["--format", "csv", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 class TestManifestRoundTrip:
+    @pytest.mark.parametrize(
+        "subcommand",
+        ["fisher", "scan", "optimize", "snr", "montecarlo", "spectrum"],
+    )
+    def test_manifest_lists_what_was_written(
+        self, tmp_path, subcommand_argv, subcommand
+    ):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "result.dat"
+        assert main(subcommand_argv[subcommand] + ["--out", str(out)]) == 0
+        sidecar = out_dir / "result.dat.manifest.json"
+        manifest = json.loads(sidecar.read_text())
+        assert manifest["subcommand"] == subcommand
+        assert manifest["outputs"][0] == str(out)
+        written = {str(p) for p in out_dir.iterdir()} - {str(sidecar)}
+        assert sorted(manifest["outputs"]) == sorted(written)
+        if subcommand == "montecarlo":
+            top = 2**64 - 1
+            assert manifest["seed"] == top
+            seeds = [row["seed"] for row in read_csv(manifest["outputs"][1])]
+            assert seeds == [str(top + k) for k in range(4)]
+        else:
+            assert manifest["seed"] is None
+
     def test_rerun_reproduces_bytes(self, tmp_path, config_file):
         cfg_path = config_file(fig2_config())
         first = tmp_path / "first.csv"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import EXTREME_FLOATS, same_bits
 from iscat_metrology import fisher
 from iscat_metrology.errors import (
     NotEstimableError,
@@ -319,3 +320,16 @@ class TestReportCsv:
         assert cells[0] == "mass"
         assert cells[6] == "" and cells[7] == ""  # no reference arm
         assert float(cells[12]) == rep.saturation_ratio
+        # extreme values in every numeric column read back bit for bit
+        lo, tiny, top = EXTREME_FLOATS
+        cfg = FieldConfig(
+            alpha_r=complex(lo, tiny),
+            particle=ParticleModel(tiny, top, lo),
+            reference=ReferenceArm(lo, tiny),
+            alpha0_mag=top,
+        )
+        extreme = fisher.FisherReport(lo, tiny, top, lo, tiny, top)
+        fisher.write_report_csv(path, [(cfg, EstimationTarget.MASS, extreme)])
+        cells = path.read_text().strip().split("\n")[1].split(",")
+        expected = [lo, tiny, tiny, top, lo, lo, tiny, lo, top, lo, tiny, top]
+        assert same_bits(cells[1:], expected)

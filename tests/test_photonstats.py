@@ -1,9 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import quarter_ratio_mc_config, saturated_mc_config
+from conftest import (
+    EXTREME_FLOATS,
+    quarter_ratio_mc_config,
+    read_csv_columns,
+    same_bits,
+    saturated_mc_config,
+)
 from iscat_metrology import fisher, photonstats as ps
 from iscat_metrology.errors import BracketError, NotEstimableError
 from iscat_metrology.field import (
@@ -429,6 +436,16 @@ class TestCsvEmission:
         text = path.read_text()
         assert text.startswith("# seed: 7\n")
         assert text.count("\n") == 12  # comment + header + 10 trials
+        # seeds past 2**64 - 1 stay exact; estimates read back bit for bit
+        top = 2**64 - 1
+        big = dataclasses.replace(
+            report, n_trials=3, seed=top, estimates=np.array(EXTREME_FLOATS)
+        )
+        ps.write_trials_csv(path, big)
+        cols = read_csv_columns(path)
+        assert cols["trial"] == ["0", "1", "2"]
+        assert cols["seed"] == [str(top), str(top + 1), str(top + 2)]
+        assert same_bits(cols["estimate"], EXTREME_FLOATS)
 
     def test_sensitivity_csv(self, tmp_path):
         cfg = FieldConfig(alpha_r=1.0, particle=ParticleModel(1.0, 0.1, 0.3),
@@ -441,3 +458,7 @@ class TestCsvEmission:
         assert len(lines) == 3
         summary = ps.sensitivity_to_json(rows)
         assert summary[1]["detector_mean"] == rows[1].detector_mean
+        extremes = [ps.MeanSensitivityRow(*EXTREME_FLOATS, -math.inf)]
+        ps.write_sensitivity_csv(path, extremes)
+        cells = [column[0] for column in read_csv_columns(path).values()]
+        assert same_bits(cells, [*EXTREME_FLOATS, -math.inf])

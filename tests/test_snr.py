@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import EXTREME_FLOATS, read_csv_columns, same_bits
 from iscat_metrology import snr
 from iscat_metrology.errors import DegenerateFieldError
 from iscat_metrology.snr import RealFieldTriple
@@ -150,3 +151,7 @@ class TestSweepCsv:
         assert lines[0] == "# mode: mass"
         assert lines[2] == "phi_i,snr_iscat,snr_miscat"
         assert len(lines) == 12
+        extremes = {name: np.array(EXTREME_FLOATS) for name in sweep}
+        snr.write_sweep_csv(path, extremes)
+        for name, cells in read_csv_columns(path).items():
+            assert same_bits(cells, EXTREME_FLOATS), name

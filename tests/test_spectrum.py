@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import EXTREME_FLOATS, same_bits
 from iscat_metrology import fisher, spectrum
 from iscat_metrology.errors import NotEstimableError, VacuumPhaseError
 from iscat_metrology.field import EstimationTarget
@@ -274,6 +275,18 @@ class TestSerialization:
         np.testing.assert_array_equal(g.alpha_s, f.alpha_s)
         np.testing.assert_array_equal(g.weights, f.weights)
         assert spectrum.qfi_multifrequency(g, MASS) == spectrum.qfi_multifrequency(f, MASS)
+        # every column keeps extreme values bit for bit
+        ext = np.array(EXTREME_FLOATS)
+        f = make_field(ext, ext + 1j * ext[::-1], scale_s=ext, phi_s=ext[::-1],
+                       alpha_r=ext[::-1] + 1j * ext, alpha_i=1j * ext,
+                       weights=[5e-324, 1.0, 1.7976931348623157e308])
+        spectrum.spectrum_to_csv(f, path)
+        g = spectrum.spectrum_from_csv(path)
+        for name in ("omega", "weights", "alpha_r", "alpha_s", "alpha_i",
+                     "scale_s", "phi_s"):
+            a, b = getattr(f, name), getattr(g, name)
+            for part in ("real", "imag"):
+                assert same_bits(getattr(b, part), getattr(a, part)), name
 
     def test_json_rows_match_columns(self):
         f = spectrum.flat_white_spectrum(1.0, 2.0, 3, 9.0, 0.2)

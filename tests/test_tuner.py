@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import EXTREME_FLOATS, read_csv_columns, same_bits
 from iscat_metrology import fisher, tuner
 from iscat_metrology.errors import EnergyBudgetError, NotEstimableError
 from iscat_metrology.field import (
@@ -314,3 +315,18 @@ class TestScanGrid:
         assert header["x"]["name"] == "phi_s"
         assert header["shape"] == [3, 5]
         assert header["baseline"]["alpha_r"]["re"] == 2.3e-5
+        # extreme axis and ratio values, and undefined cells, read back exactly
+        x = tuner.AxisSpec("phi_s", np.array([*EXTREME_FLOATS, 1.0, 2.0]))
+        values = np.full((3, 5), math.nan)
+        values[1, :3] = values[2, 2:] = EXTREME_FLOATS
+        tuner.ScanGrid(x, grid.y, grid.base, MASS, values).to_csv(path)
+        cols = read_csv_columns(path)
+        assert same_bits(cols["x"], np.tile(x.values, 3))
+        assert same_bits(cols["y"], np.repeat(grid.y.values, 5))
+        defined = [flag == "1" for flag in cols["defined_flag"]]
+        assert defined == list(~np.isnan(values.ravel()))
+        ratio = [c for c, ok in zip(cols["ratio"], defined) if ok]
+        assert same_bits(ratio, values[~np.isnan(values)])
+        # 1-D scans leave y blank
+        tuner.ScanGrid(x, None, grid.base, MASS, values[1:2]).to_csv(path)
+        assert read_csv_columns(path)["y"] == [""] * 5
