@@ -151,6 +151,9 @@ def run_fisher(args, out: Path):
     cfg = load_config(args.config)
     target = EstimationTarget(args.target)
     report = fisher.fisher_report(cfg, target)
+    # both bounds first: zero information exits 3 whatever the format
+    qcrb_coherent = fisher.qcrb(report.qfi_coherent)
+    qcrb_counting = fisher.qcrb(report.cfi_photon_number)
     if args.format == "csv":
         fisher.write_report_csv(out, [(cfg, target, report)])
     else:
@@ -160,8 +163,8 @@ def run_fisher(args, out: Path):
                 "setup": cfg.setup,
                 "target": target.value,
                 "report": report.to_dict(),
-                "qcrb_coherent": fisher.qcrb(report.qfi_coherent),
-                "qcrb_photon_counting": fisher.qcrb(report.cfi_photon_number),
+                "qcrb_coherent": qcrb_coherent,
+                "qcrb_photon_counting": qcrb_counting,
             },
         )
     arguments = {

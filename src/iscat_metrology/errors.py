@@ -14,7 +14,7 @@ class VacuumPhaseError(NotEstimableError):
 
 
 class TruncationError(ValueError):
-    """A Fock-space truncation leaves more than the allowed tail mass."""
+    """A Fock-space truncation lies below the tail-coverage rule."""
 
 
 class BracketError(RuntimeError):

@@ -261,7 +261,7 @@ def complex_to_json(z: complex) -> dict:
 def _number(value, field: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{field} must be a number, got {value!r}") from None
 
 

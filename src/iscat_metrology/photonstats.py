@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import stats
 
 from . import fisher, tuner
 from .errors import BracketError, NotEstimableError
+from .fisher import poisson_pmf  # noqa: F401  (part of this module's API)
 from .field import (
     TAU,
     EstimationTarget,
@@ -35,14 +35,6 @@ from .field import (
     reference_amplitude,
     target_value,
 )
-
-
-def poisson_pmf(mean: float, n) -> float | np.ndarray:
-    """Poisson probability e^-mean * mean^n / n!, evaluated in log space."""
-    if mean < 0:
-        raise ValueError(f"mean must be >= 0, got {mean}")
-    out = np.exp(stats.poisson.logpmf(n, mean))
-    return float(out) if np.isscalar(n) else out
 
 
 def gaussian_approx_pmf(mean: float, n) -> float | np.ndarray:
@@ -215,7 +207,10 @@ def crb_validation(
     report = fisher.fisher_report(cfg, target)  # raises if not estimable
     if not (report.cfi_photon_number > 0.0):
         raise NotEstimableError("counting CFI is zero; the bound is infinite")
-    lam = abs(detector_amplitude(cfg)) ** 2
+    try:
+        lam = abs(detector_amplitude(cfg)) ** 2
+    except OverflowError:
+        raise ValueError("detector mean |alpha_d|^2 overflows a double") from None
     true_value = target_value(cfg, target)
     bracket = default_bracket(cfg, target)
 

@@ -43,6 +43,7 @@ from .field import (
     from_polar,
     scattered_amplitude,
     target_derivative,
+    validate_energy,
     wrap_angle,
 )
 
@@ -94,7 +95,14 @@ class SaturationSolution:
 def saturating_reference_set(
     cfg: FieldConfig, target: EstimationTarget
 ) -> SaturationSolution:
-    """Closed-form solution set for saturating the counting measurement."""
+    """Closed-form solution set for saturating the counting measurement.
+
+    Raises EnergyBudgetError naming the arm when ``cfg`` breaks the photon
+    budget, the premise of the feasibility guarantee above.
+    """
+    violations = validate_energy(cfg)
+    if violations:
+        raise EnergyBudgetError("; ".join(violations))
     dalpha = target_derivative(cfg, target)
     if dalpha == 0:
         raise ValueError(

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,21 @@ class TestFisherCommand:
         assert main(["fisher", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_zero_information_exits_3_in_both_formats(
+        self, tmp_path, capsys, config_file, fmt
+    ):
+        # the worked example is aligned for mass, so phase counting is blind
+        cfg_path = config_file(worked_example_config())
+        out = tmp_path / f"report.{fmt}"
+        rc = main([
+            "fisher", "--config", str(cfg_path), "--target", "phase",
+            "--format", fmt, "--out", str(out),
+        ])
+        assert rc == 3
+        assert "Fisher information 0.0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_csv_format(self, tmp_path, config_file):
         cfg_path = config_file(worked_example_config())
@@ -224,6 +243,14 @@ class TestOptimizeCommand:
         out = tmp_path / "opt.json"
         assert main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["min_mag_i"] == 0.0
+
+    def test_over_budget_exits_2(self, tmp_path, capsys, config_file):
+        cfg = FieldConfig(alpha_r=0.9, particle=ParticleModel(1.0, 1e-5, 0.0))
+        cfg_path = config_file(cfg)
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "sample arm |alpha_r + alpha_s|" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_derivative_exits_2(self, tmp_path, config_file):
         cfg = FieldConfig(alpha_r=0.1, particle=ParticleModel(0.0, 1.0, 0.0))
@@ -552,3 +579,16 @@ class TestManifestRoundTrip:
         second = tmp_path / "second.csv"
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, iscat_metrology.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]
+    )}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -86,6 +86,30 @@ class TestCfiLimits:
         assert rep.cfi_photon_number == rep.qfi_coherent
 
 
+class TestPoissonPmf:
+    """The Fock weights of both oracles, checked against scipy."""
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-6, 0.5, 1.0, 7.3, 100.0, 1e4])
+    def test_matches_scipy(self, mean):
+        from scipy import stats
+
+        n = np.arange(fisher.min_truncation(mean) + 1)
+        ours = fisher.poisson_pmf(mean, n)
+        assert np.max(np.abs(ours - stats.poisson.pmf(n, mean))) <= 1e-11
+
+    def test_truncation_rule_bounds_tail(self):
+        from scipy import stats
+
+        for mean in np.logspace(-12, 12, 241):
+            n_max = fisher.min_truncation(mean)
+            assert stats.poisson.sf(n_max, mean) <= 1e-12
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="mean must be"):
+            fisher.poisson_pmf(mean, 0)
+
+
 class TestSldDiagonal:
     def test_level_at_mean_vanishes(self):
         spec = fisher.sld_diagonal(2 + 0j, 1 + 0j, 100)
