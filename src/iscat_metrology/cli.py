@@ -136,7 +136,14 @@ def _parse_axis(spec: str) -> tuner.AxisSpec:
         raise ValueError(
             f"axis spec {spec!r} is not NAME:LO:HI:STEPS[:log]"
         )
-    name, lo, hi, steps = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    name, numbers = parts[0], []
+    for label, text, kind in zip(("LO", "HI", "STEPS"), parts[1:], (float, float, int)):
+        try:
+            numbers.append(kind(text))
+        except ValueError:
+            what = f"a valid {kind.__name__}"
+            raise ValueError(f"axis {name!r}: {label} {text!r} is not {what}") from None
+    lo, hi, steps = numbers
     if len(parts) == 5:
         if parts[4] != "log":
             raise ValueError(f"unknown axis scale {parts[4]!r}")

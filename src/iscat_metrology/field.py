@@ -259,10 +259,12 @@ def complex_to_json(z: complex) -> dict:
 
 
 def _number(value, field: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{field} must be a number, got {value!r}") from None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the double range
+            pass
+    raise ValueError(f"{field} must be a number, got {value!r}")
 
 
 def _numbers(obj, field: str, keys) -> list[float]:

@@ -41,12 +41,18 @@ from .field import (
 )
 
 
+def real_projection(a, b):
+    """Re[conj(a)*b] from real parts: numpy's complex product rounds
+    differently from Python's, and exact zeros must stay zero."""
+    return a.real * b.real + a.imag * b.imag
+
+
 def qfi_coherent(dalpha):
     """QFI of the pure coherent state: 4*|dalpha|^2 (scalar or array).
 
     Independent of the reflected and reference arms by construction.
     """
-    return 4.0 * (dalpha.real * dalpha.real + dalpha.imag * dalpha.imag)
+    return 4.0 * real_projection(dalpha, dalpha)
 
 
 def _wrapped_phase(z: np.ndarray) -> np.ndarray:
@@ -70,15 +76,14 @@ def information(alpha_d, dalpha, vacuum_tol: float = 0.0):
     # hypot rounds like Python's abs(complex); np.abs on complex may not
     mag = np.hypot(ad.real, ad.imag)
     vacuum = mag <= vacuum_tol
-    with np.errstate(all="ignore"):
-        # Re[conj(alpha_d)*dalpha] from real parts: numpy's complex product
-        # rounds differently from Python's, and exact zeros must stay zero.
-        proj = (ad.real * dal.real + ad.imag * dal.imag) / mag
-    cfi = np.where(vacuum, np.nan, 4.0 * proj * proj)
+    with np.errstate(all="ignore"):  # overflow is the callers' to report
+        proj = real_projection(ad, dal) / mag
+        cfi = np.where(vacuum, np.nan, 4.0 * proj * proj)
+        qfi = qfi_coherent(dal)
     psi = np.where(dal == 0, np.nan, _wrapped_phase(dal))
     chi = np.where(vacuum, np.nan, _wrapped_phase(ad))
     c = np.cos(psi - chi)
-    return qfi_coherent(dal), cfi, psi, chi, c * c
+    return qfi, cfi, psi, chi, c * c
 
 
 def _single_information(alpha_d, dalpha, vacuum_tol: float) -> list[float]:
@@ -137,11 +142,12 @@ class FisherReport:
     """Information summary for one configuration and target."""
 
     qfi_coherent: float
-    qfi_phase_averaged: float
     cfi_photon_number: float
     psi: float
     chi: float
     saturation_ratio: float
+    #: equal to the counting CFI by construction
+    qfi_phase_averaged = property(lambda self: self.cfi_photon_number)
 
     def to_dict(self) -> dict:
         return {
@@ -172,7 +178,6 @@ def fisher_report(cfg: FieldConfig, target: EstimationTarget) -> FisherReport:
     )
     return FisherReport(
         qfi_coherent=qfi,
-        qfi_phase_averaged=cfi,
         cfi_photon_number=cfi,
         psi=psi,
         chi=chi,

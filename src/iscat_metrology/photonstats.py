@@ -18,23 +18,28 @@ seeded with seed + k, so a trial's counts do not depend on earlier trials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import fisher, tuner
-from .errors import BracketError, NotEstimableError
+from .errors import BracketError, EnergyBudgetError, NotEstimableError
 from .fisher import poisson_pmf  # noqa: F401  (part of this module's API)
 from .field import (
     TAU,
     EstimationTarget,
     FieldConfig,
-    ReferenceArm,
+    budget_violations,
     detector_amplitude,
     from_polar,
     reference_amplitude,
     target_value,
+    with_target_value,
 )
+
+
+#: Largest mean numpy's Poisson sampler accepts (its own bound on lam).
+POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 def gaussian_approx_pmf(mean: float, n) -> float | np.ndarray:
@@ -107,7 +112,7 @@ def mle_candidates(
     p = cfg.particle
     if target is EstimationTarget.MASS:
         d = from_polar(p.scale_per_kda, p.phi_s)
-        b, dd = (base.conjugate() * d).real, p.scale_per_kda**2
+        b, dd = fisher.real_projection(base, d), p.scale_per_kda**2
         gap = abs(base) ** 2 - mean_count
         disc = b * b - dd * gap
         # q has no cancellation between b and sqrt(disc)
@@ -199,8 +204,9 @@ def crb_validation(
 
     Trial k uses the derived seed ``seed + k`` and is fitted as in
     :func:`mle_estimate`; ``ambiguous_trials`` counts the trials with two
-    roots inside the bracket.  Non-estimable configurations, and a mass
-    target at zero mass, raise before any sampling.
+    roots inside the bracket.  Non-estimable configurations, a mass target
+    at zero mass, and a detector mean above :data:`POISSON_LAM_MAX` raise
+    before any sampling.
     """
     if samples_per_trial < 2 or n_trials < 2:
         raise ValueError("need at least 2 samples per trial and 2 trials")
@@ -211,6 +217,10 @@ def crb_validation(
         lam = abs(detector_amplitude(cfg)) ** 2
     except OverflowError:
         raise ValueError("detector mean |alpha_d|^2 overflows a double") from None
+    if lam > POISSON_LAM_MAX:
+        raise ValueError(
+            f"detector mean |alpha_d|^2 = {lam!r} exceeds numpy's Poisson limit"
+        )
     true_value = target_value(cfg, target)
     bracket = default_bracket(cfg, target)
 
@@ -267,21 +277,6 @@ class MeanSensitivityRow:
     dmean_dpower: float
 
 
-def _optimal_reference(
-    cfg: FieldConfig, mag: float
-) -> ReferenceArm:
-    """Reference arm of the given magnitude closest to saturating mass
-    estimation (exact when reachable, best effort otherwise)."""
-    sol = tuner.saturating_reference_set(cfg, EstimationTarget.MASS)
-    phases = sol.solutions_at(mag)
-    if phases:
-        return ReferenceArm(mag, phases[0])
-    # line unreachable at this magnitude: point the arm at the projection
-    rotated = sol.alpha_first * np.exp(-1j * sol.psi)
-    closest = rotated.real * np.exp(1j * sol.psi) - sol.alpha_first
-    return ReferenceArm(mag, math.atan2(closest.imag, closest.real))
-
-
 def mean_sensitivity_scan(
     cfg_base: FieldConfig,
     scattered_power_grid,
@@ -294,60 +289,61 @@ def mean_sensitivity_scan(
     |alpha_r| if absent); without it the baseline arms are kept as they
     are.  Both the mass derivative d(mean)/dm and the power derivative
     d(mean)/d|alpha_s|^2 are reported; the latter diverges at zero power
-    when the interference term survives.
+    when the interference term survives.  The photon budget is checked over
+    the whole grid.
     """
     grid = np.asarray(scattered_power_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty scattered-power grid")
-    p = cfg_base.particle
+    bad = grid[~(np.isfinite(grid) & (grid >= 0))]
+    if bad.size:
+        raise ValueError(f"scattered power must be finite and >= 0, got {bad[0]}")
+    p, ref = cfg_base.particle, cfg_base.reference
     s = p.scale_per_kda
-    rows = []
-    for power in grid:
-        if power < 0:
-            raise ValueError(f"negative scattered power {power!r}")
-        mass = math.sqrt(power) / s
-        cfg = replace(cfg_base, particle=replace(p, mass_kda=mass))
-        if optimize_reference:
-            mag = (
-                cfg_base.reference.mag
-                if cfg_base.reference is not None
-                else abs(cfg_base.alpha_r)
-            )
-            cfg = replace(cfg, reference=_optimal_reference(cfg, mag))
-        alpha_d = detector_amplitude(cfg)
-        direction = complex(np.exp(1j * p.phi_s))
-        mean = abs(alpha_d) ** 2
-        dmean_dm = 2.0 * (alpha_d.conjugate() * s * direction).real
-        # mean(P) = |A|^2 + 2*sqrt(P)*Re[conj(A)*e^(i*phi_s)] + P,
-        # with A the mass-independent arms alpha_r + alpha_i
-        other_arms = cfg.alpha_r + reference_amplitude(cfg)
-        cross = (other_arms.conjugate() * direction).real
-        if power > 0:
-            dmean_dpower = cross / math.sqrt(power) + 1.0
-        elif abs(cross) <= 1e-12 * abs(other_arms):
-            dmean_dpower = 1.0  # interference term absent up to round-off
-        else:
-            dmean_dpower = math.copysign(math.inf, cross)
-        rows.append(
-            MeanSensitivityRow(float(power), mean, dmean_dm, dmean_dpower)
-        )
-    return rows
+    root = np.sqrt(grid)
+    direction = from_polar(1.0, p.phi_s)
+    alpha_s = root * direction
+    first = cfg_base.alpha_r + alpha_s
+    violations = budget_violations(
+        np.hypot(first.real, first.imag), ref.mag if ref else 0.0, cfg_base.alpha0_mag
+    )
+    if violations:
+        raise EnergyBudgetError("; ".join(violations))
+    arm = reference_amplitude(cfg_base)
+    if optimize_reference:
+        # dalpha points along exp(i*phi_s) at every power, so all points share
+        # the first one's saturating line and phases; a power moves alpha_d =
+        # t*exp(i*psi) along it.  The lower phase is taken unless t = 0 there.
+        mag = ref.mag if ref else abs(cfg_base.alpha_r)
+        cfg0 = with_target_value(cfg_base, EstimationTarget.MASS, root[0] / s)
+        sol = tuner.saturating_reference_set(cfg0, EstimationTarget.MASS)
+        points = sol.line_points(mag)
+        (low, t_low), (high, _) = points[0], points[-1]
+        tol = tuner.GEOMETRY_TOL * cfg_base.alpha0_mag
+        vacuum = np.abs(t_low + root - root[0]) <= tol
+        arm = np.where(vacuum, from_polar(mag, high), from_polar(mag, low))
+    # mean(P) = |A|^2 + 2*sqrt(P)*Re[conj(A)*e^(i*phi_s)] + P,
+    # with A the mass-independent arms alpha_r + alpha_i
+    other_arms = cfg_base.alpha_r + arm
+    alpha_d = other_arms + alpha_s
+    mean = np.hypot(alpha_d.real, alpha_d.imag) ** 2
+    dmean_dm = 2.0 * s * fisher.real_projection(alpha_d, direction)
+    cross = fisher.real_projection(other_arms, direction)
+    # at zero power: 1 if the interference term is absent up to round-off
+    absent = np.abs(cross) <= 1e-12 * np.hypot(other_arms.real, other_arms.imag)
+    at_zero = np.where(absent, 1.0, np.copysign(math.inf, cross))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dmean_dpower = np.where(grid > 0, cross / root + 1.0, at_zero)
+    columns = np.column_stack((grid, mean, dmean_dm, dmean_dpower))
+    return [MeanSensitivityRow(*row) for row in columns.tolist()]
 
 
 def write_sensitivity_csv(path, rows: list[MeanSensitivityRow]) -> None:
     from .textio import write_csv
 
-    names = ("alpha_s_sq", "detector_mean", "dmean_dm", "dmean_dpower")
+    names = [f.name for f in fields(MeanSensitivityRow)]
     write_csv(path, {n: [getattr(r, n) for r in rows] for n in names})
 
 
 def sensitivity_to_json(rows: list[MeanSensitivityRow]) -> list[dict]:
-    return [
-        {
-            "alpha_s_sq": r.alpha_s_sq,
-            "detector_mean": r.detector_mean,
-            "dmean_dm": r.dmean_dm,
-            "dmean_dpower": r.dmean_dpower,
-        }
-        for r in rows
-    ]
+    return [asdict(r) for r in rows]

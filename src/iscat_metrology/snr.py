@@ -15,21 +15,28 @@ and with it
        + E_r^2 + 2*E_r*E_s*cos(phi_s) + E_s^2.
 
 Mass scales linearly with E_s, so its signal is the sum of the terms linear
-in E_s.  For a small scattering phase the one-arm setup only carries a
-quadratic phi_s^2 signal while the two-arm setup keeps a linear one,
-2*E_i*E_s*phi_s*sin(phi_i).
+in E_s, a projection evaluated with A = E_r + E_i*exp(i*phi_i) (E_i = 0 in
+the one-arm setup) and alpha_s = E_s*exp(i*phi_s) as
+
+    SNR_m = 2*Re[conj(A)*alpha_s] / |A + alpha_s|,
+
+which, unlike the I1/I2 expansions, does not cancel near the dark fringe.
+For a small scattering phase the one-arm setup only carries a quadratic
+phi_s^2 signal while the two-arm setup keeps a linear one,
+2*E_i*E_s*phi_s*sin(phi_i); the small-phase forms are evaluated as printed.
 
 All functions accept floats or numpy arrays (broadcasting applies) and
-raise DegenerateFieldError when a noise denominator vanishes.
+raise DegenerateFieldError when a noise denominator vanishes exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateFieldError
+from .fisher import real_projection
 
 
 @dataclass(frozen=True)
@@ -67,41 +74,40 @@ def _checked_sqrt(intensity, context: str):
     return np.sqrt(intensity)
 
 
+def _fields(f: RealFieldTriple):
+    """A = E_r + E_i*exp(i*phi_i) and alpha_s = E_s*exp(i*phi_s), built from
+    real parts, and the detector amplitude |A + alpha_s| from hypot."""
+    arms = f.e_r + f.e_i * np.cos(f.phi_i) + 1j * (f.e_i * np.sin(f.phi_i))
+    alpha_s = f.e_s * np.cos(f.phi_s) + 1j * (f.e_s * np.sin(f.phi_s))
+    total = arms + alpha_s
+    return arms, alpha_s, np.hypot(total.real, total.imag)
+
+
 def intensity_iscat(f: RealFieldTriple):
     """One-arm detector intensity I1."""
-    out = (
-        f.e_r**2 + 2.0 * f.e_r * f.e_s * np.cos(f.phi_s) + f.e_s**2
-    )
-    return _maybe_scalar(out)
+    return intensity_miscat(replace(f, e_i=0.0))
 
 
 def intensity_miscat(f: RealFieldTriple):
-    """Two-arm detector intensity I2 (all six interference terms)."""
-    out = (
-        f.e_i**2
-        + 2.0 * f.e_i * f.e_r * np.cos(f.phi_i)
-        + 2.0 * f.e_i * f.e_s * np.cos(f.phi_i - f.phi_s)
-        + f.e_r**2
-        + 2.0 * f.e_r * f.e_s * np.cos(f.phi_s)
-        + f.e_s**2
-    )
-    return _maybe_scalar(out)
+    """Two-arm detector intensity I2 = |A + alpha_s|^2."""
+    return _maybe_scalar(_fields(f)[2] ** 2)
 
 
 def snr_mass_iscat(f: RealFieldTriple):
-    """Mass SNR of the one-arm setup: 2*E_r*E_s*cos(phi_s)/sqrt(I1)."""
-    signal = 2.0 * f.e_r * f.e_s * np.cos(f.phi_s)
-    noise = _checked_sqrt(intensity_iscat(f), "snr_mass_iscat")
-    return _maybe_scalar(signal / noise)
+    """Mass SNR of the one-arm setup: 2*E_r*E_s*cos(phi_s)/sqrt(I1), the
+    two-arm SNR at E_i = 0."""
+    return snr_mass_miscat(replace(f, e_i=0.0))
 
 
 def snr_mass_miscat(f: RealFieldTriple):
-    """Mass SNR of the two-arm setup: both E_s-linear terms over sqrt(I2)."""
-    signal = 2.0 * f.e_r * f.e_s * np.cos(f.phi_s) + 2.0 * f.e_i * f.e_s * np.cos(
-        f.phi_i - f.phi_s
-    )
-    noise = _checked_sqrt(intensity_miscat(f), "snr_mass_miscat")
-    return _maybe_scalar(signal / noise)
+    """Mass SNR of the two-arm setup, 2*Re[conj(A)*alpha_s]/|A + alpha_s|:
+    both E_s-linear terms over sqrt(I2)."""
+    arms, alpha_s, noise = _fields(f)
+    if np.any(noise == 0):
+        raise DegenerateFieldError(
+            "total destructive interference: zero detector field"
+        )
+    return _maybe_scalar(2.0 * real_projection(arms, alpha_s) / noise)
 
 
 def snr_phase_small_iscat(f: RealFieldTriple):
@@ -136,9 +142,7 @@ def mass_snr_sweep(
     swept = RealFieldTriple(f.e_r, f.e_s, f.e_i, f.phi_s, phi_i)
     return {
         "phi_i": phi_i,
-        "snr_iscat": np.broadcast_to(
-            snr_mass_iscat(f), phi_i.shape
-        ).astype(float),
+        "snr_iscat": np.asarray(snr_mass_iscat(swept), dtype=float),
         "snr_miscat": np.asarray(snr_mass_miscat(swept), dtype=float),
     }
 

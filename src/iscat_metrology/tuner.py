@@ -62,12 +62,10 @@ class SaturationSolution:
     alpha_first: complex
     alpha0_mag: float
 
-    def solutions_at(self, mag_i: float) -> tuple[float, ...]:
-        """Saturating phases phi_i at the given reference magnitude.
-
-        Returns zero, one (tangency) or two phases, sorted ascending in
-        [0, 2*pi).  The vacuum point is excluded.
-        """
+    def line_points(self, mag_i: float) -> list[tuple[float, float]]:
+        """(phi_i, t) of the line points t*exp(i*psi) nearest the circle of
+        radius ``mag_i``, sorted by phi_i in [0, 2*pi): the intersections,
+        or the foot of the perpendicular if none.  Vacuum included."""
         if not (0.0 <= mag_i <= 0.5 * self.alpha0_mag):
             raise ValueError(
                 f"reference magnitude {mag_i!r} outside "
@@ -76,20 +74,24 @@ class SaturationSolution:
         tol = GEOMETRY_TOL * self.alpha0_mag
         rotated = self.alpha_first * cmath.exp(-1j * self.psi)
         a, b = rotated.real, rotated.imag
-        if mag_i < self.min_mag_i - tol:
-            return ()
-        if abs(mag_i - self.min_mag_i) <= tol:
+        if mag_i <= self.min_mag_i + tol:
             ts = [a]
         else:
             r = math.sqrt(max(mag_i * mag_i - b * b, 0.0))
             ts = [a - r, a + r]
-        phases = []
-        for t in ts:
-            if abs(t) <= tol:
-                continue  # vacuum point: counting carries no phase there
-            alpha_i = t * cmath.exp(1j * self.psi) - self.alpha_first
-            phases.append(wrap_angle(math.atan2(alpha_i.imag, alpha_i.real)))
-        return tuple(sorted(phases))
+        arms = [(t * cmath.exp(1j * self.psi) - self.alpha_first, t) for t in ts]
+        return sorted((wrap_angle(math.atan2(z.imag, z.real)), t) for z, t in arms)
+
+    def solutions_at(self, mag_i: float) -> tuple[float, ...]:
+        """Saturating phases phi_i at the given reference magnitude.
+
+        Returns zero, one (tangency) or two phases, sorted ascending in
+        [0, 2*pi).  The vacuum point, where counting carries no phase, is
+        excluded.
+        """
+        points, tol = self.line_points(mag_i), GEOMETRY_TOL * self.alpha0_mag
+        reached = mag_i >= self.min_mag_i - tol
+        return tuple(phi for phi, t in points if reached and abs(t) > tol)
 
 
 def saturating_reference_set(

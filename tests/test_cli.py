@@ -181,6 +181,27 @@ class TestScanCommand:
         assert "axis 'phi_s'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ("phi_s:0:1:1e3", "STEPS '1e3' is not a valid int"),
+            ("phi_s:zero:1:5", "LO 'zero' is not a valid float"),
+            ("phi_s:0:1e:5", "HI '1e' is not a valid float"),
+        ],
+    )
+    def test_unparsable_axis_field_exits_2(
+        self, tmp_path, capsys, config_file, axis, message
+    ):
+        cfg_path = config_file(fig2_config())
+        out = tmp_path / "grid.csv"
+        rc = main([
+            "scan", "--config", str(cfg_path), "--x-axis", axis,
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert f"axis 'phi_s': {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_over_budget_axis_exits_2(self, tmp_path, capsys, config_file):
         cfg_path = config_file(fig2_config())
         out = tmp_path / "grid.csv"
@@ -295,6 +316,36 @@ class TestSnrCommand:
         assert rc == 0
         for row in read_csv(out):
             assert row["snr_miscat"] == row["snr_iscat"]
+
+    def test_dark_fringe_without_scatterer_is_zero(self, tmp_path):
+        # at phi_i = pi the detector field is 1.2e-16, not zero, and carries
+        # no scattered signal; the six-term I2 rounded it to 0 (exit 2)
+        out = tmp_path / "snr.csv"
+        rc = main([
+            "snr", "--mode", "mass", "--e-r", "1", "--e-s", "0", "--e-i", "1",
+            "--phi-s", "0", "--sweep", "phi_i:0:6.283185307179586:3",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        assert [float(r["snr_miscat"]) for r in read_csv(out)] == [0.0] * 3
+
+    def test_zero_field_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "snr.csv"
+        rc = main([
+            "snr", "--mode", "mass", "--e-r", "0", "--e-s", "0", "--e-i", "0",
+            "--sweep", "phi_i:0:1:3", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "total destructive interference" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparsable_sweep_steps_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "snr.csv"
+        rc = main(["snr", "--sweep", "phi_i:0:1:2.5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "axis 'phi_i': STEPS '2.5' is not a valid int" in err
+        assert not out.exists()
 
     def test_negative_amplitude_exits_2(self, tmp_path):
         rc = main([
@@ -498,9 +549,13 @@ def _short_spectrum_row(tmp_path):
         (_config_with(lambda d: [d]), "config"),
         (_config_with(lambda d: d.update(reference=3)), "reference"),
         (_short_spectrum_row, "scale_s"),
+        (_config_with(lambda d: d["alpha_r"].update(re=False)), "alpha_r.re"),
+        (_config_with(lambda d: d["alpha_r"].update(im="1e-5")), "alpha_r.im"),
+        (_config_with(lambda d: d["particle"].update(mass_kda=True)),
+         "particle.mass_kda"),
     ],
     ids=["alpha_r_number", "null_mass", "top_level_list", "reference_number",
-         "short_spectrum_row"],
+         "short_spectrum_row", "bool_re", "string_im", "bool_mass"],
 )
 def test_malformed_input_shape_exits_2(tmp_path, capsys, write_input, name):
     out = tmp_path / "o.json"

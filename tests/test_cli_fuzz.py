@@ -4,6 +4,8 @@ Each numeric field of a config keeps its valid value or is replaced by any
 double (NaN, the infinities and +-1e308 included) or by a value of the wrong
 JSON type.  Whatever the input, ``main`` returns 0, 2 or 3 and raises
 nothing; a success writes only finite numbers, and a failure writes no file.
+A field that is not a JSON number (null, a bool, a string or a list) always
+exits 2.
 """
 
 import json
@@ -98,6 +100,18 @@ def assert_finite_output(path):
         assert math.isfinite(value), f"non-finite cell {cell!r} in {path}"
 
 
+def _numbers(config):
+    """The values of a config's number fields."""
+    yield config["alpha0_mag"]
+    for key in ("alpha_r", "particle", "reference"):
+        yield from (config[key] or {}).values()
+
+
+def _not_a_number(value):
+    """True for a JSON value other than a number (bool counts as one)."""
+    return isinstance(value, bool) or not isinstance(value, (int, float))
+
+
 def run_cli(subcommand, config, options):
     """Exit code of one run, with the data files it wrote checked."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -111,6 +125,8 @@ def run_cli(subcommand, config, options):
             [subcommand, "--config", str(cfg_path), "--out", str(out), *options]
         )
         assert rc in (0, 2, 3)
+        if any(_not_a_number(value) for value in _numbers(config)):
+            assert rc == 2
         written = list(out_dir.iterdir())
         if rc == 0:
             assert out in written
@@ -164,6 +180,19 @@ def test_overflowing_detector_mean_exits_2(capsys):
     options = ["--trials", "3", "--samples", "3", "--seed", "1"]
     assert run_cli("montecarlo", HUGE_MEAN, options) == 2
     assert "detector mean" in capsys.readouterr().err
+
+
+def test_detector_mean_over_poisson_limit_exits_2(capsys):
+    # |alpha_d|^2 = 1.6e19 fits a double but not numpy's Poisson sampler
+    config = {
+        "alpha0_mag": 1e10,
+        "alpha_r": {"re": 4e9, "im": 0},
+        "particle": {"mass_kda": 1, "scale_per_kda": 1, "phi_s": 0},
+        "reference": None,
+    }
+    options = ["--trials", "2", "--samples", "2", "--seed", "1"]
+    assert run_cli("montecarlo", config, options) == 2
+    assert "detector mean |alpha_d|^2 = 1.6" in capsys.readouterr().err
 
 
 def test_huge_integer_names_field(capsys):

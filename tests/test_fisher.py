@@ -1,9 +1,10 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import EXTREME_FLOATS, same_bits
 from iscat_metrology import fisher
@@ -33,6 +34,13 @@ class TestQfiCoherent:
     def test_phase_target_value(self):
         # derivative magnitude m*s = 14.52, so 4 * 14.52**2 = 4 * n_s
         assert fisher.qfi_coherent(14.52j) == pytest.approx(843.3, abs=0.1)
+
+    def test_overflow_raises_no_warning(self):
+        # an overflowing config is reported by the finite-value check alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qfi, cfi, *_ = fisher.information(1e300 + 0j, 1e300 + 0j)
+        assert qfi == cfi == math.inf
 
 
 class TestMismatchAngles:
@@ -155,12 +163,14 @@ class TestPhaseAveragedOracle:
         dmag=st.floats(0.01, 3.0),
         dtheta=st.floats(0.0, 2 * PI, exclude_max=True),
     )
+    # |rect(5, 0.045)|^2 rounds to 25.00000000000001, whose rule is 101
+    @example(mag=5.0, theta=0.045, dmag=1.0, dtheta=0.0)
     def test_matches_analytic(self, mag, theta, dmag, dtheta):
         alpha = cmath.rect(mag, theta)
         dalpha = cmath.rect(dmag, dtheta)
         analytic = fisher.qfi_phase_averaged(alpha, dalpha)
         oracle = fisher.qfi_phase_averaged_oracle(
-            alpha, dalpha, fisher.min_truncation(mag * mag)
+            alpha, dalpha, fisher.min_truncation(abs(alpha) ** 2)
         )
         assert oracle == pytest.approx(analytic, rel=1e-9, abs=1e-15)
 
@@ -352,7 +362,7 @@ class TestReportCsv:
             reference=ReferenceArm(lo, tiny),
             alpha0_mag=top,
         )
-        extreme = fisher.FisherReport(lo, tiny, top, lo, tiny, top)
+        extreme = fisher.FisherReport(lo, top, lo, tiny, top)
         fisher.write_report_csv(path, [(cfg, EstimationTarget.MASS, extreme)])
         cells = path.read_text().strip().split("\n")[1].split(",")
         expected = [lo, tiny, tiny, top, lo, lo, tiny, lo, top, lo, tiny, top]

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -11,8 +12,8 @@ from conftest import (
     same_bits,
     saturated_mc_config,
 )
-from iscat_metrology import fisher, photonstats as ps
-from iscat_metrology.errors import BracketError, NotEstimableError
+from iscat_metrology import fisher, photonstats as ps, tuner
+from iscat_metrology.errors import BracketError, EnergyBudgetError, NotEstimableError
 from iscat_metrology.field import (
     EstimationTarget,
     FieldConfig,
@@ -424,6 +425,97 @@ class TestMeanSensitivityScan:
         cfg = FieldConfig(alpha_r=0.1, particle=ParticleModel(1.0, 0.1, 0.0))
         with pytest.raises(ValueError):
             ps.mean_sensitivity_scan(cfg, [], optimize_reference=False)
+
+    @pytest.mark.parametrize("power", [-1.0, math.nan, math.inf])
+    def test_bad_power_rejected(self, power):
+        cfg = FieldConfig(alpha_r=0.1, particle=ParticleModel(1.0, 0.1, 0.0))
+        with pytest.raises(ValueError, match=f"scattered power .*{power!r}"):
+            ps.mean_sensitivity_scan(cfg, [0.1, power], optimize_reference=False)
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_over_budget_grid_raises(self, optimize):
+        # only the last point puts |alpha_r + alpha_s| = 0.9 over alpha0/2
+        cfg = FieldConfig(alpha_r=0.4, particle=ParticleModel(1.0, 0.1, 0.0))
+        with pytest.raises(EnergyBudgetError, match="sample arm"):
+            ps.mean_sensitivity_scan(cfg, [0.0, 0.01, 0.25], optimize)
+
+    def test_vacuum_root_takes_other_phase(self, monkeypatch):
+        # phi_s = pi: the arm |alpha_i| = |alpha_r| = 0.3 saturates at
+        # phi_i = 0 (A = 0.6) or pi (A = 0); the lower phase is taken unless
+        # alpha_d = A - sqrt(P) is vacuum there, at P = 0.36
+        cfg = FieldConfig(
+            alpha_r=0.3, particle=ParticleModel(1.0, 0.1, PI), alpha0_mag=10.0
+        )
+        calls = []
+        solve = tuner.saturating_reference_set
+        monkeypatch.setattr(
+            tuner, "saturating_reference_set",
+            lambda *args: calls.append(args) or solve(*args),
+        )
+        rows = ps.mean_sensitivity_scan(cfg, [0.0, 0.36, 1.0], True)
+        assert len(calls) == 1
+        means = [row.detector_mean for row in rows]
+        assert means == pytest.approx([0.36, 0.36, 0.16], rel=1e-12)
+        assert [row.dmean_dm for row in rows] == pytest.approx(
+            [-0.12, 0.12, 0.08], rel=1e-12
+        )
+
+    @staticmethod
+    def _per_point_rows(cfg, grid, optimize):
+        """The scan one power at a time through the scalar field and tuner
+        functions: the tuned arm takes the lowest saturating phase, or
+        points at the foot of the perpendicular when none is reachable."""
+        s, direction = cfg.particle.scale_per_kda, cmath.exp(1j * cfg.particle.phi_s)
+        rows = []
+        for power in grid:
+            point = with_target_value(cfg, MASS, math.sqrt(power) / s)
+            if optimize:
+                mag = cfg.reference.mag if cfg.reference else abs(cfg.alpha_r)
+                sol = tuner.saturating_reference_set(point, MASS)
+                phases = sol.solutions_at(mag)
+                if not phases:
+                    a = (sol.alpha_first * cmath.exp(-1j * sol.psi)).real
+                    foot = a * cmath.exp(1j * sol.psi) - sol.alpha_first
+                    phases = [cmath.phase(foot)]
+                point = dataclasses.replace(point, reference=ReferenceArm(mag, phases[0]))
+            alpha_d = detector_amplitude(point)
+            arms = point.alpha_r + reference_amplitude(point)
+            rows.append((
+                abs(alpha_d) ** 2,
+                2.0 * s * (alpha_d.conjugate() * direction).real,
+                (arms.conjugate() * direction).real / math.sqrt(power) + 1.0,
+            ))
+        return rows
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_matches_per_point_reference(self, optimize):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            ref = ReferenceArm(rng.uniform(0, 5), rng.uniform(0, 2 * PI))
+            cfg = FieldConfig(
+                alpha_r=cmath.rect(rng.uniform(0, 3), rng.uniform(0, 2 * PI)),
+                particle=ParticleModel(1.0, rng.uniform(0.01, 1), rng.uniform(0, 2 * PI)),
+                reference=ref if rng.random() < 0.5 else None,
+                alpha0_mag=10.0,
+            )
+            grid = np.sort(rng.uniform(0, 4, 25))
+            rows = ps.mean_sensitivity_scan(cfg, grid, optimize)
+            expected = self._per_point_rows(cfg, grid, optimize)
+            # Round-off is relative to the arms, not to the detector field.
+            # A tuned phase near tangency (|alpha_i| near the distance b of
+            # the line) is ill-conditioned by mag/sqrt(|mag^2 - b^2|).
+            mag = cfg.reference.mag if cfg.reference else abs(cfg.alpha_r)
+            b = (cfg.alpha_r * cmath.exp(-1j * cfg.particle.phi_s)).imag
+            cond = 1.0 + mag / math.sqrt(abs(mag * mag - b * b)) if optimize else 1.0
+            for row, (mean, dmean_dm, dmean_dpower) in zip(rows, expected):
+                arms = abs(cfg.alpha_r) + mag + math.sqrt(row.alpha_s_sq)
+                unit = 8.0 * eps * cond * arms
+                assert abs(row.detector_mean - mean) <= unit * arms
+                s = cfg.particle.scale_per_kda
+                assert abs(row.dmean_dm - dmean_dm) <= unit * s
+                err = abs(row.dmean_dpower - dmean_dpower)
+                assert err * math.sqrt(row.alpha_s_sq) <= unit
 
 
 class TestCsvEmission:

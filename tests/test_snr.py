@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import EXTREME_FLOATS, read_csv_columns, same_bits
 from iscat_metrology import snr
+from iscat_metrology.cli import _snr_presets
 from iscat_metrology.errors import DegenerateFieldError
 from iscat_metrology.snr import RealFieldTriple
 
@@ -85,6 +86,42 @@ class TestMassSnr:
             swept = RealFieldTriple(f.e_r, f.e_s, f.e_i, f.phi_s, phi_i)
             best = np.max(snr.snr_mass_miscat(swept))
             assert best >= snr.snr_mass_iscat(f) - 1e-12
+
+
+class TestMassSnrPrecision:
+    @staticmethod
+    def _exact(f, phi_i):
+        """Two-arm mass SNR of the float inputs to 50 digits."""
+        import mpmath
+
+        with mpmath.workdps(50):
+            e_r, e_s, e_i, phi_s, phi_i = map(
+                mpmath.mpf, (f.e_r, f.e_s, f.e_i, f.phi_s, phi_i)
+            )
+            re = e_r + e_i * mpmath.cos(phi_i) + e_s * mpmath.cos(phi_s)
+            im = e_i * mpmath.sin(phi_i) + e_s * mpmath.sin(phi_s)
+            signal = 2 * e_s * (e_r * mpmath.cos(phi_s) + e_i * mpmath.cos(phi_i - phi_s))
+            return float(signal / mpmath.sqrt(re * re + im * im))
+
+    def test_figsnr1_against_extended_precision(self):
+        _, f, _, phi_i, _ = _snr_presets()["figsnr1"]
+        exact = np.array([self._exact(f, p) for p in phi_i])
+        values = snr.mass_snr_sweep(f, phi_i)["snr_miscat"]
+        assert np.max(np.abs(values - exact)) <= 2e-16
+        # the six-term I2 expansion cancels near the dark fringe phi_i = pi
+        e_r, e_s, e_i, phi_s = f.e_r, f.e_s, f.e_i, f.phi_s
+        i2 = (
+            e_i**2 + 2 * e_i * e_r * np.cos(phi_i)
+            + 2 * e_i * e_s * np.cos(phi_i - phi_s)
+            + e_r**2 + 2 * e_r * e_s * np.cos(phi_s) + e_s**2
+        )
+        signal = 2 * e_r * e_s * np.cos(phi_s) + 2 * e_i * e_s * np.cos(phi_i - phi_s)
+        assert np.max(np.abs(signal / np.sqrt(i2) - exact)) > 1e-13
+
+    @pytest.mark.parametrize("fn", [snr.snr_mass_iscat, snr.snr_mass_miscat])
+    def test_zero_field_raises(self, fn):
+        with pytest.raises(DegenerateFieldError):
+            fn(RealFieldTriple(0.0, 0.0, 0.0, 0.3, 1.0))
 
 
 class TestPhaseSnr:
