@@ -41,6 +41,10 @@ from .field import (
 #: Largest mean numpy's Poisson sampler accepts (its own bound on lam).
 POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
+#: Most Poisson draws (trials x samples per trial) one validation makes, a
+#: hundred times the 1000 x 1000 default.  Checked before any sampling.
+MAX_DRAWS = 10**8
+
 
 def gaussian_approx_pmf(mean: float, n) -> float | np.ndarray:
     """Stirling/Gaussian approximation of the counting distribution.
@@ -205,11 +209,16 @@ def crb_validation(
     Trial k uses the derived seed ``seed + k`` and is fitted as in
     :func:`mle_estimate`; ``ambiguous_trials`` counts the trials with two
     roots inside the bracket.  Non-estimable configurations, a mass target
-    at zero mass, and a detector mean above :data:`POISSON_LAM_MAX` raise
-    before any sampling.
+    at zero mass, a detector mean above :data:`POISSON_LAM_MAX` and more
+    than :data:`MAX_DRAWS` draws in all raise before any sampling.
     """
     if samples_per_trial < 2 or n_trials < 2:
         raise ValueError("need at least 2 samples per trial and 2 trials")
+    if n_trials * samples_per_trial > MAX_DRAWS:
+        raise ValueError(
+            f"trials x samples = {n_trials} x {samples_per_trial} exceeds "
+            f"the cap of {MAX_DRAWS} Poisson draws"
+        )
     report = fisher.fisher_report(cfg, target)  # raises if not estimable
     if not (report.cfi_photon_number > 0.0):
         raise NotEstimableError("counting CFI is zero; the bound is infinite")

@@ -274,7 +274,10 @@ def spectrum_from_csv(path) -> SpectralField:
         reader = csv.DictReader(
             line for line in fh if not line.startswith("#")
         )
-        rows = list(reader)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"spectrum CSV {path} is not UTF-8: {exc}") from None
     if not rows:
         raise ValueError(f"no spectrum rows in {path}")
     missing = set(SPECTRUM_CSV_COLUMNS) - set(rows[0].keys())

@@ -133,6 +133,11 @@ def phase_solutions(
 
 AXIS_NAMES = ("alpha_r_mag", "phi_s", "mag_i", "phi_i")
 
+#: Largest scan accepted, in axis steps and in grid cells (nx*ny): a cell
+#: holds about 150 bytes while the grid is computed and written, so this
+#: caps a scan near 1.5 GB.  Checked before anything is allocated.
+MAX_CELLS = 10**7
+
 
 @dataclass(frozen=True)
 class AxisSpec:
@@ -158,6 +163,10 @@ class AxisSpec:
             raise ValueError(
                 f"axis {name!r} needs steps >= 1 and finite bounds, "
                 f"got [{lo}, {hi}] in {steps} steps"
+            )
+        if steps > MAX_CELLS:
+            raise ValueError(
+                f"axis {name!r}: {steps} steps exceed the cap of {MAX_CELLS}"
             )
 
     @classmethod
@@ -259,6 +268,13 @@ def scan_ratio_grid(
     checked once over all cells (EnergyBudgetError names the bound), and
     the ratio comes from :func:`fisher.information`.
     """
+    grid_shape = (len(y.values) if y is not None else 1, len(x.values))
+    cells = grid_shape[0] * grid_shape[1]
+    if cells > MAX_CELLS:
+        raise ValueError(
+            f"scan grid of {cells} cells (x axis {x.name!r}, y axis "
+            f"{y.name if y else None!r}) exceeds the cap of {MAX_CELLS}"
+        )
     # without a reference arm, a zero-magnitude arm at phase 0 adds nothing
     cfg0 = base if base.reference else replace(base, reference=ReferenceArm(0, 0))
     axes = {}
@@ -277,7 +293,7 @@ def scan_ratio_grid(
     first = np.broadcast_to(
         column("alpha_r_mag", lambda c: c.alpha_r)
         + column("phi_s", lambda c: scattered_amplitude(c.particle)),
-        (len(y.values) if y is not None else 1, len(x.values)),
+        grid_shape,
     )
     mag_i = column("mag_i", lambda c: c.reference.mag)
     first_mag = np.hypot(first.real, first.imag)  # rounds like abs(complex)

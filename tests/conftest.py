@@ -30,6 +30,16 @@ def read_csv_columns(path) -> dict:
     return {name: [row[k] for row in rows] for k, name in enumerate(names)}
 
 
+def oracle_csv(names, rows, comments=()) -> bytes:
+    """A CSV file as a cell-by-cell writer makes it: each row is
+    ``",".join(map(fmt, row))``, so ``fmt`` alone defines every cell."""
+    from iscat_metrology.textio import fmt
+
+    lines = [f"# {c}" for c in comments] + [",".join(names)]
+    lines += [",".join(map(fmt, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def same_bits(cells, values) -> bool:
     """Cells parse back to exactly ``values``, sign of zero included."""
     return [float(c).hex() for c in cells] == [float(v).hex() for v in values]

@@ -202,6 +202,25 @@ class TestScanCommand:
         assert f"axis 'phi_s': {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            (["--x-axis", "phi_s:0:1:10000001"], "axis 'phi_s': 10000001 steps"),
+            (
+                ["--x-axis", "phi_s:0:1:11", "--y-axis", "phi_i:0:1:909091"],
+                "grid of 10000001 cells (x axis 'phi_s', y axis 'phi_i')",
+            ),
+        ],
+        ids=["steps", "cells"],
+    )
+    def test_oversized_scan_exits_2(self, tmp_path, capsys, config_file, axes, message):
+        # one cell over tuner.MAX_CELLS, refused before the grid is allocated
+        out = tmp_path / "o.csv"
+        argv = ["scan", "--config", str(config_file(fig2_config())), *axes]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_over_budget_axis_exits_2(self, tmp_path, capsys, config_file):
         cfg_path = config_file(fig2_config())
         out = tmp_path / "grid.csv"
@@ -441,6 +460,30 @@ class TestMonteCarloCommand:
         assert "mass 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_run_exits_2(
+        self, tmp_path, capsys, config_file, mc_saturated_cfg, monkeypatch
+    ):
+        from iscat_metrology import photonstats
+
+        cfg = str(config_file(mc_saturated_cfg))
+        out = tmp_path / "mc.json"
+
+        def run(trials, samples):
+            return main([
+                "montecarlo", "--config", cfg, "--trials", str(trials),
+                "--samples", str(samples), "--seed", "1", "--out", str(out),
+            ])
+
+        # 17 x 5882353 is one draw over the cap: refused before any sampling
+        assert 17 * 5882353 == photonstats.MAX_DRAWS + 1
+        assert run(17, 5882353) == 2
+        assert "trials x samples = 17 x 5882353 exceeds" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(photonstats, "MAX_DRAWS", 200)
+        assert run(10, 20) == 0
+        assert run(10, 21) == 2
+        assert "exceeds the cap of 200 Poisson draws" in capsys.readouterr().err
+
     def test_ambiguous_trials_reported(self, tmp_path, config_file, mc_saturated_cfg):
         cfg_path = config_file(mc_saturated_cfg)
         out = tmp_path / "mc.json"
@@ -519,6 +562,14 @@ class TestSpectrumCommand:
         bad.write_text("omega,weight\n1.0,1.0\n")
         rc = main(["spectrum", "--spectrum", str(bad), "--out", str(tmp_path / "o.json")])
         assert rc == 2
+
+    def test_non_utf8_csv_exits_2_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"omega,weight\n1.0,\xff\n")
+        out = tmp_path / "o.json"
+        assert main(["spectrum", "--spectrum", str(bad), "--out", str(out)]) == 2
+        assert f"spectrum CSV {bad} is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _config_with(edit):

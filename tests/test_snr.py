@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EXTREME_FLOATS, read_csv_columns, same_bits
+from conftest import EXTREME_FLOATS, oracle_csv, read_csv_columns, same_bits
 from iscat_metrology import snr
-from iscat_metrology.cli import _snr_presets
+from iscat_metrology.cli import _snr_presets, main
 from iscat_metrology.errors import DegenerateFieldError
 from iscat_metrology.snr import RealFieldTriple
 
@@ -192,3 +192,15 @@ class TestSweepCsv:
         snr.write_sweep_csv(path, extremes)
         for name, cells in read_csv_columns(path).items():
             assert same_bits(cells, EXTREME_FLOATS), name
+
+
+@pytest.mark.parametrize("preset", sorted(_snr_presets()))
+def test_preset_csv_matches_cell_by_cell_oracle(tmp_path, preset):
+    out = tmp_path / f"{preset}.csv"
+    assert main(["snr", "--preset", preset, "--out", str(out)]) == 0
+    mode, triple, _, values, log_scale = _snr_presets()[preset]
+    sweep_fn = {"mass": snr.mass_snr_sweep, "phase": snr.phase_snr_sweep}[mode]
+    sweep = sweep_fn(triple, values)
+    rows = zip(*(column.tolist() for column in sweep.values()))
+    meta = [f"mode: {mode}", f"log_scale: {str(log_scale).lower()}"]
+    assert out.read_bytes() == oracle_csv(list(sweep), rows, meta)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import EXTREME_FLOATS, read_csv_columns, same_bits
+from conftest import EXTREME_FLOATS, oracle_csv, read_csv_columns, same_bits
 from iscat_metrology import fisher, tuner
+from iscat_metrology.cli import _scan_presets, main
 from iscat_metrology.errors import EnergyBudgetError, NotEstimableError
 from iscat_metrology.field import (
     EstimationTarget,
@@ -298,6 +299,30 @@ class TestScanGrid:
         with pytest.raises(ValueError, match="axis 'phi_s'"):
             make()
 
+    @pytest.mark.parametrize("scale", ["linspace", "logspace"])
+    def test_axis_steps_capped_before_allocating(self, scale):
+        make = getattr(tuner.AxisSpec, scale)
+        with pytest.raises(ValueError, match="axis 'phi_s': 10000001 steps exceed"):
+            make("phi_s", 1.0, 2.0, tuner.MAX_CELLS + 1)
+
+    def test_grid_cells_capped_before_computing(self, fig2_cfg, monkeypatch):
+        # cap + 1 = 11 x 909091 cells from two small axes
+        x = tuner.AxisSpec.linspace("phi_s", 0.0, 1.0, 11)
+        y = tuner.AxisSpec.linspace("phi_i", 0.0, 1.0, (tuner.MAX_CELLS + 1) // 11)
+        assert x.values.size * y.values.size == tuner.MAX_CELLS + 1
+        with pytest.raises(ValueError, match="10000001 cells .* exceeds the cap"):
+            tuner.scan_ratio_grid(fig2_cfg, MASS, x, y)
+        # the cap itself is allowed
+        monkeypatch.setattr(tuner, "MAX_CELLS", 12)
+        x = tuner.AxisSpec.linspace("phi_s", 0.0, 1.0, 3)
+        y = tuner.AxisSpec.linspace("phi_i", 0.0, 1.0, 4)
+        assert tuner.scan_ratio_grid(fig2_cfg, MASS, x, y).values.shape == (4, 3)
+        with pytest.raises(ValueError, match="13 steps exceed the cap of 12"):
+            tuner.AxisSpec.linspace("phi_s", 0.0, 1.0, 13)
+        y = tuner.AxisSpec.linspace("phi_i", 0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="15 cells .* exceeds the cap of 12"):
+            tuner.scan_ratio_grid(fig2_cfg, MASS, x, y)
+
     def test_csv_and_header(self, tmp_path, fig2_cfg):
         grid = tuner.scan_ratio_grid(
             fig2_cfg,
@@ -330,3 +355,17 @@ class TestScanGrid:
         # 1-D scans leave y blank
         tuner.ScanGrid(x, None, grid.base, MASS, values[1:2]).to_csv(path)
         assert read_csv_columns(path)["y"] == [""] * 5
+
+
+@pytest.mark.parametrize("preset", sorted(_scan_presets()))
+def test_preset_csv_matches_cell_by_cell_oracle(tmp_path, preset):
+    out = tmp_path / f"{preset}.csv"
+    assert main(["scan", "--preset", preset, "--out", str(out)]) == 0
+    grid = tuner.scan_ratio_grid(*_scan_presets()[preset])
+    rows = (
+        (x, y, ratio, "0" if math.isnan(ratio) else "1")
+        for y, ratios in zip(grid.y.values.tolist(), grid.values.tolist())
+        for x, ratio in zip(grid.x.values.tolist(), ratios)
+    )
+    expected = oracle_csv(["x", "y", "ratio", "defined_flag"], rows)
+    assert out.read_bytes() == expected
