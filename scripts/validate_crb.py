@@ -1,59 +1,27 @@
 #!/usr/bin/env python3
 """Monte Carlo check that the MLE variance tracks the Cramer-Rao bound.
 
-Runs two desk-scale two-arm configurations sharing the same particle and
-detector photon number: one with the reference arm tuned to saturation
-(cos^2 = 1) and one parked at cos^2 = 1/4, whose variance should come out
-four times larger.
+Runs the two desk-scale two-arm configurations of ``configs/``, which share
+the same particle and detector photon number: ``monte_carlo_saturated.json``
+with the reference arm tuned to saturation (cos^2 = 1) and
+``monte_carlo_quarter.json`` parked at cos^2 = 1/4, whose variance should
+come out four times larger.
 
 Usage: python scripts/validate_crb.py [--trials N] [--samples N] [--seed N]
 """
 
 import argparse
-import cmath
-import math
+from pathlib import Path
 
-from iscat_metrology import photonstats, tuner
-from iscat_metrology.field import (
-    EstimationTarget,
-    FieldConfig,
-    ParticleModel,
-    ReferenceArm,
-    detector_amplitude,
-    first_arm_amplitude,
-)
+from iscat_metrology import photonstats
+from iscat_metrology.field import EstimationTarget, load_config
 
-PI = math.pi
-
-
-def build_configs():
-    base = FieldConfig(
-        alpha_r=2.3,
-        particle=ParticleModel(66.0, 2.0 / 66.0, 5 * PI / 6),
-        alpha0_mag=10.0,
-    )
-    phases = tuner.phase_solutions(base, EstimationTarget.MASS, 4.5)
-    tuned = max(
-        (
-            FieldConfig(base.alpha_r, base.particle, ReferenceArm(4.5, p), 10.0)
-            for p in phases
-        ),
-        key=lambda c: abs(detector_amplitude(c)),
-    )
-    sol = tuner.saturating_reference_set(base, EstimationTarget.MASS)
-    t_mag = abs(detector_amplitude(tuned))
-    alpha_i = t_mag * cmath.exp(1j * (sol.psi - PI / 3)) - first_arm_amplitude(base)
-    quarter = FieldConfig(
-        base.alpha_r,
-        base.particle,
-        ReferenceArm(abs(alpha_i), cmath.phase(alpha_i)),
-        10.0,
-    )
-    return tuned, quarter
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(trials: int, samples: int, seed: int) -> None:
-    tuned, quarter = build_configs()
+    tuned = load_config(CONFIGS / "monte_carlo_saturated.json")
+    quarter = load_config(CONFIGS / "monte_carlo_quarter.json")
     print(f"trials={trials} samples_per_trial={samples} seed={seed}")
     reports = {}
     for name, cfg in (("saturated", tuned), ("cos^2=1/4", quarter)):

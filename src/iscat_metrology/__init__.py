@@ -4,7 +4,6 @@ scattering photometry, with reference-arm tuning for the two-arm setup."""
 __version__ = "0.1.0"
 
 from .field import (  # noqa: F401
-    ComplexAmplitude,
     EstimationTarget,
     FieldConfig,
     ParticleModel,

@@ -43,6 +43,7 @@ from .field import (
     FieldConfig,
     ParticleModel,
     ReferenceArm,
+    _require_finite,
     config_to_dict,
     load_config,
 )
@@ -259,6 +260,9 @@ def run_snr(args, out: Path):
     if sweep_var != swept:
         raise ValueError(f"{mode}-mode sweeps run over {swept}")
     sweep = sweep_fn(triple, sweep_values)
+    for name, values in sweep.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"snr column {name} overflows a double")
     if args.format == "json":
         columns = {name: values.tolist() for name, values in sweep.items()}
         dump_json(out, {"mode": mode, "log_scale": log_scale, "sweep": columns})
@@ -304,12 +308,17 @@ def run_spectrum(args, out: Path):
     target = EstimationTarget(args.target)
     qfi = spectrum.qfi_multifrequency(f, target)
     cfi = spectrum.qfi_multifrequency_phase_averaged(f, target)
-    result = {
-        "target": target.value,
-        "points": int(len(f.omega)),
+    integrals = {
         "scattered_photons": spectrum.scattered_photons(f),
         "qfi_coherent": qfi,
         "qfi_phase_averaged": cfi,
+    }
+    # an integral that overflows doubles exits 2 here, not 3 in qcrb
+    _require_finite(integrals)
+    result = {
+        "target": target.value,
+        "points": int(len(f.omega)),
+        **integrals,
         "cfi_photon_counting": cfi,
         "qcrb_coherent": fisher.qcrb(qfi),
         "qcrb_photon_counting": fisher.qcrb(cfi),

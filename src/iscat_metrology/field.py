@@ -10,11 +10,13 @@ Two setups are represented by one config type:
 All amplitudes are dimensionless coherent-state labels expressed relative to
 the input amplitude ``|alpha_0|`` (default 1), so ``|alpha|**2`` is a photon
 number.  The detector label is the sum ``alpha_r + alpha_s + alpha_i``.
-Because the setup contains no photon source besides the input, each arm is
-bounded by ``|alpha_0|/2``:
+Three rules of the model are stated here once:
 
-    |alpha_r + alpha_s| <= alpha0_mag / 2
-    |alpha_i|           <= alpha0_mag / 2
+* photon budget (:func:`check_budget`): with no photon source besides the
+  input, |alpha_r + alpha_s| <= alpha0_mag/2 and |alpha_i| <= alpha0_mag/2;
+* vacuum: counting carries no phase where |alpha_d| <= VACUUM_TOL*alpha0_mag;
+* absent arm (:attr:`FieldConfig.arm`): iSCAT is MiSCAT without the
+  reference arm, whose ``arm`` has magnitude 0 and phase 0.
 
 The scattered amplitude is linear in the particle mass,
 ``alpha_s = m * s * exp(i*phi_s)`` with ``m`` in kDa and ``s`` in 1/kDa, and
@@ -37,10 +39,6 @@ from .errors import EnergyBudgetError
 from .textio import dump_json
 
 TAU = 2.0 * math.pi
-
-#: Complex coherent-state label.  Native complex is used everywhere; the
-#: {"re", "im"} pair appears only in the JSON config schema.
-ComplexAmplitude = complex
 
 #: Absolute slack for the arm bounds, in units of alpha0_mag.
 BUDGET_TOL = 1e-12
@@ -69,6 +67,11 @@ def _require_finite(fields: dict) -> None:
 def from_polar(mag: float, phase: float) -> complex:
     """Complex amplitude from magnitude and argument."""
     return cmath.rect(mag, phase)
+
+
+def magnitude(z):
+    """|z| of a complex array; np.abs on complex may round differently."""
+    return np.hypot(z.real, z.imag)
 
 
 class EstimationTarget(Enum):
@@ -151,6 +154,11 @@ class FieldConfig:
     def setup(self) -> str:
         return "miscat" if self.reference is not None else "iscat"
 
+    @property
+    def arm(self) -> ReferenceArm:
+        """The reference arm; without one, an arm of magnitude 0 at phase 0."""
+        return self.reference or ReferenceArm(0.0, 0.0)
+
 
 def scattered_amplitude(p: ParticleModel) -> complex:
     """Scattered coherent-state label m*s*exp(i*phi_s)."""
@@ -159,9 +167,7 @@ def scattered_amplitude(p: ParticleModel) -> complex:
 
 def reference_amplitude(cfg: FieldConfig) -> complex:
     """Reference-arm label; 0 in iSCAT mode."""
-    if cfg.reference is None:
-        return 0j
-    return cfg.reference.amplitude()
+    return cfg.arm.amplitude()
 
 
 def first_arm_amplitude(cfg: FieldConfig) -> complex:
@@ -192,13 +198,17 @@ def budget_violations(first_mag, reference_mag, alpha0_mag: float) -> list[str]:
     return violations
 
 
+def check_budget(first_mag, reference_mag, alpha0_mag: float) -> None:
+    """Raise the :func:`budget_violations`, if any, as one EnergyBudgetError."""
+    violations = budget_violations(first_mag, reference_mag, alpha0_mag)
+    if violations:
+        raise EnergyBudgetError("; ".join(violations))
+
+
 def validate_energy(cfg: FieldConfig) -> list[str]:
     """Budget violations of one configuration; empty when it is valid."""
-    return budget_violations(
-        abs(first_arm_amplitude(cfg)),
-        cfg.reference.mag if cfg.reference is not None else 0.0,
-        cfg.alpha0_mag,
-    )
+    first_mag = abs(first_arm_amplitude(cfg))
+    return budget_violations(first_mag, cfg.arm.mag, cfg.alpha0_mag)
 
 
 def detector_amplitude(cfg: FieldConfig) -> complex:
@@ -207,10 +217,9 @@ def detector_amplitude(cfg: FieldConfig) -> complex:
     Raises EnergyBudgetError naming the violated bound if the configuration
     breaks the photon budget.
     """
-    violations = validate_energy(cfg)
-    if violations:
-        raise EnergyBudgetError("; ".join(violations))
-    return first_arm_amplitude(cfg) + reference_amplitude(cfg)
+    first = first_arm_amplitude(cfg)
+    check_budget(abs(first), cfg.arm.mag, cfg.alpha0_mag)
+    return first + reference_amplitude(cfg)
 
 
 def target_derivative(cfg: FieldConfig, target: EstimationTarget) -> complex:

@@ -35,6 +35,7 @@ from .field import (
     EstimationTarget,
     FieldConfig,
     detector_amplitude,
+    magnitude,
     target_derivative,
     target_value,
     with_target_value,
@@ -73,8 +74,7 @@ def information(alpha_d, dalpha, vacuum_tol: float = 0.0):
     """
     ad = np.asarray(alpha_d, dtype=complex)
     ad, dal = np.broadcast_arrays(ad, np.asarray(dalpha, dtype=complex))
-    # hypot rounds like Python's abs(complex); np.abs on complex may not
-    mag = np.hypot(ad.real, ad.imag)
+    mag = magnitude(ad)
     vacuum = mag <= vacuum_tol
     with np.errstate(all="ignore"):  # overflow is the callers' to report
         proj = real_projection(ad, dal) / mag
@@ -86,35 +86,32 @@ def information(alpha_d, dalpha, vacuum_tol: float = 0.0):
     return qfi, cfi, psi, chi, c * c
 
 
-def _single_information(alpha_d, dalpha, vacuum_tol: float) -> list[float]:
+def _single_information(alpha_d, dalpha, vacuum_tol: float = 0.0) -> list[float]:
     """:func:`information` of one pair as floats.
 
-    Raises VacuumPhaseError at the vacuum, and ValueError naming the
-    quantity when F_q or F_pn is not finite (the inputs overflow doubles).
+    Raises VacuumPhaseError at the vacuum (NaN chi), and ValueError naming
+    the quantity when F_q or F_pn is not finite (the inputs overflow doubles).
     """
-    if abs(alpha_d) <= vacuum_tol:
+    values = [float(v) for v in information(alpha_d, dalpha, vacuum_tol)]
+    if math.isnan(values[3]):
         raise VacuumPhaseError(
             "detector field is vacuum; chi = arg(alpha_d) and the counting "
             "CFI are undefined"
         )
-    values = [float(v) for v in information(alpha_d, dalpha, vacuum_tol)]
     for name, value in zip(("qfi_coherent", "cfi_photon_number"), values):
         if not math.isfinite(value):
             raise ValueError(f"{name} = {value!r} is not finite")
     return values
 
 
-def mismatch_angles(
-    alpha_d: complex, dalpha: complex, vacuum_tol: float = 0.0
-) -> tuple[float, float]:
+def mismatch_angles(alpha_d: complex, dalpha: complex) -> tuple[float, float]:
     """Phases (psi, chi) of the derivative and of the detector field, in
     [0, 2*pi).
 
     Raises VacuumPhaseError when either amplitude vanishes (the vacuum has
-    no defined phase).  ``vacuum_tol`` widens the vacuum test to
-    |alpha_d| <= vacuum_tol.
+    no defined phase).
     """
-    _, _, psi, chi, _ = _single_information(alpha_d, dalpha, vacuum_tol)
+    _, _, psi, chi, _ = _single_information(alpha_d, dalpha)
     if math.isnan(psi):
         raise VacuumPhaseError(
             "target derivative vanishes; psi = arg(dalpha) is undefined"
@@ -122,14 +119,12 @@ def mismatch_angles(
     return psi, chi
 
 
-def qfi_phase_averaged(
-    alpha_d: complex, dalpha: complex, vacuum_tol: float = 0.0
-) -> float:
+def qfi_phase_averaged(alpha_d: complex, dalpha: complex) -> float:
     """QFI of the phase-averaged (Poisson-diagonal) state.
 
     4*Re[(conj(alpha_d)/|alpha_d|)*dalpha]^2, undefined at the vacuum.
     """
-    return _single_information(alpha_d, dalpha, vacuum_tol)[1]
+    return _single_information(alpha_d, dalpha)[1]
 
 
 #: CFI of the photon-number measurement; the same function as the

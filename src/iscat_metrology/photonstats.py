@@ -23,15 +23,17 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import fisher, tuner
-from .errors import BracketError, EnergyBudgetError, NotEstimableError
+from .errors import BracketError, NotEstimableError
 from .fisher import poisson_pmf  # noqa: F401  (part of this module's API)
 from .field import (
     TAU,
+    VACUUM_TOL,
     EstimationTarget,
     FieldConfig,
-    budget_violations,
+    check_budget,
     detector_amplitude,
     from_polar,
+    magnitude,
     reference_amplitude,
     target_value,
     with_target_value,
@@ -312,12 +314,8 @@ def mean_sensitivity_scan(
     root = np.sqrt(grid)
     direction = from_polar(1.0, p.phi_s)
     alpha_s = root * direction
-    first = cfg_base.alpha_r + alpha_s
-    violations = budget_violations(
-        np.hypot(first.real, first.imag), ref.mag if ref else 0.0, cfg_base.alpha0_mag
-    )
-    if violations:
-        raise EnergyBudgetError("; ".join(violations))
+    first_mag = magnitude(cfg_base.alpha_r + alpha_s)
+    check_budget(first_mag, cfg_base.arm.mag, cfg_base.alpha0_mag)
     arm = reference_amplitude(cfg_base)
     if optimize_reference:
         # dalpha points along exp(i*phi_s) at every power, so all points share
@@ -328,18 +326,17 @@ def mean_sensitivity_scan(
         sol = tuner.saturating_reference_set(cfg0, EstimationTarget.MASS)
         points = sol.line_points(mag)
         (low, t_low), (high, _) = points[0], points[-1]
-        tol = tuner.GEOMETRY_TOL * cfg_base.alpha0_mag
-        vacuum = np.abs(t_low + root - root[0]) <= tol
+        vacuum = np.abs(t_low + root - root[0]) <= VACUUM_TOL * cfg_base.alpha0_mag
         arm = np.where(vacuum, from_polar(mag, high), from_polar(mag, low))
     # mean(P) = |A|^2 + 2*sqrt(P)*Re[conj(A)*e^(i*phi_s)] + P,
     # with A the mass-independent arms alpha_r + alpha_i
     other_arms = cfg_base.alpha_r + arm
     alpha_d = other_arms + alpha_s
-    mean = np.hypot(alpha_d.real, alpha_d.imag) ** 2
+    mean = magnitude(alpha_d) ** 2
     dmean_dm = 2.0 * s * fisher.real_projection(alpha_d, direction)
     cross = fisher.real_projection(other_arms, direction)
     # at zero power: 1 if the interference term is absent up to round-off
-    absent = np.abs(cross) <= 1e-12 * np.hypot(other_arms.real, other_arms.imag)
+    absent = np.abs(cross) <= 1e-12 * magnitude(other_arms)
     at_zero = np.where(absent, 1.0, np.copysign(math.inf, cross))
     with np.errstate(divide="ignore", invalid="ignore"):
         dmean_dpower = np.where(grid > 0, cross / root + 1.0, at_zero)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateFieldError
+from .field import magnitude
 from .fisher import real_projection
 
 
@@ -76,11 +77,10 @@ def _checked_sqrt(intensity, context: str):
 
 def _fields(f: RealFieldTriple):
     """A = E_r + E_i*exp(i*phi_i) and alpha_s = E_s*exp(i*phi_s), built from
-    real parts, and the detector amplitude |A + alpha_s| from hypot."""
+    real parts, and the detector amplitude |A + alpha_s|."""
     arms = f.e_r + f.e_i * np.cos(f.phi_i) + 1j * (f.e_i * np.sin(f.phi_i))
     alpha_s = f.e_s * np.cos(f.phi_s) + 1j * (f.e_s * np.sin(f.phi_s))
-    total = arms + alpha_s
-    return arms, alpha_s, np.hypot(total.real, total.imag)
+    return arms, alpha_s, magnitude(arms + alpha_s)
 
 
 def intensity_iscat(f: RealFieldTriple):

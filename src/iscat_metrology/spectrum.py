@@ -193,9 +193,9 @@ def qfi_multifrequency_phase_averaged(
     the detector field vanishes at a frequency whose integrand contributes.
     """
     dal = f.derivative(target)
-    cfi = fisher.information(f.detector(), dal)[1]
-    undefined = np.isnan(cfi)
-    dead = undefined & (dal != 0)
+    _, cfi, _, chi, _ = fisher.information(f.detector(), dal)
+    vacuum = np.isnan(chi)
+    dead = vacuum & (dal != 0)
     if np.any(dead):
         idx = int(np.argmax(dead))
         raise VacuumPhaseError(
@@ -203,7 +203,7 @@ def qfi_multifrequency_phase_averaged(
             f"(omega={f.omega[idx]!r}); the counting CFI is undefined there"
         )
     # a vacuum point with a vanishing derivative contributes nothing
-    return f.integrate(np.where(undefined, 0.0, cfi))
+    return f.integrate(np.where(vacuum, 0.0, cfi))
 
 
 def relative_mass_bound_multifrequency(f: SpectralField) -> float:
@@ -216,7 +216,10 @@ def relative_mass_bound_multifrequency(f: SpectralField) -> float:
         raise NotEstimableError(
             "every frequency is orthogonal; the mass cannot be estimated"
         )
-    return 0.5 * math.sqrt(qfi / cfi)
+    bound = 0.5 * math.sqrt(qfi / cfi)
+    if not math.isfinite(bound):  # F_q/F_pa overflows a double
+        raise ValueError(f"relative mass bound {bound!r} is not finite")
+    return bound
 
 
 # --- serialization ------------------------------------------------------------
@@ -278,9 +281,14 @@ def spectrum_from_csv(path) -> SpectralField:
             rows = list(reader)
         except UnicodeDecodeError as exc:
             raise ValueError(f"spectrum CSV {path} is not UTF-8: {exc}") from None
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            raise ValueError(f"spectrum CSV {path}: {exc}") from None
     if not rows:
         raise ValueError(f"no spectrum rows in {path}")
     missing = set(SPECTRUM_CSV_COLUMNS) - set(rows[0].keys())
     if missing:
         raise ValueError(f"spectrum CSV missing columns: {sorted(missing)}")
+    twice = [n for n in SPECTRUM_CSV_COLUMNS if reader.fieldnames.count(n) > 1]
+    if twice:
+        raise ValueError(f"spectrum CSV {path} names columns twice: {twice}")
     return spectrum_from_rows(rows)

@@ -17,8 +17,9 @@ reachable magnitude is the point-to-line distance
     min_mag_i = |Im(alpha_first * exp(-i*psi))|,
 
 which never exceeds |alpha_first| <= alpha0_mag/2, so a saturating setting
-always exists within the photon budget.  The single pathological point t=0
-(alpha_d = 0, vacuum) is excluded: counting statistics carry no phase there.
+always exists within the photon budget.  The vacuum point t=0 (alpha_d = 0,
+within ``field.VACUUM_TOL``) is excluded: counting carries no phase there.
+``GEOMETRY_TOL`` classifies tangency only.
 """
 
 from __future__ import annotations
@@ -31,24 +32,22 @@ from typing import Optional
 import numpy as np
 
 from . import fisher
-from .errors import EnergyBudgetError
 from .field import (
     VACUUM_TOL,
     EstimationTarget,
     FieldConfig,
     ReferenceArm,
-    budget_violations,
+    check_budget,
     config_to_dict,
     first_arm_amplitude,
     from_polar,
+    magnitude,
     scattered_amplitude,
     target_derivative,
-    validate_energy,
     wrap_angle,
 )
 
-#: Classification band for tangency and for the vacuum exclusion, in units
-#: of alpha0_mag.
+#: Classification band for tangency, in units of alpha0_mag.
 GEOMETRY_TOL = 1e-12
 
 
@@ -89,9 +88,9 @@ class SaturationSolution:
         [0, 2*pi).  The vacuum point, where counting carries no phase, is
         excluded.
         """
-        points, tol = self.line_points(mag_i), GEOMETRY_TOL * self.alpha0_mag
-        reached = mag_i >= self.min_mag_i - tol
-        return tuple(phi for phi, t in points if reached and abs(t) > tol)
+        points, vacuum = self.line_points(mag_i), VACUUM_TOL * self.alpha0_mag
+        reached = mag_i >= self.min_mag_i - GEOMETRY_TOL * self.alpha0_mag
+        return tuple(phi for phi, t in points if reached and abs(t) > vacuum)
 
 
 def saturating_reference_set(
@@ -102,16 +101,14 @@ def saturating_reference_set(
     Raises EnergyBudgetError naming the arm when ``cfg`` breaks the photon
     budget, the premise of the feasibility guarantee above.
     """
-    violations = validate_energy(cfg)
-    if violations:
-        raise EnergyBudgetError("; ".join(violations))
+    alpha_first = first_arm_amplitude(cfg)
+    check_budget(abs(alpha_first), cfg.arm.mag, cfg.alpha0_mag)
     dalpha = target_derivative(cfg, target)
     if dalpha == 0:
         raise ValueError(
             "target derivative vanishes; no alignment direction exists"
         )
     psi = wrap_angle(math.atan2(dalpha.imag, dalpha.real))
-    alpha_first = first_arm_amplitude(cfg)
     min_mag = abs((alpha_first * cmath.exp(-1j * psi)).imag)
     return SaturationSolution(
         min_mag_i=min_mag,
@@ -202,11 +199,9 @@ def apply_axis(cfg: FieldConfig, name: str, value: float) -> FieldConfig:
             cfg, particle=replace(cfg.particle, phi_s=wrap_angle(value))
         )
     if name == "mag_i":
-        phi_i = cfg.reference.phi_i if cfg.reference is not None else 0.0
-        return replace(cfg, reference=ReferenceArm(value, phi_i))
+        return replace(cfg, reference=ReferenceArm(value, cfg.arm.phi_i))
     if name == "phi_i":
-        mag = cfg.reference.mag if cfg.reference is not None else 0.0
-        return replace(cfg, reference=ReferenceArm(mag, wrap_angle(value)))
+        return replace(cfg, reference=ReferenceArm(cfg.arm.mag, wrap_angle(value)))
     raise ValueError(f"unknown axis {name!r}; expected one of {AXIS_NAMES}")
 
 
@@ -275,18 +270,16 @@ def scan_ratio_grid(
             f"scan grid of {cells} cells (x axis {x.name!r}, y axis "
             f"{y.name if y else None!r}) exceeds the cap of {MAX_CELLS}"
         )
-    # without a reference arm, a zero-magnitude arm at phase 0 adds nothing
-    cfg0 = base if base.reference else replace(base, reference=ReferenceArm(0, 0))
     axes = {}
     for axis, shape in ((y, (-1, 1)), (x, (1, -1))):
         if axis is not None:
-            cfgs = [apply_axis(cfg0, axis.name, float(v)) for v in axis.values]
+            cfgs = [apply_axis(base, axis.name, float(v)) for v in axis.values]
             axes[axis.name] = cfgs, shape
 
     def column(name, get):
-        """get(cfg) per value of the axis that sets ``name``, else of cfg0."""
+        """get(cfg) per value of the axis that sets ``name``, else of base."""
         if name not in axes:
-            return get(cfg0)
+            return get(base)
         cfgs, shape = axes[name]
         return np.array([get(c) for c in cfgs]).reshape(shape)
 
@@ -295,12 +288,9 @@ def scan_ratio_grid(
         + column("phi_s", lambda c: scattered_amplitude(c.particle)),
         grid_shape,
     )
-    mag_i = column("mag_i", lambda c: c.reference.mag)
-    first_mag = np.hypot(first.real, first.imag)  # rounds like abs(complex)
-    violations = budget_violations(first_mag, mag_i, base.alpha0_mag)
-    if violations:
-        raise EnergyBudgetError("; ".join(violations))
-    phasor_i = column("phi_i", lambda c: from_polar(1.0, c.reference.phi_i))
+    mag_i = column("mag_i", lambda c: c.arm.mag)
+    check_budget(magnitude(first), mag_i, base.alpha0_mag)
+    phasor_i = column("phi_i", lambda c: from_polar(1.0, c.arm.phi_i))
     dalpha = column("phi_s", lambda c: target_derivative(c, target))
     ratio = fisher.information(
         first + mag_i * phasor_i, dalpha, VACUUM_TOL * base.alpha0_mag

@@ -358,6 +358,15 @@ class TestSnrCommand:
         assert "total destructive interference" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_sweep_exits_2(self, tmp_path, capsys):
+        # phi_s^2 of the one-arm small-phase SNR overflows a double
+        out = tmp_path / "snr.csv"
+        rc = main(["snr", "--mode", "phase", "--sweep", "phi_s:0:1e200:3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "snr column snr_iscat overflows a double" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unparsable_sweep_steps_exits_2(self, tmp_path, capsys):
         out = tmp_path / "snr.csv"
         rc = main(["snr", "--sweep", "phi_i:0:1:2.5", "--out", str(out)])
@@ -570,6 +579,55 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--spectrum", str(bad), "--out", str(out)]) == 2
         assert f"spectrum CSV {bad} is not UTF-8" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_over_long_cell_exits_2_naming_the_file(self, tmp_path, capsys):
+        # a valid number, one character over the csv module's field limit
+        omega = "1." + "0" * (csv.field_size_limit() - 1)
+        path = _spectrum_row(tmp_path, omega=omega)
+        out = tmp_path / "o.json"
+        assert main(["spectrum", "--spectrum", str(path), "--out", str(out)]) == 2
+        assert f"spectrum CSV {path}: field larger than" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicated_column_exits_2(self, tmp_path, capsys):
+        path = _spectrum_row(tmp_path)
+        header, row = path.read_text().splitlines()
+        path.write_text(f"omega,{header},weight\n2.0,{row},3.0\n")
+        out = tmp_path / "o.json"
+        assert main(["spectrum", "--spectrum", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"spectrum CSV {path} names columns twice: ['omega', 'weight']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ({"alpha_s_re": "1e200"}, "scattered_photons must be finite, got inf"),
+            # alpha_d overflows, so the counting density is inf/inf
+            ({"alpha_r_re": "1e308", "alpha_i_re": "1e308"},
+             "qfi_phase_averaged must be finite, got nan"),
+            # alpha_d nearly orthogonal to dalpha: F_q/F_pa = 1e320
+            ({"alpha_r_re": "1e-160", "alpha_r_im": "1"},
+             "relative mass bound inf is not finite"),
+        ],
+        ids=["scattered_photons", "counting_cfi", "mass_bound"],
+    )
+    def test_overflowing_spectrum_exits_2(self, tmp_path, capsys, cells, message):
+        path = _spectrum_row(tmp_path, **cells)
+        out = tmp_path / "o.json"
+        assert main(["spectrum", "--spectrum", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _spectrum_row(tmp_path, **cells):
+    """A one-row spectrum CSV: omega, weight and scale_s 1, other cells 0,
+    then ``cells``."""
+    row = dict.fromkeys(sp.SPECTRUM_CSV_COLUMNS, "0")
+    row.update({"omega": "1", "weight": "1", "scale_s": "1", **cells})
+    path = tmp_path / "band.csv"
+    path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    return path
 
 
 def _config_with(edit):

@@ -1,13 +1,17 @@
-"""Property tests: hostile JSON configs through the command-line entry point.
+"""Property tests: hostile input through the command-line entry point.
 
 Each numeric field of a config keeps its valid value or is replaced by any
 double (NaN, the infinities and +-1e308 included) or by a value of the wrong
-JSON type.  Whatever the input, ``main`` returns 0, 2 or 3 and raises
-nothing; a success writes only finite numbers, and a failure writes no file.
-A field that is not a JSON number (null, a bool, a string or a list) always
-exits 2.
+JSON type.  Spectrum CSVs get hostile cells, shuffled, duplicated, extra or
+missing columns, comment and blank lines, short and long rows and cells over
+the ``csv`` module's field limit.  Scan axes and SNR sweeps get hostile
+NAME:LO:HI:STEPS[:log] specs.  Whatever the input, ``main`` returns 0, 2 or
+3 and raises nothing; a success writes only finite numbers, and a failure
+writes no file.  A config field that is not a JSON number (null, a bool, a
+string or a list) always exits 2.
 """
 
+import csv
 import json
 import math
 import tempfile
@@ -17,6 +21,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iscat_metrology.cli import main
+from iscat_metrology.spectrum import SPECTRUM_CSV_COLUMNS
+from iscat_metrology.tuner import AXIS_NAMES, MAX_CELLS
 
 HOSTILE = st.one_of(
     st.floats(),
@@ -112,28 +118,32 @@ def _not_a_number(value):
     return isinstance(value, bool) or not isinstance(value, (int, float))
 
 
+def run_checked(tmp, argv):
+    """Exit code of ``main(argv)`` writing into a new directory under
+    ``tmp``, with the files it wrote checked."""
+    out_dir = Path(tmp) / "out"
+    out_dir.mkdir()
+    out = out_dir / ("result.csv" if "csv" in argv else "result.json")
+    rc = main([*argv, "--out", str(out)])
+    assert rc in (0, 2, 3)
+    written = list(out_dir.iterdir())
+    if rc == 0:
+        assert out in written
+        for path in written:
+            assert_finite_output(path)
+    else:
+        assert written == []
+    return rc
+
+
 def run_cli(subcommand, config, options):
     """Exit code of one run, with the data files it wrote checked."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "config.json"
         cfg_path.write_text(json.dumps(config))  # NaN / Infinity tokens allowed
-        out_dir = Path(tmp) / "out"
-        out_dir.mkdir()
-        suffix = ".csv" if "csv" in options else ".json"
-        out = out_dir / f"result{suffix}"
-        rc = main(
-            [subcommand, "--config", str(cfg_path), "--out", str(out), *options]
-        )
-        assert rc in (0, 2, 3)
+        rc = run_checked(tmp, [subcommand, "--config", str(cfg_path), *options])
         if any(_not_a_number(value) for value in _numbers(config)):
             assert rc == 2
-        written = list(out_dir.iterdir())
-        if rc == 0:
-            assert out in written
-            for path in written:
-                assert_finite_output(path)
-        else:
-            assert written == []
         return rc
 
 
@@ -199,3 +209,144 @@ def test_huge_integer_names_field(capsys):
     config = {**VALID, "alpha0_mag": 10**400}
     assert run_cli("fisher", config, []) == 2
     assert "alpha0_mag must be a number" in capsys.readouterr().err
+
+
+# --- spectrum CSVs ------------------------------------------------------------
+
+#: A valid cell of each column but omega, which grows with the row.
+SPECTRUM_CELLS = {
+    "weight": "0.1",
+    "alpha_r_re": "0.02",
+    "alpha_r_im": "0",
+    "alpha_s_re": "0.001",
+    "alpha_s_im": "0.002",
+    "alpha_i_re": "0.01",
+    "alpha_i_im": "-0.03",
+    "scale_s": "1e-4",
+    "phi_s": "1.1",
+    "note": "x",  # an extra column
+}
+#: A valid number one character longer than the csv module's field limit.
+LONG_CELL = "1." + "0" * (csv.field_size_limit() - 1)
+HOSTILE_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(
+        ["nan", "-inf", "1e400", "1e308", "-0.0", "5e-324", "0", "", " ",
+         "1_0", '"1.5"', "x", LONG_CELL]
+    ),
+    st.text(max_size=4),
+)
+VALID_BAND = (
+    "# a comment\n" + ",".join(SPECTRUM_CSV_COLUMNS) + "\n"
+    + "".join(
+        ",".join([omega] + [SPECTRUM_CELLS[n] for n in SPECTRUM_CSV_COLUMNS[1:]])
+        + "\n"
+        for omega in ("1.0", "1.1")
+    )
+)
+
+
+@st.composite
+def spectrum_csvs(draw):
+    """CSV text: the columns in any order, perhaps one missing, perhaps some
+    named twice or extra; rows with up to two hostile cells, perhaps one
+    cell short or long; comment and blank lines anywhere."""
+    names = draw(st.permutations(SPECTRUM_CSV_COLUMNS))
+    names = names[draw(st.sampled_from([0, 0, 0, 1])):]
+    extra = st.sampled_from([*SPECTRUM_CSV_COLUMNS, "note"])
+    names += draw(st.lists(extra, max_size=2))
+    lines = [",".join(names)]
+    for k in range(draw(st.integers(1, 3))):
+        cells = [SPECTRUM_CELLS.get(name, repr(1.0 + 0.1 * k)) for name in names]
+        for j in draw(st.sets(st.integers(0, len(cells) - 1), max_size=2)):
+            cells[j] = draw(HOSTILE_CELLS)
+        length = len(cells) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        lines.append(",".join((cells + ["0"])[:length]))
+    for _ in range(draw(st.integers(0, 2))):
+        line = draw(st.sampled_from(["", "   ", "# comment", "#,omega,,"]))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=spectrum_csvs(), target=st.sampled_from(["mass", "phase"]))
+@example(text=VALID_BAND, target="mass")
+@example(text=VALID_BAND.replace("1.1,", LONG_CELL + ",", 1), target="mass")
+def test_spectrum_hostile_csv(text, target):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "band.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = ["spectrum", "--spectrum", str(path), "--target", target]
+        rc = run_checked(tmp, argv)
+        if text == VALID_BAND:
+            assert rc == 0
+
+
+# --- scan axes and SNR sweeps ---------------------------------------------------
+
+#: Text that never splits an axis spec and never parses as an int: no ':'
+#: and no decimal digit of any script.
+SAFE_TEXT = st.text(
+    st.characters(exclude_categories=["Nd", "Cs"], exclude_characters=":"),
+    max_size=3,
+)
+#: In-range bounds are drawn twice as often, so that more specs run.
+IN_RANGE = st.floats(0.0, 0.1).map(repr)
+AXIS_BOUNDS = st.one_of(
+    IN_RANGE,
+    IN_RANGE,
+    st.floats().map(repr),
+    st.sampled_from(["", "x", "1e400", "-0", "nan", "-inf", "1_0"]),
+    SAFE_TEXT,
+)
+#: At most 50 steps or more than the cap, never in between, so no run
+#: allocates a large grid (the cap is checked before anything is allocated).
+AXIS_STEPS = st.one_of(
+    st.integers(1, 50).map(str),
+    st.integers(-2, 50).map(str),
+    st.integers(MAX_CELLS + 1, 10**30).map(str),
+    st.sampled_from(["", "1e3", "2.5", "nan", "x"]),
+    SAFE_TEXT,
+)
+
+
+def axis_specs(names):
+    return st.tuples(
+        st.sampled_from(names),
+        AXIS_BOUNDS,
+        AXIS_BOUNDS,
+        AXIS_STEPS,
+        st.sampled_from(["", "", "", ":log", ":lin", ":log:x"]),
+    ).map(lambda parts: ":".join(parts[:4]) + parts[4])
+
+
+AXES = axis_specs([*AXIS_NAMES, "bogus", ""])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=AXES,
+    y=st.one_of(st.none(), AXES),
+    reference=st.sampled_from([VALID["reference"], None]),
+    target=st.sampled_from(["mass", "phase"]),
+)
+@example(x="phi_s:0:6.3:50", y="mag_i:0:1e-4:50", reference=None, target="mass")
+@example(x=f"phi_s:0:1:{MAX_CELLS + 1}", y=None, reference=None, target="mass")
+def test_scan_hostile_axes(x, y, reference, target):
+    # JSON output: the ratio of an undefined (vacuum) cell is null there
+    options = ["--target", target, "--format", "json", f"--x-axis={x}"]
+    if y is not None:
+        options.append(f"--y-axis={y}")
+    run_cli("scan", {**VALID, "reference": reference}, options)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(max_examples=100, deadline=None)
+@given(sweep=axis_specs(["phi_i", "phi_s", "bogus"]),
+       mode=st.sampled_from(["mass", "phase"]))
+@example(sweep="phi_i:0:6.3:50", mode="mass")
+@example(sweep="phi_s:1e-4:1e-2:50:log", mode="phase")
+def test_snr_hostile_sweep(fmt, sweep, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["snr", "--mode", mode, f"--sweep={sweep}", "--format", fmt]
+        run_checked(tmp, argv)

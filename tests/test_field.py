@@ -1,15 +1,19 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import quarter_ratio_mc_config, saturated_mc_config
 from iscat_metrology.errors import EnergyBudgetError
 from iscat_metrology.field import (
     EstimationTarget,
     FieldConfig,
     ParticleModel,
     ReferenceArm,
+    check_budget,
     config_from_dict,
     config_to_dict,
     detector_amplitude,
@@ -116,6 +120,18 @@ class TestValidateEnergy:
         cfg = FieldConfig(alpha_r=0.7, particle=ParticleModel(0.0, 1.0, 0.0))
         with pytest.raises(EnergyBudgetError, match="sample arm"):
             detector_amplitude(cfg)
+
+    def test_check_budget_names_both_arms_of_a_grid(self):
+        with pytest.raises(EnergyBudgetError, match="sample arm.*; reference arm"):
+            check_budget([0.1, 0.6], [0.2, 0.7], 1.0)
+        check_budget([0.1, 0.5], 0.5, 1.0)  # within the bounds: no error
+
+    def test_absent_arm_is_zero(self, fig2_cfg):
+        assert fig2_cfg.reference is None
+        assert fig2_cfg.arm == ReferenceArm(0.0, 0.0)
+        arm = ReferenceArm(0.1, 2.0)
+        cfg = FieldConfig(alpha_r=0.3, particle=fig2_cfg.particle, reference=arm)
+        assert cfg.arm is arm
 
 
 class TestTargetDerivative:
@@ -238,3 +254,25 @@ class TestJsonSchema:
         assert set(d["alpha_r"]) == {"re", "im"}
         assert set(d["particle"]) == {"mass_kda", "scale_per_kda", "phi_s"}
         assert config_from_dict(d) == fig2_cfg
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _hex_leaves(d):
+    """A config dict with every float written as float.hex."""
+    if isinstance(d, dict):
+        return {key: _hex_leaves(value) for key, value in d.items()}
+    return d.hex() if isinstance(d, float) else d
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("monte_carlo_saturated.json", saturated_mc_config),
+        ("monte_carlo_quarter.json", quarter_ratio_mc_config),
+    ],
+)
+def test_committed_mc_config_is_the_construction(name, build):
+    committed = json.loads((CONFIGS / name).read_text())
+    assert _hex_leaves(committed) == _hex_leaves(config_to_dict(build()))
