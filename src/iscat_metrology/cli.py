@@ -20,8 +20,10 @@ detector field, zero information).  Data files contain no timestamps, so
 identical inputs reproduce them byte for byte.
 
 Only ``fisher``, ``scan`` and ``snr`` take ``--format``; the others always
-write JSON.  Option values such as ``-1e-3``, ``-inf`` or ``-nan`` are read
-as numbers, not as flags.
+write JSON.  Every subcommand accepts ``--threads N`` (N >= 1); only
+``montecarlo`` uses it, sampling its trials on up to N threads (default: the
+available cores), and its outputs do not depend on N.  Option values such
+as ``-1e-3``, ``-inf`` or ``-nan`` are read as numbers, not as flags.
 """
 
 from __future__ import annotations
@@ -290,6 +292,7 @@ def run_montecarlo(args, out: Path):
         samples_per_trial=args.samples,
         n_trials=args.trials,
         seed=args.seed,
+        threads=args.threads,
     )
     dump_json(out, {"setup": cfg.setup, **report.to_dict()})
     trials_path = out.with_suffix(out.suffix + ".trials.csv")
@@ -436,7 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in options.items():
             p.add_argument(flag, **{**_SHARED.get(flag, {}), **kwargs})
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--threads", type=int, help="accepted; has no effect")
+        p.add_argument(
+            "--threads",
+            type=int,
+            help="montecarlo sampling threads (default: available cores); "
+            "other subcommands run in one thread",
+        )
         p.set_defaults(run=run)
     return parser
 
@@ -445,6 +453,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         arguments, outputs, seed = args.run(args, out)
         dump_json(
             f"{out}.manifest.json",

@@ -13,11 +13,17 @@ configured value is taken.  The MLE variance across trials is compared
 against 1/(N*F) with F the counting CFI.  Sampling uses numpy's PCG64
 generator with explicit 64-bit seeds, and trial k draws from its own stream
 seeded with seed + k, so a trial's counts do not depend on earlier trials.
+The validation splits its trials into contiguous chunks sampled on worker
+threads (numpy's Poisson sampler runs without the GIL); each trial's count
+total lands in its own slot and the fit then runs serially in trial order,
+so the chunking cannot change a result, a count or an error message.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -46,6 +52,24 @@ POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 #: Most Poisson draws (trials x samples per trial) one validation makes, a
 #: hundred times the 1000 x 1000 default.  Checked before any sampling.
 MAX_DRAWS = 10**8
+
+
+def available_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def worker_count(threads: int | None, n_trials: int) -> int:
+    """Sampling threads for ``n_trials`` trials: ``threads`` (default: every
+    available core), clamped to the available cores and to the trials."""
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    cores = available_cores()
+    return min(cores if threads is None else threads, cores, n_trials)
 
 
 def gaussian_approx_pmf(mean: float, n) -> float | np.ndarray:
@@ -205,14 +229,17 @@ def crb_validation(
     samples_per_trial: int,
     n_trials: int,
     seed: int,
+    threads: int | None = None,
 ) -> CrbValidationReport:
     """Repeatedly sample counts, fit the MLE, and compare var against CRB.
 
     Trial k uses the derived seed ``seed + k`` and is fitted as in
     :func:`mle_estimate`; ``ambiguous_trials`` counts the trials with two
-    roots inside the bracket.  Non-estimable configurations, a mass target
-    at zero mass, a detector mean above :data:`POISSON_LAM_MAX` and more
-    than :data:`MAX_DRAWS` draws in all raise before any sampling.
+    roots inside the bracket.  The trials are sampled on
+    :func:`worker_count` threads; the result does not depend on how many.
+    Non-estimable configurations, a mass target at zero mass, a detector
+    mean above :data:`POISSON_LAM_MAX` and more than :data:`MAX_DRAWS` draws
+    in all raise before any sampling.
     """
     if samples_per_trial < 2 or n_trials < 2:
         raise ValueError("need at least 2 samples per trial and 2 trials")
@@ -221,6 +248,7 @@ def crb_validation(
             f"trials x samples = {n_trials} x {samples_per_trial} exceeds "
             f"the cap of {MAX_DRAWS} Poisson draws"
         )
+    workers = worker_count(threads, n_trials)
     report = fisher.fisher_report(cfg, target)  # raises if not estimable
     if not (report.cfi_photon_number > 0.0):
         raise NotEstimableError("counting CFI is zero; the bound is infinite")
@@ -235,10 +263,34 @@ def crb_validation(
     true_value = target_value(cfg, target)
     bracket = default_bracket(cfg, target)
 
-    estimates = np.empty(n_trials)
+    # each trial's count total first, then its estimate, in the same slot
+    estimates = np.full(n_trials, math.nan)
+    edges = [n_trials * w // workers for w in range(workers + 1)]
+    failures = [None] * workers
+
+    def sample_chunk(w: int) -> None:
+        try:
+            for k in range(edges[w], edges[w + 1]):
+                counts = sample_counts(lam, samples_per_trial, seed + k).counts
+                estimates[k] = counts.sum()
+        except Exception as exc:  # re-raised below, after every join
+            failures[w] = exc
+
+    pool = [threading.Thread(target=sample_chunk, args=(w,)) for w in range(1, workers)]
+    for thread in pool:
+        thread.start()
+    try:
+        sample_chunk(0)
+    finally:
+        for thread in pool:
+            thread.join()
+    # the earliest chunk's failure is the one a single thread would raise
+    for exc in failures:
+        if exc is not None:
+            raise exc
     ambiguous = 0
     for k in range(n_trials):
-        total = float(sample_counts(lam, samples_per_trial, seed + k).counts.sum())
+        total = float(estimates[k])
         found = mle_candidates(total / samples_per_trial, cfg, target, bracket)
         estimates[k] = found[0]
         ambiguous += len(found) > 1

@@ -72,6 +72,8 @@ def _checked_sqrt(intensity, context: str):
         raise DegenerateFieldError(
             f"total destructive interference: zero intensity in {context}"
         )
+    if not np.all(np.isfinite(intensity)):
+        raise ValueError(f"noise intensity in {context} overflows a double")
     return np.sqrt(intensity)
 
 
@@ -112,22 +114,29 @@ def snr_mass_miscat(f: RealFieldTriple):
 
 def snr_phase_small_iscat(f: RealFieldTriple):
     """Small-phase SNR of the one-arm setup, quadratic in phi_s:
-    2*phi_s^2*E_r*E_s / sqrt(E_r^2 + 2*E_r*E_s + E_s^2)."""
-    signal = 2.0 * np.asarray(f.phi_s) ** 2 * f.e_r * f.e_s
-    noise = _checked_sqrt(
-        f.e_r**2 + 2.0 * f.e_r * f.e_s + f.e_s**2, "snr_phase_small_iscat"
-    )
+    2*phi_s^2*E_r*E_s / sqrt(E_r^2 + 2*E_r*E_s + E_s^2).  ValueError if
+    the noise intensity overflows a double."""
+    e_r, e_s, phi_s = (np.asarray(x, dtype=float) for x in (f.e_r, f.e_s, f.phi_s))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported, not warned
+        signal = 2.0 * phi_s**2 * e_r * e_s
+        noise = _checked_sqrt(
+            e_r**2 + 2.0 * e_r * e_s + e_s**2,
+            "snr_phase_small_iscat (E_r^2 + 2*E_r*E_s + E_s^2)",
+        )
     return _maybe_scalar(signal / noise)
 
 
 def snr_phase_small_miscat(f: RealFieldTriple):
     """Small-phase SNR of the two-arm setup, linear in phi_s:
-    2*E_i*E_s*phi_s*sin(phi_i) / sqrt(E_i^2 + 2*E_i*E_r*cos(phi_i) + E_r^2)."""
-    signal = 2.0 * f.e_i * f.e_s * np.asarray(f.phi_s) * np.sin(f.phi_i)
-    noise = _checked_sqrt(
-        f.e_i**2 + 2.0 * f.e_i * f.e_r * np.cos(f.phi_i) + f.e_r**2,
-        "snr_phase_small_miscat",
-    )
+    2*E_i*E_s*phi_s*sin(phi_i) / sqrt(E_i^2 + 2*E_i*E_r*cos(phi_i) + E_r^2).
+    ValueError if the noise intensity overflows a double."""
+    e_r, e_s, e_i = (np.asarray(x, dtype=float) for x in (f.e_r, f.e_s, f.e_i))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported, not warned
+        signal = 2.0 * e_i * e_s * np.asarray(f.phi_s) * np.sin(f.phi_i)
+        noise = _checked_sqrt(
+            e_i**2 + 2.0 * e_i * e_r * np.cos(f.phi_i) + e_r**2,
+            "snr_phase_small_miscat (E_i^2 + 2*E_i*E_r*cos(phi_i) + E_r^2)",
+        )
     return _maybe_scalar(signal / noise)
 
 

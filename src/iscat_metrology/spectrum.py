@@ -106,7 +106,9 @@ class SpectralField:
             object.__setattr__(self, "weights", w)
 
     def detector(self) -> np.ndarray:
-        return self.alpha_r + self.alpha_s + self.alpha_i
+        """alpha_r + alpha_s + alpha_i (inf, with no warning, on overflow)."""
+        with np.errstate(over="ignore"):
+            return self.alpha_r + self.alpha_s + self.alpha_i
 
     def derivative(self, target: EstimationTarget) -> np.ndarray:
         """d(alpha_s)(omega)/d(mu) for the chosen target."""
@@ -175,8 +177,10 @@ def flat_white_spectrum(
 
 
 def scattered_photons(f: SpectralField) -> float:
-    """Total scattered photon number, integral of |alpha_s|^2."""
-    return f.integrate(np.abs(f.alpha_s) ** 2)
+    """Total scattered photon number, integral of |alpha_s|^2 (inf, with no
+    warning, when it overflows a double)."""
+    with np.errstate(over="ignore"):
+        return f.integrate(np.abs(f.alpha_s) ** 2)
 
 
 def qfi_multifrequency(f: SpectralField, target: EstimationTarget) -> float:
@@ -274,8 +278,10 @@ def spectrum_from_csv(path) -> SpectralField:
     import csv
 
     with open(path, "r", encoding="utf-8") as fh:
+        # comment and blank lines are skipped, before the header too
         reader = csv.DictReader(
-            line for line in fh if not line.startswith("#")
+            line for line in fh
+            if line.rstrip("\r\n") and not line.startswith("#")
         )
         try:
             rows = list(reader)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -358,13 +359,40 @@ class TestSnrCommand:
         assert "total destructive interference" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_sweep_exits_2(self, tmp_path, capsys):
         # phi_s^2 of the one-arm small-phase SNR overflows a double
         out = tmp_path / "snr.csv"
         rc = main(["snr", "--mode", "phase", "--sweep", "phi_s:0:1e200:3",
                    "--out", str(out)])
         assert rc == 2
-        assert "snr column snr_iscat overflows a double" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: snr column snr_iscat overflows a double\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fields, sweep, form",
+        [
+            # E_s^2 overflows a Python float (it raised OverflowError)
+            (["--e-s", "1e300"], "phi_s:0:1:3", "iscat (E_r^2 + 2*E_r*E_s + E_s^2)"),
+            # only the noise overflows: every SNR read 0 with exit 0
+            (["--e-r", "1e154", "--e-s", "1e154"], "phi_s:0:1e-3:3",
+             "iscat (E_r^2 + 2*E_r*E_s + E_s^2)"),
+            (["--e-i", "1e300"], "phi_s:0:1:3",
+             "miscat (E_i^2 + 2*E_i*E_r*cos(phi_i) + E_r^2)"),
+        ],
+        ids=["e_s", "noise_only", "e_i"],
+    )
+    def test_overflowing_noise_exits_2(self, tmp_path, capsys, fields, sweep, form):
+        out = tmp_path / "snr.csv"
+        rc = main(["snr", "--mode", "phase", *fields, "--sweep", sweep,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: noise intensity in snr_phase_small_{form} overflows a double\n"
+        )
         assert not out.exists()
 
     def test_unparsable_sweep_steps_exits_2(self, tmp_path, capsys):
@@ -504,6 +532,80 @@ class TestMonteCarloCommand:
         assert json.loads(out.read_text())["ambiguous_trials"] == 0
 
 
+    @pytest.mark.parametrize("subcommand", ["montecarlo", "fisher"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exits_2(
+        self, tmp_path, capsys, config_file, mc_saturated_cfg, subcommand, threads
+    ):
+        out = tmp_path / "o.json"
+        argv = [subcommand, "--config", str(config_file(mc_saturated_cfg))]
+        if subcommand == "montecarlo":
+            argv += ["--trials", "4", "--samples", "4", "--seed", "1"]
+        assert main([*argv, "--out", str(out), f"--threads={threads}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --threads must be >= 1, got {threads}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    @pytest.mark.parametrize("target", ["mass", "phase"])
+    def test_uneven_chunks_byte_identical(
+        self, tmp_path, config_file, mc_quarter_cfg, monkeypatch, target
+    ):
+        from iscat_metrology import photonstats
+
+        # three cores and seven trials: chunks of 2, 2 and 3 trials
+        monkeypatch.setattr(photonstats, "available_cores", lambda: 3)
+        sample_counts = photonstats.sample_counts
+        sampled_on = {}
+
+        def recording(mean, length, seed):
+            sampled_on[seed] = threading.get_ident()
+            return sample_counts(mean, length, seed)
+
+        monkeypatch.setattr(photonstats, "sample_counts", recording)
+        cfg = str(config_file(mc_quarter_cfg))
+        blobs, threads_used = [], []
+        for threads in (["--threads", "1"], []):
+            out = tmp_path / f"mc{len(threads)}.json"
+            sampled_on.clear()
+            rc = main([
+                "montecarlo", "--config", cfg, "--target", target, "--trials", "7",
+                "--samples", "300", "--seed", "40", "--out", str(out), *threads,
+            ])
+            assert rc == 0
+            trials = out.with_suffix(".json.trials.csv")
+            blobs.append(out.read_bytes() + trials.read_bytes())
+            threads_used.append([sampled_on[40 + k] for k in range(7)])
+        assert blobs[0] == blobs[1]
+        main_thread = threading.get_ident()
+        assert threads_used[0] == [main_thread] * 7
+        a, b, c = threads_used[1][0], threads_used[1][2], threads_used[1][4]
+        assert threads_used[1] == [a, a, b, b, c, c, c]
+        assert a == main_thread and len({a, b, c}) == 3
+
+    def test_failing_chunk_writes_nothing(
+        self, tmp_path, capsys, config_file, mc_quarter_cfg, monkeypatch
+    ):
+        from iscat_metrology import photonstats
+
+        monkeypatch.setattr(photonstats, "available_cores", lambda: 3)
+        sample_counts = photonstats.sample_counts
+
+        def failing(mean, length, seed):
+            if seed == 40 + 5:  # in the third chunk, on a worker thread
+                raise ValueError("injected failure in trial 5")
+            return sample_counts(mean, length, seed)
+
+        monkeypatch.setattr(photonstats, "sample_counts", failing)
+        out = tmp_path / "mc.json"
+        rc = main([
+            "montecarlo", "--config", str(config_file(mc_quarter_cfg)),
+            "--trials", "7", "--samples", "30", "--seed", "40", "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: injected failure in trial 5\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 class TestSpectrumCommand:
     def spectrum_csv_for(self, tmp_path, cfg):
         from iscat_metrology import spectrum as sp
@@ -612,12 +714,24 @@ class TestSpectrumCommand:
         ],
         ids=["scattered_photons", "counting_cfi", "mass_bound"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_spectrum_exits_2(self, tmp_path, capsys, cells, message):
         path = _spectrum_row(tmp_path, **cells)
         out = tmp_path / "o.json"
         assert main(["spectrum", "--spectrum", str(path), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_blank_lines_are_skipped_like_comments(self, tmp_path):
+        path = _spectrum_row(tmp_path, alpha_r_re="0.5", alpha_s_re="0.01")
+        header, row = path.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(f"# band\n\n{header}\n\n{row}\r\n\n# end\n")
+        outs = [tmp_path / "plain.json", tmp_path / "spaced.json"]
+        for band, out in zip((path, spaced), outs):
+            assert main(["spectrum", "--spectrum", str(band), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def _spectrum_row(tmp_path, **cells):

@@ -1,6 +1,9 @@
 import cmath
 import dataclasses
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -356,6 +359,77 @@ class TestCrbValidation:
         for earlier, later in zip(ratios, ratios[1:]):
             assert later <= earlier + 3.0 * se * math.sqrt(2.0)
         assert ratios[-1] == pytest.approx(1.0, abs=5.0 * se)
+
+    def test_worker_count_clamps_to_cores_and_trials(self, monkeypatch):
+        assert 1 <= ps.available_cores() <= (os.cpu_count() or 1)
+        monkeypatch.setattr(ps, "available_cores", lambda: 4)
+        assert ps.worker_count(None, 1000) == 4
+        assert ps.worker_count(10**9, 1000) == 4  # never more threads than cores
+        assert ps.worker_count(3, 1000) == 3
+        assert ps.worker_count(None, 2) == 2
+        assert ps.worker_count(1, 1000) == 1
+        for threads in (0, -5):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                ps.worker_count(threads, 1000)
+
+    def test_worker_failure_is_raised_not_swallowed(self, mc_quarter_cfg, monkeypatch):
+        monkeypatch.setattr(ps, "available_cores", lambda: 3)
+        sample_counts = ps.sample_counts
+        raised_on = []
+
+        def failing(mean, length, seed):
+            # trial 3 in the second chunk, trials 5 and 6 in the third
+            if seed in (43, 45, 46):
+                raised_on.append(threading.get_ident())
+                raise RuntimeError(f"injected failure at seed {seed}")
+            return sample_counts(mean, length, seed)
+
+        monkeypatch.setattr(ps, "sample_counts", failing)
+        # the failure a single thread would meet first
+        with pytest.raises(RuntimeError, match="at seed 43$"):
+            ps.crb_validation(mc_quarter_cfg, MASS, 30, n_trials=7, seed=40)
+        assert len(raised_on) == 2 and threading.get_ident() not in raised_on
+
+    def test_fit_failure_is_the_first_trial_in_order(self, monkeypatch):
+        # iSCAT at a quarter phase: most trials' maxima sit on a bracket edge
+        cfg = FieldConfig(
+            alpha_r=2.3, particle=ParticleModel(1.0, 2.0 / 66.0, PI / 2),
+            alpha0_mag=10.0,
+        )
+        lam = abs(detector_amplitude(cfg)) ** 2
+        messages = []
+        for k in range(50):  # the serial reference: fit trial after trial
+            try:
+                ps.mle_estimate(ps.sample_counts(lam, 100, 10 + k), cfg, MASS)
+            except BracketError as exc:
+                messages.append((k, str(exc)))
+        assert messages[0][0] == 1 and len(messages) > 10
+        monkeypatch.setattr(ps, "available_cores", lambda: 3)
+        for threads in (1, 3):
+            with pytest.raises(BracketError) as exc:
+                ps.crb_validation(cfg, MASS, 100, n_trials=50, seed=10, threads=threads)
+            assert str(exc.value) == messages[0][1]
+
+    def test_stress_more_workers_than_cores(self, mc_quarter_cfg, monkeypatch):
+        kwargs = dict(samples_per_trial=20, n_trials=240, seed=9)
+        serial = ps.crb_validation(mc_quarter_cfg, PHASE, threads=1, **kwargs)
+        monkeypatch.setattr(ps, "available_cores", lambda: 12)
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: reports.append(
+                    ps.crb_validation(mc_quarter_cfg, PHASE, threads=12, **kwargs)
+                )
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert reports[0].estimates.tobytes() == serial.estimates.tobytes()
+        assert reports[0].to_dict() == serial.to_dict()
 
     def test_score_identity_at_truth(self, mc_saturated_cfg):
         lam = abs(detector_amplitude(mc_saturated_cfg)) ** 2
