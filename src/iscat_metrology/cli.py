@@ -132,6 +132,18 @@ def _preset(presets: dict, name: str):
     return presets[name]
 
 
+def _uses_preset(args, defaults: dict) -> bool:
+    """Whether --preset is given.  A preset sets the options in ``defaults``,
+    so none may be given with it; an option not given takes its default."""
+    given = [name for name in defaults if getattr(args, name) is not None]
+    if args.preset is not None and given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ValueError(f"--preset {args.preset} conflicts with {flags}")
+    for name in defaults.keys() - given:
+        setattr(args, name, defaults[name])
+    return args.preset is not None
+
+
 def _parse_axis(spec: str) -> tuner.AxisSpec:
     """Axis argument NAME:LO:HI:STEPS[:log]."""
     parts = spec.split(":")
@@ -186,7 +198,8 @@ def run_fisher(args, out: Path):
 
 
 def run_scan(args, out: Path):
-    if args.preset is not None:
+    defaults = {"config": None, "target": "mass", "x_axis": None, "y_axis": None}
+    if _uses_preset(args, defaults):
         base, target, x, y = _preset(_scan_presets(), args.preset)
     elif args.config is None or args.x_axis is None:
         raise ValueError("scan needs either --preset or --config + --x-axis")
@@ -241,7 +254,11 @@ def run_optimize(args, out: Path):
 
 
 def run_snr(args, out: Path):
-    if args.preset is not None:
+    defaults = {
+        "mode": "mass", "e_r": 1.0, "e_s": 0.01, "e_i": 1.0,
+        "phi_s": 0.0, "phi_i": 0.0, "sweep": None,
+    }
+    if _uses_preset(args, defaults):
         mode, triple, sweep_var, sweep_values, log_scale = _preset(
             _snr_presets(), args.preset
         )
@@ -357,7 +374,7 @@ SUBCOMMANDS = {
         "saturation-ratio grid scans",
         {
             "--config": {},
-            "--target": {},
+            "--target": {"default": None},
             "--preset": {"help": "fig2a|fig2b|fig2c|fig2d|fig3a|fig3b"},
             "--x-axis": {"help": _AXIS},
             "--y-axis": {"help": _AXIS},
@@ -374,12 +391,12 @@ SUBCOMMANDS = {
         "signal-to-noise sweeps",
         {
             "--preset": {"help": "figsnr1|figsnr2"},
-            "--mode": {"choices": ["mass", "phase"], "default": "mass"},
-            "--e-r": {"type": float, "default": 1.0},
-            "--e-s": {"type": float, "default": 0.01},
-            "--e-i": {"type": float, "default": 1.0},
-            "--phi-s": {"type": float, "default": 0.0},
-            "--phi-i": {"type": float, "default": 0.0},
+            "--mode": {"choices": ["mass", "phase"]},
+            "--e-r": {"type": float},
+            "--e-s": {"type": float},
+            "--e-i": {"type": float},
+            "--phi-s": {"type": float},
+            "--phi-i": {"type": float},
             "--sweep": {"help": "VAR:LO:HI:STEPS[:log] over phi_i or phi_s"},
             "--format": {"default": "csv"},
         },

@@ -175,6 +175,12 @@ def first_arm_amplitude(cfg: FieldConfig) -> complex:
     return cfg.alpha_r + scattered_amplitude(cfg.particle)
 
 
+def first_arm_magnitude(cfg: FieldConfig) -> float:
+    """|alpha_r + alpha_s|; inf, not abs()'s OverflowError, past a double."""
+    with np.errstate(over="ignore"):
+        return float(magnitude(first_arm_amplitude(cfg)))
+
+
 def budget_violations(first_mag, reference_mag, alpha0_mag: float) -> list[str]:
     """Photon-budget rule; return one message per violated arm bound.
 
@@ -207,8 +213,7 @@ def check_budget(first_mag, reference_mag, alpha0_mag: float) -> None:
 
 def validate_energy(cfg: FieldConfig) -> list[str]:
     """Budget violations of one configuration; empty when it is valid."""
-    first_mag = abs(first_arm_amplitude(cfg))
-    return budget_violations(first_mag, cfg.arm.mag, cfg.alpha0_mag)
+    return budget_violations(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag)
 
 
 def detector_amplitude(cfg: FieldConfig) -> complex:
@@ -217,9 +222,8 @@ def detector_amplitude(cfg: FieldConfig) -> complex:
     Raises EnergyBudgetError naming the violated bound if the configuration
     breaks the photon budget.
     """
-    first = first_arm_amplitude(cfg)
-    check_budget(abs(first), cfg.arm.mag, cfg.alpha0_mag)
-    return first + reference_amplitude(cfg)
+    check_budget(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag)
+    return first_arm_amplitude(cfg) + reference_amplitude(cfg)
 
 
 def target_derivative(cfg: FieldConfig, target: EstimationTarget) -> complex:
@@ -322,7 +326,10 @@ def config_from_dict(d: dict) -> FieldConfig:
 
 def load_config(path) -> FieldConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            return config_from_dict(json.load(fh))
+        except RecursionError:  # e.g. 100,000 nested '['
+            raise ValueError(f"config {path} nests too deeply to read") from None
 
 
 def save_config(cfg: FieldConfig, path) -> None:

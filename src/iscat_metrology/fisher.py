@@ -40,6 +40,7 @@ from .field import (
     target_value,
     with_target_value,
 )
+from .textio import write_csv
 
 
 def real_projection(a, b):
@@ -348,8 +349,6 @@ def write_report_csv(path, rows) -> None:
     ``mag_i`` and ``phi_i`` are blank without a reference arm (an absent
     arm, not a zero-magnitude one).
     """
-    from .textio import write_csv
-
     rows = list(rows)
     cfgs = [cfg for cfg, _, _ in rows]
     arms = [cfg.reference for cfg in cfgs]

@@ -44,6 +44,7 @@ from .field import (
     target_value,
     with_target_value,
 )
+from .textio import write_csv
 
 
 #: Largest mean numpy's Poisson sampler accepts (its own bound on lam).
@@ -314,8 +315,6 @@ def crb_validation(
 
 
 def write_trials_csv(path, report: CrbValidationReport) -> None:
-    from .textio import write_csv
-
     write_csv(
         path,
         {
@@ -397,8 +396,6 @@ def mean_sensitivity_scan(
 
 
 def write_sensitivity_csv(path, rows: list[MeanSensitivityRow]) -> None:
-    from .textio import write_csv
-
     names = [f.name for f in fields(MeanSensitivityRow)]
     write_csv(path, {n: [getattr(r, n) for r in rows] for n in names})
 

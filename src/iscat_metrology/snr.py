@@ -38,6 +38,7 @@ import numpy as np
 from .errors import DegenerateFieldError
 from .field import magnitude
 from .fisher import real_projection
+from .textio import write_csv
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,4 @@ def phase_snr_sweep(
 
 
 def write_sweep_csv(path, sweep: dict[str, np.ndarray], meta=()) -> None:
-    from .textio import write_csv
-
     write_csv(path, sweep, comments=meta)

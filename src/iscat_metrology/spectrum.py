@@ -19,42 +19,46 @@ and F_pa = 4*I[s^2 * cos^2(psi-chi)], and the broadband photon-counting
 bound on the relative mass error is
 
     (dm/m)*sqrt(n_s) >= (1/2)*sqrt(F_q / F_pa).
+
+A band's CSV columns come from one map, column name to attribute and part:
+the writer, the JSON rows, the finiteness check and the reader all use it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import fisher
 from .errors import NotEstimableError, VacuumPhaseError
 from .field import EstimationTarget
+from .textio import write_csv
 
-SPECTRUM_CSV_COLUMNS = [
-    "omega",
-    "weight",
-    "alpha_r_re",
-    "alpha_r_im",
-    "alpha_s_re",
-    "alpha_s_im",
-    "alpha_i_re",
-    "alpha_i_im",
-    "scale_s",
-    "phi_s",
-]
+#: CSV column -> (SpectralField attribute, part of a complex arm or None).
+_COLUMNS = {
+    "omega": ("omega", None),
+    "weight": ("weights", None),
+    "alpha_r_re": ("alpha_r", "real"),
+    "alpha_r_im": ("alpha_r", "imag"),
+    "alpha_s_re": ("alpha_s", "real"),
+    "alpha_s_im": ("alpha_s", "imag"),
+    "alpha_i_re": ("alpha_i", "real"),
+    "alpha_i_im": ("alpha_i", "imag"),
+    "scale_s": ("scale_s", None),
+    "phi_s": ("phi_s", None),
+}
+SPECTRUM_CSV_COLUMNS = list(_COLUMNS)
 
 
 def trapezoid_weights(omega: np.ndarray) -> np.ndarray:
     """Composite-trapezoid quadrature weights; [1.0] for a single point."""
     if len(omega) == 1:
         return np.array([1.0])
-    w = np.empty_like(omega)
-    w[0] = 0.5 * (omega[1] - omega[0])
-    w[-1] = 0.5 * (omega[-1] - omega[-2])
-    w[1:-1] = 0.5 * (omega[2:] - omega[:-2])
-    return w
+    edged = np.concatenate([omega[:1], omega, omega[-1:]])
+    return 0.5 * (edged[2:] - edged[:-2])
 
 
 @dataclass(frozen=True)
@@ -70,40 +74,27 @@ class SpectralField:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        object.__setattr__(self, "omega", omega)
+        for field in fields(self):
+            values = getattr(self, field.name)
+            if values is not None:
+                dtype = complex if field.name.startswith("alpha") else float
+                object.__setattr__(self, field.name, np.asarray(values, dtype))
         # checked per CSV column, so a bad file names the column at fault
-        columns = {"omega": omega, "weight": self.weights}
-        for name in ("alpha_r", "alpha_s", "alpha_i"):
-            z = np.asarray(getattr(self, name))
-            columns[f"{name}_re"], columns[f"{name}_im"] = z.real, z.imag
-        columns.update(scale_s=self.scale_s, phi_s=self.phi_s)
-        for column, values in columns.items():
+        for column, values in spectrum_columns(self).items():
             if values is not None and not np.all(np.isfinite(values)):
                 raise ValueError(f"spectrum column {column} must be finite")
-        if len(omega) == 0:
+        if len(self.omega) == 0:
             raise ValueError("empty frequency grid")
-        if len(omega) > 1 and not np.all(np.diff(omega) > 0):
+        if len(self.omega) > 1 and not np.all(np.diff(self.omega) > 0):
             raise ValueError("frequency grid must be strictly increasing")
-        for name in ("alpha_r", "alpha_s", "alpha_i"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            if arr.shape != omega.shape:
-                raise ValueError(f"{name} length differs from the grid")
-            object.__setattr__(self, name, arr)
-        for name in ("scale_s", "phi_s"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != omega.shape:
-                raise ValueError(f"{name} length differs from the grid")
-            object.__setattr__(self, name, arr)
+        for field in fields(self)[1:]:
+            values = getattr(self, field.name)
+            if values is not None and values.shape != self.omega.shape:
+                raise ValueError(f"{field.name} length differs from the grid")
         if self.weights is None:
-            object.__setattr__(self, "weights", trapezoid_weights(omega))
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != omega.shape:
-                raise ValueError("weights length differs from the grid")
-            if not np.all(w > 0):
-                raise ValueError("quadrature weights must be positive")
-            object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "weights", trapezoid_weights(self.omega))
+        elif not np.all(self.weights > 0):
+            raise ValueError("quadrature weights must be positive")
 
     def detector(self) -> np.ndarray:
         """alpha_r + alpha_s + alpha_i (inf, with no warning, on overflow)."""
@@ -229,17 +220,15 @@ def relative_mass_bound_multifrequency(f: SpectralField) -> float:
 # --- serialization ------------------------------------------------------------
 
 
-def spectrum_columns(f: SpectralField) -> dict[str, np.ndarray]:
+def spectrum_columns(f: SpectralField) -> dict[str, np.ndarray | None]:
     """The columns of ``f`` under their SPECTRUM_CSV_COLUMNS names."""
-    arrays = [f.omega, f.weights]
-    for z in (f.alpha_r, f.alpha_s, f.alpha_i):
-        arrays += [z.real, z.imag]
-    return dict(zip(SPECTRUM_CSV_COLUMNS, arrays + [f.scale_s, f.phi_s]))
+    return {
+        column: getattr(getattr(f, name), part) if part else getattr(f, name)
+        for column, (name, part) in _COLUMNS.items()
+    }
 
 
 def spectrum_to_csv(f: SpectralField, path) -> None:
-    from .textio import write_csv
-
     write_csv(path, spectrum_columns(f))
 
 
@@ -248,53 +237,44 @@ def spectrum_to_json_rows(f: SpectralField) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
-def spectrum_from_rows(rows: list[dict]) -> SpectralField:
-    def col(name):
-        try:
-            return np.array([float(r[name]) for r in rows])
-        except (TypeError, ValueError):  # a missing (None) or non-numeric cell
-            raise ValueError(
-                f"spectrum column {name} holds a missing or non-numeric cell"
-            ) from None
-
-    def amplitude(name):
-        # re + 1j*im would turn a signed zero in either part into +0.0
-        z = col(f"{name}_re").astype(complex)
-        z.imag = col(f"{name}_im")
-        return z
-
-    return SpectralField(
-        omega=col("omega"),
-        alpha_r=amplitude("alpha_r"),
-        alpha_s=amplitude("alpha_s"),
-        alpha_i=amplitude("alpha_i"),
-        scale_s=col("scale_s"),
-        phi_s=col("phi_s"),
-        weights=col("weight"),
-    )
-
-
 def spectrum_from_csv(path) -> SpectralField:
     import csv
 
     with open(path, "r", encoding="utf-8") as fh:
         # comment and blank lines are skipped, before the header too
-        reader = csv.DictReader(
+        reader = csv.reader(
             line for line in fh
             if line.rstrip("\r\n") and not line.startswith("#")
         )
         try:
-            rows = list(reader)
+            # one tuple per column, its header cell first; short rows read ""
+            table = list(itertools.zip_longest(*reader, fillvalue=""))
         except UnicodeDecodeError as exc:
             raise ValueError(f"spectrum CSV {path} is not UTF-8: {exc}") from None
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
             raise ValueError(f"spectrum CSV {path}: {exc}") from None
-    if not rows:
+    if len(table[0] if table else ()) < 2:
         raise ValueError(f"no spectrum rows in {path}")
-    missing = set(SPECTRUM_CSV_COLUMNS) - set(rows[0].keys())
+    header = [column[0] for column in table]
+    missing = set(SPECTRUM_CSV_COLUMNS) - set(header)
     if missing:
         raise ValueError(f"spectrum CSV missing columns: {sorted(missing)}")
-    twice = [n for n in SPECTRUM_CSV_COLUMNS if reader.fieldnames.count(n) > 1]
+    twice = [n for n in SPECTRUM_CSV_COLUMNS if header.count(n) > 1]
     if twice:
         raise ValueError(f"spectrum CSV {path} names columns twice: {twice}")
-    return spectrum_from_rows(rows)
+    # parsed in SpectralField's field order; the first bad column is named
+    names = [field.name for field in fields(SpectralField)]
+    values = {}
+    for column in sorted(_COLUMNS, key=lambda c: names.index(_COLUMNS[c][0])):
+        name, part = _COLUMNS[column]
+        try:  # numpy parses a str cell as float() does; "" fails
+            x = np.array(table[header.index(column)][1:], dtype=float)
+        except ValueError:
+            raise ValueError(
+                f"spectrum column {column} holds a missing or non-numeric cell"
+            ) from None
+        if part is None:
+            values[name] = x
+        else:  # set part by part: re + 1j*im would turn -0.0 into +0.0
+            setattr(values.setdefault(name, np.empty(len(x), complex)), part, x)
+    return SpectralField(**values)

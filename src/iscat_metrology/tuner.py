@@ -37,15 +37,18 @@ from .field import (
     EstimationTarget,
     FieldConfig,
     ReferenceArm,
+    budget_violations,
     check_budget,
     config_to_dict,
     first_arm_amplitude,
+    first_arm_magnitude,
     from_polar,
     magnitude,
     scattered_amplitude,
     target_derivative,
     wrap_angle,
 )
+from .textio import fmt, write_csv
 
 #: Classification band for tangency, in units of alpha0_mag.
 GEOMETRY_TOL = 1e-12
@@ -65,11 +68,9 @@ class SaturationSolution:
         """(phi_i, t) of the line points t*exp(i*psi) nearest the circle of
         radius ``mag_i``, sorted by phi_i in [0, 2*pi): the intersections,
         or the foot of the perpendicular if none.  Vacuum included."""
-        if not (0.0 <= mag_i <= 0.5 * self.alpha0_mag):
-            raise ValueError(
-                f"reference magnitude {mag_i!r} outside "
-                f"[0, alpha0_mag/2 = {0.5 * self.alpha0_mag!r}]"
-            )
+        if not (mag_i >= 0.0):
+            raise ValueError(f"reference magnitude must be >= 0, got {mag_i!r}")
+        check_budget(0.0, mag_i, self.alpha0_mag)
         tol = GEOMETRY_TOL * self.alpha0_mag
         rotated = self.alpha_first * cmath.exp(-1j * self.psi)
         a, b = rotated.real, rotated.imag
@@ -102,7 +103,7 @@ def saturating_reference_set(
     budget, the premise of the feasibility guarantee above.
     """
     alpha_first = first_arm_amplitude(cfg)
-    check_budget(abs(alpha_first), cfg.arm.mag, cfg.alpha0_mag)
+    check_budget(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag)
     dalpha = target_derivative(cfg, target)
     if dalpha == 0:
         raise ValueError(
@@ -113,7 +114,7 @@ def saturating_reference_set(
     return SaturationSolution(
         min_mag_i=min_mag,
         psi=psi,
-        feasible=min_mag <= 0.5 * cfg.alpha0_mag,
+        feasible=not budget_violations(0.0, min_mag, cfg.alpha0_mag),
         alpha_first=alpha_first,
         alpha0_mag=cfg.alpha0_mag,
     )
@@ -230,8 +231,6 @@ class ScanGrid:
 
     def to_csv(self, path) -> None:
         """Long-form x, y, ratio, defined_flag; y is blank in 1-D scans."""
-        from .textio import fmt, write_csv
-
         ny, nx = self.values.shape
         # each axis value is formatted once, not once per cell
         x = [fmt(v) for v in self.x.values.tolist()]

@@ -859,6 +859,103 @@ class TestManifestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fisher"],
+        ["scan", "--x-axis", "phi_s:0:1:3"],
+        ["optimize"],
+        ["montecarlo", "--seed", "1", "--trials", "2", "--samples", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_deeply_nested_config_exits_2_naming_the_file(tmp_path, capsys, argv):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    out = tmp_path / "o.json"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config {path} nests too deeply to read\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_reference_arm_within_the_budget_slack_runs_everywhere(
+    tmp_path, config_file
+):
+    d = config_to_dict(fig2_config())
+    d["reference"] = {"mag": 0.5000000000004, "phi_i": 0.0}
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(d))
+    for argv in (
+        ["fisher"], ["scan", "--x-axis", "phi_i:0:1:3"], ["optimize"]
+    ):
+        out = tmp_path / f"{argv[0]}.json"
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 0
+    optimized = json.loads((tmp_path / "optimize.json").read_text())
+    assert optimized["feasible"] is True
+    assert len(optimized["phi_solutions_at_reference_mag"]) == 2
+
+
+@pytest.mark.parametrize("subcommand", ["fisher", "optimize"])
+@pytest.mark.filterwarnings("error")
+def test_first_arm_magnitude_past_a_double_exits_2(tmp_path, capsys, subcommand):
+    d = config_to_dict(fig2_config())
+    d["alpha_r"] = {"re": 1.2711610061536464e308, "im": 1.2711610061536462e308}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "o.json"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: sample arm |alpha_r + alpha_s| = inf exceeds the bound "
+        "alpha0_mag/2 = 0.5\n"
+    )
+    assert not out.exists()
+
+
+class TestPresetConflicts:
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["snr", "--preset", "figsnr1", "--e-r", "5", "--mode", "phase"],
+             "--mode, --e-r"),
+            (["snr", "--preset", "figsnr2", "--sweep", "phi_s:0:1:3"], "--sweep"),
+            (["snr", "--preset", "figsnr1", "--phi-i", "0", "--e-s", "0.01",
+              "--e-i", "1", "--phi-s", "0"], "--e-s, --e-i, --phi-s, --phi-i"),
+            (["scan", "--preset", "fig3a", "--target", "mass",
+              "--x-axis", "phi_i:0:1:3"], "--target, --x-axis"),
+            (["scan", "--preset", "fig2a", "--config", "c.json",
+              "--y-axis", "phi_i:0:1:3"], "--config, --y-axis"),
+        ],
+    )
+    def test_option_with_preset_exits_2(self, tmp_path, capsys, argv, flags):
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --preset {argv[2]} conflicts with {flags}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_explicit_runs_take_the_defaults(self, tmp_path, config_file):
+        out = tmp_path / "snr.csv"
+        assert main(["snr", "--sweep", "phi_i:0:1:3", "--out", str(out)]) == 0
+        arguments = json.loads((tmp_path / "snr.csv.manifest.json").read_text())[
+            "arguments"
+        ]
+        assert arguments["mode"] == "mass"
+        assert arguments["triple"] == {
+            "e_r": 1.0, "e_s": 0.01, "e_i": 1.0, "phi_s": 0.0, "phi_i": 0.0
+        }
+        out = tmp_path / "scan.csv"
+        cfg = str(config_file(fig2_config()))
+        argv = ["scan", "--config", cfg, "--x-axis", "phi_s:0:1:3"]
+        assert main([*argv, "--out", str(out)]) == 0
+        arguments = json.loads((tmp_path / "scan.csv.manifest.json").read_text())[
+            "arguments"
+        ]
+        assert arguments["preset"] is None
+        assert arguments["target"] == "mass" and arguments["y"] is None
+
+
 def test_cli_import_leaves_scipy_out():
     code = "import sys, iscat_metrology.cli; print('scipy' in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -294,6 +294,48 @@ class TestSerialization:
         assert len(rows) == 3
         assert list(rows[0].keys()) == spectrum.SPECTRUM_CSV_COLUMNS
 
+    def test_columns_come_from_one_map(self):
+        f = spectrum.flat_white_spectrum(1.0, 2.0, 3, 9.0, 0.2, phi_i=0.3,
+                                         reference_photons=1.0)
+        columns = spectrum.spectrum_columns(f)
+        assert list(columns) == spectrum.SPECTRUM_CSV_COLUMNS == [
+            "omega", "weight", "alpha_r_re", "alpha_r_im", "alpha_s_re",
+            "alpha_s_im", "alpha_i_re", "alpha_i_im", "scale_s", "phi_s",
+        ]
+        assert columns["weight"] is f.weights
+        assert same_bits(columns["alpha_i_im"], f.alpha_i.imag)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            # cells are read omega, the arms, scale_s, phi_s, weight
+            ({"weight": "x", "phi_s": "x"}, "column phi_s holds a missing"),
+            ({"weight": "x", "alpha_i_im": ""}, "column alpha_i_im holds a missing"),
+            ({"weight": "x"}, "column weight holds a missing"),
+            # finiteness is checked in column order, weight second
+            ({"weight": "inf", "alpha_r_re": "nan"}, "column weight must be finite"),
+            ({"weight": "x", "alpha_r_re": "nan"}, "column weight holds a missing"),
+        ],
+    )
+    def test_first_bad_column_named(self, tmp_path, cells, message):
+        row = dict.fromkeys(spectrum.SPECTRUM_CSV_COLUMNS, "1")
+        row.update(cells)
+        path = tmp_path / "band.csv"
+        path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        with pytest.raises(ValueError, match=message):
+            spectrum.spectrum_from_csv(path)
+
+    def test_short_rows_read_as_missing_cells(self, tmp_path):
+        path = tmp_path / "band.csv"
+        header = ",".join(spectrum.SPECTRUM_CSV_COLUMNS)
+        path.write_text(f"{header},note\n1,1,0,0,1,0,0,0,1,0,x\n2,1,0,0,1,0,0,0\n")
+        with pytest.raises(ValueError, match="column scale_s holds a missing"):
+            spectrum.spectrum_from_csv(path)
+        # every row short of the same column: still a missing cell
+        path.write_text(f"{header}\n1,1,0,0,1,0,0,0,1\n2,1,0,0,1,0,0,0,1\n")
+        with pytest.raises(ValueError, match="column phi_s holds a missing"):
+            spectrum.spectrum_from_csv(path)
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("omega,weight\n1.0,1.0\n")

@@ -9,6 +9,7 @@ from iscat_metrology import fisher, tuner
 from iscat_metrology.cli import _scan_presets, main
 from iscat_metrology.errors import EnergyBudgetError, NotEstimableError
 from iscat_metrology.field import (
+    BUDGET_TOL,
     EstimationTarget,
     FieldConfig,
     ParticleModel,
@@ -96,6 +97,16 @@ class TestPhaseSolutions:
     def test_out_of_budget_magnitude_rejected(self, fig2_cfg):
         with pytest.raises(ValueError):
             tuner.phase_solutions(fig2_cfg, MASS, 0.6)
+
+    def test_magnitude_bound_carries_the_budget_slack(self, fig2_cfg):
+        sol = tuner.saturating_reference_set(fig2_cfg, MASS)
+        bound, slack = 0.5 * fig2_cfg.alpha0_mag, BUDGET_TOL * fig2_cfg.alpha0_mag
+        assert len(sol.line_points(bound + slack / 2)) == 2
+        with pytest.raises(EnergyBudgetError, match=r"reference arm \|alpha_i\|"):
+            sol.line_points(bound + 2 * slack)
+        for mag in (-1e-300, math.nan):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                sol.line_points(mag)
 
     def test_returned_solutions_saturate(self, fig2_cfg):
         for mag in (1.16e-5, 2e-5, 4.5e-5, 3e-4, 0.01):
