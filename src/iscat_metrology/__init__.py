@@ -24,4 +24,14 @@ from .fisher import (  # noqa: F401
     qfi_phase_averaged,
     relative_mass_bound,
 )
-from .tuner import phase_solutions, saturating_reference_set  # noqa: F401
+
+
+def __getattr__(name):
+    """Load ``tuner`` on first access to its exports (PEP 562), so that
+    ``import iscat_metrology.cli`` does not load it for subcommands that
+    never tune a reference arm."""
+    if name in ("phase_solutions", "saturating_reference_set"):
+        from . import tuner
+
+        return getattr(tuner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,6 +19,13 @@ plus tool version and timestamp) and maps errors to exit codes: 0 success,
 detector field, zero information).  Data files contain no timestamps, so
 identical inputs reproduce them byte for byte.
 
+A process runs one subcommand, so this module loads only what every
+subcommand uses (``errors``, ``field``, ``fisher``, ``textio``).  Each
+runner imports ``tuner``, ``snr``, ``photonstats`` or ``spectrum`` itself,
+so a cold process compiles and executes only the modules its subcommand
+runs.  Runners call through the module object (``tuner.scan_ratio_grid``),
+so a function replaced on its module is the one called.
+
 Only ``fisher``, ``scan`` and ``snr`` take ``--format``; the others always
 write JSON.  Every subcommand accepts ``--threads N`` (N >= 1); only
 ``montecarlo`` uses it, sampling its trials on up to N threads (default: the
@@ -38,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fisher, photonstats, snr, spectrum, tuner
+from . import __version__, fisher
 from .errors import BracketError, NotEstimableError
 from .field import (
     EstimationTarget,
@@ -66,6 +73,8 @@ def _particle(mass_s: float, phi_s: float) -> ParticleModel:
 
 def _scan_presets() -> dict:
     """name: (baseline config, target, x axis, y axis)."""
+    from . import tuner
+
     iscat_base = FieldConfig(
         alpha_r=2.3e-5, particle=_particle(2e-5, 2.0 * PI / 3.0)
     )
@@ -104,6 +113,8 @@ def _scan_presets() -> dict:
 
 def _snr_presets() -> dict:
     """name: (mode, field triple, sweep variable, sweep values, log scale)."""
+    from . import snr
+
     return {
         "figsnr1": (
             "mass",
@@ -144,8 +155,10 @@ def _uses_preset(args, defaults: dict) -> bool:
     return args.preset is not None
 
 
-def _parse_axis(spec: str) -> tuner.AxisSpec:
-    """Axis argument NAME:LO:HI:STEPS[:log]."""
+def _parse_axis(spec: str):
+    """Axis argument NAME:LO:HI:STEPS[:log] as a ``tuner.AxisSpec``."""
+    from . import tuner
+
     parts = spec.split(":")
     if len(parts) not in (4, 5):
         raise ValueError(
@@ -198,6 +211,8 @@ def run_fisher(args, out: Path):
 
 
 def run_scan(args, out: Path):
+    from . import tuner
+
     defaults = {"config": None, "target": "mass", "x_axis": None, "y_axis": None}
     if _uses_preset(args, defaults):
         base, target, x, y = _preset(_scan_presets(), args.preset)
@@ -232,6 +247,8 @@ def run_scan(args, out: Path):
 
 
 def run_optimize(args, out: Path):
+    from . import tuner
+
     cfg = load_config(args.config)
     target = EstimationTarget(args.target)
     sol = tuner.saturating_reference_set(cfg, target)
@@ -254,6 +271,8 @@ def run_optimize(args, out: Path):
 
 
 def run_snr(args, out: Path):
+    from . import snr
+
     defaults = {
         "mode": "mass", "e_r": 1.0, "e_s": 0.01, "e_i": 1.0,
         "phi_s": 0.0, "phi_i": 0.0, "sweep": None,
@@ -301,6 +320,8 @@ def run_snr(args, out: Path):
 
 
 def run_montecarlo(args, out: Path):
+    from . import photonstats
+
     cfg = load_config(args.config)
     target = EstimationTarget(args.target)
     report = photonstats.crb_validation(
@@ -324,6 +345,8 @@ def run_montecarlo(args, out: Path):
 
 
 def run_spectrum(args, out: Path):
+    from . import spectrum
+
     f = spectrum.spectrum_from_csv(args.spectrum)
     target = EstimationTarget(args.target)
     qfi = spectrum.qfi_multifrequency(f, target)

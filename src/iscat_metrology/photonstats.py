@@ -239,11 +239,13 @@ def crb_validation(
     roots inside the bracket.  The trials are sampled on
     :func:`worker_count` threads; the result does not depend on how many.
     Non-estimable configurations, a mass target at zero mass, a detector
-    mean above :data:`POISSON_LAM_MAX` and more than :data:`MAX_DRAWS` draws
-    in all raise before any sampling.
+    mean above :data:`POISSON_LAM_MAX`, more than :data:`MAX_DRAWS` draws
+    in all and a negative seed raise before any sampling.
     """
     if samples_per_trial < 2 or n_trials < 2:
         raise ValueError("need at least 2 samples per trial and 2 trials")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n_trials * samples_per_trial > MAX_DRAWS:
         raise ValueError(
             f"trials x samples = {n_trials} x {samples_per_trial} exceeds "

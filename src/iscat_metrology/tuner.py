@@ -170,16 +170,20 @@ class AxisSpec:
     @classmethod
     def linspace(cls, name: str, lo: float, hi: float, steps: int) -> "AxisSpec":
         cls._check_range(name, lo, hi, steps)
-        return cls(name, np.linspace(lo, hi, steps), "linear")
+        # HI - LO can overflow (inf, then 0 * inf = nan): the non-finite
+        # values are refused in __post_init__, which names the axis
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.linspace(lo, hi, steps)
+        return cls(name, values, "linear")
 
     @classmethod
     def logspace(cls, name: str, lo: float, hi: float, steps: int) -> "AxisSpec":
         cls._check_range(name, lo, hi, steps)
         if not (0.0 < lo < hi):
             raise ValueError(f"log axis needs 0 < lo < hi, got [{lo}, {hi}]")
-        return cls(
-            name, np.logspace(math.log10(lo), math.log10(hi), steps), "log"
-        )
+        with np.errstate(over="ignore"):
+            values = np.logspace(math.log10(lo), math.log10(hi), steps)
+        return cls(name, values, "log")
 
     def to_dict(self) -> dict:
         return {

@@ -546,6 +546,16 @@ class TestMonteCarloCommand:
         assert err == f"error: --threads must be >= 1, got {threads}\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys, config_file, mc_saturated_cfg):
+        out = tmp_path / "mc.json"
+        rc = main([
+            "montecarlo", "--config", str(config_file(mc_saturated_cfg)),
+            "--trials", "4", "--samples", "4", "--seed", "-1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
     @pytest.mark.parametrize("target", ["mass", "phase"])
     def test_uneven_chunks_byte_identical(
         self, tmp_path, config_file, mc_quarter_cfg, monkeypatch, target
@@ -956,8 +966,8 @@ class TestPresetConflicts:
         assert arguments["target"] == "mass" and arguments["y"] is None
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, iscat_metrology.cli; print('scipy' in sys.modules)"
+def run_fresh(code):
+    """Standard output of ``code`` run in a new interpreter on this ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]
@@ -966,4 +976,57 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, iscat_metrology.cli; print('scipy' in sys.modules)"
+    assert run_fresh(code).strip() == "False"
+
+
+#: What every cold CLI process loads: the package and the modules all
+#: subcommands use.
+COLD_MODULES = ["cli", "errors", "field", "fisher", "textio"]
+
+
+@pytest.mark.parametrize(
+    "run, adds",
+    [
+        (None, []),
+        ("fisher", []),
+        ("optimize", ["tuner"]),
+        ("scan", ["tuner"]),
+        (["snr", "--preset", "figsnr1"], ["snr"]),
+        ("snr", ["snr", "tuner"]),  # --sweep parses its axis as a tuner.AxisSpec
+        ("montecarlo", ["photonstats", "tuner"]),
+        ("spectrum", ["spectrum"]),
+    ],
+    ids=["import", "fisher", "optimize", "scan", "snr-preset", "snr-sweep",
+         "montecarlo", "spectrum"],
+)
+def test_cold_cli_loads_only_what_the_subcommand_runs(
+    tmp_path, subcommand_argv, run, adds
+):
+    # a new interpreter: this one has imported every module already
+    code = "import sys, iscat_metrology.cli as cli\n"
+    if run is not None:
+        argv = run if isinstance(run, list) else subcommand_argv[run]
+        argv = argv + ["--out", str(tmp_path / "o.dat")]
+        code += f"assert cli.main({argv!r}) == 0\n"
+    code += "print(*sorted(m for m in sys.modules if m.startswith('iscat_metrology')))"
+    expected = ["iscat_metrology", *(f"iscat_metrology.{m}" for m in COLD_MODULES + adds)]
+    assert run_fresh(code).split() == sorted(expected)
+
+
+def test_tuner_exports_load_on_first_access():
+    code = (
+        "from iscat_metrology import phase_solutions, saturating_reference_set\n"
+        "import iscat_metrology.tuner as tuner\n"
+        "assert phase_solutions is tuner.phase_solutions\n"
+        "assert saturating_reference_set is tuner.saturating_reference_set\n"
+        "try:\n"
+        "    from iscat_metrology import no_such_name\n"
+        "except ImportError:\n"
+        "    print('ok')\n"
+    )
+    assert run_fresh(code).strip() == "ok"

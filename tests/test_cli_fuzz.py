@@ -332,6 +332,9 @@ AXES = axis_specs([*AXIS_NAMES, "bogus", ""])
 )
 @example(x="phi_s:0:6.3:50", y="mag_i:0:1e-4:50", reference=None, target="mass")
 @example(x=f"phi_s:0:1:{MAX_CELLS + 1}", y=None, reference=None, target="mass")
+@example(x="phi_i:0:1.7976931348623157e+308:19", y=None,
+         reference=VALID["reference"], target="mass")
+@example(x="phi_s:-1e308:1e308:3", y=None, reference=None, target="mass")
 def test_scan_hostile_axes(x, y, reference, target):
     # JSON output: the ratio of an undefined (vacuum) cell is null there
     options = ["--target", target, "--format", "json", f"--x-axis={x}"]
@@ -346,6 +349,9 @@ def test_scan_hostile_axes(x, y, reference, target):
        mode=st.sampled_from(["mass", "phase"]))
 @example(sweep="phi_i:0:6.3:50", mode="mass")
 @example(sweep="phi_s:1e-4:1e-2:50:log", mode="phase")
+# numpy overflows building these axes: exit 2 and exit 0, with no warning
+@example(sweep="phi_i:0.0625:1.7976931348622105e+308:2:log", mode="mass")
+@example(sweep="phi_i:0.0:1.7976931348623157e+308:19", mode="mass")
 def test_snr_hostile_sweep(fmt, sweep, mode):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["snr", "--mode", mode, f"--sweep={sweep}", "--format", fmt]

@@ -340,6 +340,13 @@ class TestCrbValidation:
         with pytest.raises(NotEstimableError):
             ps.crb_validation(cfg, PHASE, samples_per_trial=100, n_trials=10, seed=0)
 
+    def test_negative_seed_rejected_before_sampling(self, mc_saturated_cfg, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(ps, "sample_counts", lambda *args: sampled.append(args))
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            ps.crb_validation(mc_saturated_cfg, MASS, 10, n_trials=4, seed=-1)
+        assert sampled == []
+
     def test_efficiency_approaches_bound_from_above(self):
         cfg = FieldConfig(
             alpha_r=0j, particle=ParticleModel(10.0, 0.3, 0.7), alpha0_mag=12.0
