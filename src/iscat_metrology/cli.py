@@ -190,7 +190,7 @@ def run_fisher(args, out: Path):
     qcrb_coherent = fisher.qcrb(report.qfi_coherent)
     qcrb_counting = fisher.qcrb(report.cfi_photon_number)
     if args.format == "csv":
-        fisher.write_report_csv(out, [(cfg, target, report)])
+        fisher.write_report_csv(out, cfg, target, report)
     else:
         dump_json(
             out,

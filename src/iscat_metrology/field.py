@@ -327,9 +327,14 @@ def config_from_dict(d: dict) -> FieldConfig:
 def load_config(path) -> FieldConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return config_from_dict(json.load(fh))
+            data = json.load(fh)
         except RecursionError:  # e.g. 100,000 nested '['
             raise ValueError(f"config {path} nests too deeply to read") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"config {path} is not UTF-8: {exc}") from None
+        except json.JSONDecodeError as exc:  # a UTF-8 BOM included
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from None
+    return config_from_dict(data)
 
 
 def save_config(cfg: FieldConfig, path) -> None:

@@ -343,29 +343,20 @@ REPORT_CSV_COLUMNS = (
 )
 
 
-def write_report_csv(path, rows) -> None:
-    """Write (cfg, target, report) triples as one CSV row each.
+def write_report_csv(
+    path, cfg: FieldConfig, target: EstimationTarget, report: FisherReport
+) -> None:
+    """Write one config's report as a one-row CSV.
 
     ``mag_i`` and ``phi_i`` are blank without a reference arm (an absent
     arm, not a zero-magnitude one).
     """
-    rows = list(rows)
-    cfgs = [cfg for cfg, _, _ in rows]
-    arms = [cfg.reference for cfg in cfgs]
-    reports = [report for _, _, report in rows]
-    columns = [
-        [target.value for _, target, _ in rows],
-        [cfg.alpha_r.real for cfg in cfgs],
-        [cfg.alpha_r.imag for cfg in cfgs],
-        [cfg.particle.mass_kda for cfg in cfgs],
-        [cfg.particle.scale_per_kda for cfg in cfgs],
-        [cfg.particle.phi_s for cfg in cfgs],
-        ["" if arm is None else arm.mag for arm in arms],
-        ["" if arm is None else arm.phi_i for arm in arms],
-        [r.qfi_coherent for r in reports],
-        [r.cfi_photon_number for r in reports],
-        [r.psi for r in reports],
-        [r.chi for r in reports],
-        [r.saturation_ratio for r in reports],
+    p, arm = cfg.particle, cfg.reference
+    row = [
+        target.value, cfg.alpha_r.real, cfg.alpha_r.imag,
+        p.mass_kda, p.scale_per_kda, p.phi_s,
+        "" if arm is None else arm.mag, "" if arm is None else arm.phi_i,
+        report.qfi_coherent, report.cfi_photon_number, report.psi, report.chi,
+        report.saturation_ratio,
     ]
-    write_csv(path, dict(zip(REPORT_CSV_COLUMNS.split(","), columns)))
+    write_csv(path, {n: [c] for n, c in zip(REPORT_CSV_COLUMNS.split(","), row)})

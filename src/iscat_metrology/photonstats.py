@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import fisher, tuner
+from . import fisher
 from .errors import BracketError, NotEstimableError
 from .fisher import poisson_pmf  # noqa: F401  (part of this module's API)
 from .field import (
@@ -88,22 +88,11 @@ def gaussian_approx_pmf(mean: float, n) -> float | np.ndarray:
     return float(out) if np.isscalar(n) else out
 
 
-@dataclass(frozen=True)
-class CountSample:
-    """Reproducible vector of photon counts."""
-
-    counts: np.ndarray
-    mean_used: float
-    seed: int
-
-
-def sample_counts(mean: float, length: int, seed: int) -> CountSample:
+def sample_counts(mean: float, length: int, seed: int) -> np.ndarray:
     """i.i.d. Poisson draws from a PCG64 stream with the given seed."""
     if mean < 0:
         raise ValueError(f"mean must be >= 0, got {mean}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    counts = rng.poisson(mean, size=length)
-    return CountSample(counts=counts, mean_used=mean, seed=seed)
+    return np.random.Generator(np.random.PCG64(seed)).poisson(mean, size=length)
 
 
 # --- Maximum likelihood -------------------------------------------------------
@@ -173,28 +162,21 @@ def mle_candidates(
     return sorted(inside, key=lambda r: abs(r - mu))
 
 
-def mle_estimate(
-    sample: CountSample,
-    cfg: FieldConfig,
-    target: EstimationTarget,
-    search_bracket: tuple[float, float] | None = None,
-) -> float:
-    """Maximum-likelihood value of the target parameter.
+def mle_estimate(counts, cfg: FieldConfig, target: EstimationTarget) -> float:
+    """Maximum-likelihood value of the target parameter from ``counts``.
 
     By MLE invariance the fit matches the Poisson mean, lam(mu) = S/N,
-    inverted in closed form by :func:`mle_candidates` inside the bracket
-    (default: :func:`default_bracket`).  Two roots inside the bracket have
-    equal likelihood; the one nearest the configured value is returned.  A
+    inverted in closed form by :func:`mle_candidates` inside
+    :func:`default_bracket`.  Two roots inside the bracket have equal
+    likelihood; the one nearest the configured value is returned.  A
     maximum at a bracket edge means the parameter is not identifiable from
     these counts, and raises BracketError.
     """
-    lo, hi = search_bracket or default_bracket(cfg, target)
-    if not (lo < hi):
-        raise ValueError(f"empty bracket [{lo}, {hi}]")
-    counts = np.asarray(sample.counts)
+    bracket = default_bracket(cfg, target)
+    counts = np.asarray(counts)
     if counts.size == 0:
         raise ValueError("empty count sample")
-    return mle_candidates(float(counts.sum()) / len(counts), cfg, target, (lo, hi))[0]
+    return mle_candidates(float(counts.sum()) / len(counts), cfg, target, bracket)[0]
 
 
 # --- Monte Carlo CRB validation -------------------------------------------------
@@ -274,8 +256,7 @@ def crb_validation(
     def sample_chunk(w: int) -> None:
         try:
             for k in range(edges[w], edges[w + 1]):
-                counts = sample_counts(lam, samples_per_trial, seed + k).counts
-                estimates[k] = counts.sum()
+                estimates[k] = sample_counts(lam, samples_per_trial, seed + k).sum()
         except Exception as exc:  # re-raised below, after every join
             failures[w] = exc
 
@@ -331,22 +312,14 @@ def write_trials_csv(path, report: CrbValidationReport) -> None:
 # --- Detector-mean sensitivity ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeanSensitivityRow:
-    """Detector mean and its derivatives at one scattered power."""
-
-    alpha_s_sq: float
-    detector_mean: float
-    dmean_dm: float
-    dmean_dpower: float
-
-
 def mean_sensitivity_scan(
     cfg_base: FieldConfig,
     scattered_power_grid,
     optimize_reference: bool,
-) -> list[MeanSensitivityRow]:
-    """Detector mean versus scattered power |alpha_s|^2.
+) -> dict[str, np.ndarray]:
+    """Detector mean versus scattered power |alpha_s|^2, as float columns
+    ``alpha_s_sq`` (the grid), ``detector_mean``, ``dmean_dm`` and
+    ``dmean_dpower``.
 
     With ``optimize_reference`` the reference arm is re-tuned for mass
     estimation at every grid point (magnitude from the baseline arm, or
@@ -371,6 +344,8 @@ def mean_sensitivity_scan(
     check_budget(first_mag, cfg_base.arm.mag, cfg_base.alpha0_mag)
     arm = reference_amplitude(cfg_base)
     if optimize_reference:
+        from . import tuner  # here only, so `montecarlo` never loads it
+
         # dalpha points along exp(i*phi_s) at every power, so all points share
         # the first one's saturating line and phases; a power moves alpha_d =
         # t*exp(i*psi) along it.  The lower phase is taken unless t = 0 there.
@@ -393,14 +368,9 @@ def mean_sensitivity_scan(
     at_zero = np.where(absent, 1.0, np.copysign(math.inf, cross))
     with np.errstate(divide="ignore", invalid="ignore"):
         dmean_dpower = np.where(grid > 0, cross / root + 1.0, at_zero)
-    columns = np.column_stack((grid, mean, dmean_dm, dmean_dpower))
-    return [MeanSensitivityRow(*row) for row in columns.tolist()]
-
-
-def write_sensitivity_csv(path, rows: list[MeanSensitivityRow]) -> None:
-    names = [f.name for f in fields(MeanSensitivityRow)]
-    write_csv(path, {n: [getattr(r, n) for r in rows] for n in names})
-
-
-def sensitivity_to_json(rows: list[MeanSensitivityRow]) -> list[dict]:
-    return [asdict(r) for r in rows]
+    return {
+        "alpha_s_sq": grid,
+        "detector_mean": mean,
+        "dmean_dm": dmean_dm,
+        "dmean_dpower": dmean_dpower,
+    }

@@ -170,10 +170,13 @@ class AxisSpec:
     @classmethod
     def linspace(cls, name: str, lo: float, hi: float, steps: int) -> "AxisSpec":
         cls._check_range(name, lo, hi, steps)
-        # HI - LO can overflow (inf, then 0 * inf = nan): the non-finite
-        # values are refused in __post_init__, which names the axis
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.linspace(lo, hi, steps)
+        # only the last value can overflow inside np.linspace, and it is
+        # then set to HI; a span past a double is taken halved, exactly
+        with np.errstate(over="ignore"):
+            if math.isfinite(hi - lo):
+                values = np.linspace(lo, hi, steps)
+            else:
+                values = 2.0 * np.linspace(lo / 2.0, hi / 2.0, steps)
         return cls(name, values, "linear")
 
     @classmethod

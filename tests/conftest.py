@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,20 @@ def oracle_csv(names, rows, comments=()) -> bytes:
     lines = [f"# {c}" for c in comments] + [",".join(names)]
     lines += [",".join(map(fmt, row)) for row in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def run_fresh(*args) -> str:
+    """Standard output of ``python ARGS`` in a new interpreter on this
+    checkout's ``src``; a non-zero exit fails the test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]
+    )}
+    result = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    return result.stdout
 
 
 def same_bits(cells, values) -> bool:

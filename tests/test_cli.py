@@ -1,17 +1,14 @@
 import csv
 import json
 import math
-import os
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
     fig2_config,
+    run_fresh,
     vacuum_config,
     worked_example_config,
 )
@@ -181,6 +178,22 @@ class TestScanCommand:
         assert rc == 2
         assert "axis 'phi_s'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "steps, expected", [(3, [-1e308, 0.0, 1e308]), (1, [-1e308])]
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_axis_wider_than_a_double_runs(
+        self, tmp_path, config_file, steps, expected
+    ):
+        # HI - LO overflows a double, but every value on the axis is finite
+        out = tmp_path / "grid.csv"
+        rc = main([
+            "scan", "--config", str(config_file(fig2_config())),
+            f"--x-axis=phi_s:-1e308:1e308:{steps}", "--out", str(out),
+        ])
+        assert rc == 0
+        assert [float(row["x"]) for row in read_csv(out)] == expected
 
     @pytest.mark.parametrize(
         "axis, message",
@@ -869,7 +882,8 @@ class TestManifestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
 
-@pytest.mark.parametrize(
+#: Every subcommand that reads ``--config``, with the rest of a valid call.
+CONFIG_READERS = pytest.mark.parametrize(
     "argv",
     [
         ["fisher"],
@@ -879,6 +893,9 @@ class TestManifestRoundTrip:
     ],
     ids=lambda argv: argv[0],
 )
+
+
+@CONFIG_READERS
 def test_deeply_nested_config_exits_2_naming_the_file(tmp_path, capsys, argv):
     path = tmp_path / "nested.json"
     path.write_text("[" * 200_000)
@@ -886,6 +903,39 @@ def test_deeply_nested_config_exits_2_naming_the_file(tmp_path, capsys, argv):
     assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: config {path} nests too deeply to read\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@CONFIG_READERS
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (
+            b'{"alpha_r": {"re": 2.3e-05,',
+            "is not valid JSON: Expecting property name enclosed in double"
+            " quotes: line 1 column 28 (char 27)",
+        ),
+        (
+            b"\xff\xfe{}",
+            "is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0:"
+            " invalid start byte",
+        ),
+        (
+            b"\xef\xbb\xbf" + json.dumps(config_to_dict(fig2_config())).encode(),
+            "is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig):"
+            " line 1 column 1 (char 0)",
+        ),
+    ],
+    ids=["truncated", "not-utf8", "bom"],
+)
+def test_unreadable_config_exits_2_naming_the_file(
+    tmp_path, capsys, argv, content, reason
+):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = tmp_path / "o.json"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config {path} {reason}\n"
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -966,22 +1016,9 @@ class TestPresetConflicts:
         assert arguments["target"] == "mass" and arguments["y"] is None
 
 
-def run_fresh(code):
-    """Standard output of ``code`` run in a new interpreter on this ``src``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]
-    )}
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    return result.stdout
-
-
 def test_cli_import_leaves_scipy_out():
     code = "import sys, iscat_metrology.cli; print('scipy' in sys.modules)"
-    assert run_fresh(code).strip() == "False"
+    assert run_fresh("-c", code).strip() == "False"
 
 
 #: What every cold CLI process loads: the package and the modules all
@@ -998,7 +1035,7 @@ COLD_MODULES = ["cli", "errors", "field", "fisher", "textio"]
         ("scan", ["tuner"]),
         (["snr", "--preset", "figsnr1"], ["snr"]),
         ("snr", ["snr", "tuner"]),  # --sweep parses its axis as a tuner.AxisSpec
-        ("montecarlo", ["photonstats", "tuner"]),
+        ("montecarlo", ["photonstats"]),
         ("spectrum", ["spectrum"]),
     ],
     ids=["import", "fisher", "optimize", "scan", "snr-preset", "snr-sweep",
@@ -1015,7 +1052,7 @@ def test_cold_cli_loads_only_what_the_subcommand_runs(
         code += f"assert cli.main({argv!r}) == 0\n"
     code += "print(*sorted(m for m in sys.modules if m.startswith('iscat_metrology')))"
     expected = ["iscat_metrology", *(f"iscat_metrology.{m}" for m in COLD_MODULES + adds)]
-    assert run_fresh(code).split() == sorted(expected)
+    assert run_fresh("-c", code).split() == sorted(expected)
 
 
 def test_tuner_exports_load_on_first_access():
@@ -1029,4 +1066,4 @@ def test_tuner_exports_load_on_first_access():
         "except ImportError:\n"
         "    print('ok')\n"
     )
-    assert run_fresh(code).strip() == "ok"
+    assert run_fresh("-c", code).strip() == "ok"

@@ -347,7 +347,7 @@ class TestReportCsv:
     def test_columns_and_values(self, tmp_path, fig2_cfg):
         rep = fisher.fisher_report(fig2_cfg, EstimationTarget.MASS)
         path = tmp_path / "report.csv"
-        fisher.write_report_csv(path, [(fig2_cfg, EstimationTarget.MASS, rep)])
+        fisher.write_report_csv(path, fig2_cfg, EstimationTarget.MASS, rep)
         header, row = path.read_text().strip().split("\n")
         assert header == fisher.REPORT_CSV_COLUMNS
         cells = row.split(",")
@@ -363,7 +363,7 @@ class TestReportCsv:
             alpha0_mag=top,
         )
         extreme = fisher.FisherReport(lo, top, lo, tiny, top)
-        fisher.write_report_csv(path, [(cfg, EstimationTarget.MASS, extreme)])
+        fisher.write_report_csv(path, cfg, EstimationTarget.MASS, extreme)
         cells = path.read_text().strip().split("\n")[1].split(",")
         expected = [lo, tiny, tiny, top, lo, lo, tiny, lo, top, lo, tiny, top]
         assert same_bits(cells[1:], expected)

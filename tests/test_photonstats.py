@@ -27,10 +27,12 @@ from iscat_metrology.field import (
     reference_amplitude,
     with_target_value,
 )
+from iscat_metrology.textio import write_csv
 
 PI = math.pi
 MASS = EstimationTarget.MASS
 PHASE = EstimationTarget.SCATTER_PHASE
+SENSITIVITY_COLUMNS = ["alpha_s_sq", "detector_mean", "dmean_dm", "dmean_dpower"]
 
 
 class TestPoissonPmf:
@@ -95,23 +97,23 @@ class TestGaussianApprox:
 
 class TestSampling:
     def test_zero_mean_all_zero(self):
-        assert np.all(ps.sample_counts(0.0, 100, 1).counts == 0)
+        assert np.all(ps.sample_counts(0.0, 100, 1) == 0)
 
     def test_determinism(self):
         a = ps.sample_counts(50.0, 1000, 12345)
         b = ps.sample_counts(50.0, 1000, 12345)
-        np.testing.assert_array_equal(a.counts, b.counts)
-        assert a.seed == 12345 and a.mean_used == 50.0
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == np.int64 and a.shape == (1000,)
 
     def test_law_of_large_numbers(self):
         mean, length = 50.0, 10**5
-        sample = ps.sample_counts(mean, length, 2718)
+        counts = ps.sample_counts(mean, length, 2718)
         tol = 5.0 * math.sqrt(mean / length)
-        assert abs(sample.counts.mean() - mean) < tol
+        assert abs(counts.mean() - mean) < tol
 
     def test_dispersion_index_near_one(self):
-        sample = ps.sample_counts(20.0, 10**5, 314159)
-        index = sample.counts.var(ddof=1) / sample.counts.mean()
+        counts = ps.sample_counts(20.0, 10**5, 314159)
+        index = counts.var(ddof=1) / counts.mean()
         assert abs(index - 1.0) < 5.0 * math.sqrt(2.0 / (10**5 - 1))
 
 
@@ -140,7 +142,7 @@ def _golden_max(f, lo, hi, xatol):
     return 0.5 * (a + b)
 
 
-def oracle_mle(sample, cfg, target, xatol_rel=1e-10, points=2049):
+def oracle_mle(counts, cfg, target, xatol_rel=1e-10, points=2049):
     """Numerical MLE, independent of the closed form: the Poisson
     log-likelihood is evaluated through the field model on a fine grid over
     the default bracket, and its best cell refined by golden-section search.
@@ -150,7 +152,7 @@ def oracle_mle(sample, cfg, target, xatol_rel=1e-10, points=2049):
     round-off rather than to the ~1e-8 relative flatness of S*log(lam) - N*lam.
     """
     lo, hi = ps.default_bracket(cfg, target)
-    level = sample.counts.sum() / len(sample.counts)
+    level = counts.sum() / len(counts)
 
     def loglike(mu):
         trial = with_target_value(cfg, target, mu)
@@ -196,8 +198,7 @@ class TestMleEstimate:
         base, extra = divmod(total, n)
         counts = np.full(n, base, dtype=np.int64)
         counts[:extra] += 1  # sample mean == round(lam*n)/n
-        sample = ps.CountSample(counts=counts, mean_used=lam, seed=0)
-        est = ps.mle_estimate(sample, cfg, MASS)
+        est = ps.mle_estimate(counts, cfg, MASS)
         assert est == pytest.approx(66.0, abs=0.01)
 
     def test_monte_carlo_bias_small(self):
@@ -221,18 +222,9 @@ class TestMleEstimate:
         rep = fisher.fisher_report(cfg, MASS)
         assert rep.saturation_ratio < 1e-3
         lam = abs(detector_amplitude(cfg)) ** 2
-        sample = ps.sample_counts(lam, 10**4, 1)
+        counts = ps.sample_counts(lam, 10**4, 1)
         with pytest.raises(BracketError, match="bracket"):
-            ps.mle_estimate(sample, cfg, MASS)
-
-    def test_explicit_bracket_and_validation(self):
-        cfg = saturated_config()
-        lam = abs(detector_amplitude(cfg)) ** 2
-        sample = ps.sample_counts(lam, 1000, 77)
-        est = ps.mle_estimate(sample, cfg, MASS, search_bracket=(30.0, 120.0))
-        assert est == pytest.approx(66.0, abs=3.0)
-        with pytest.raises(ValueError):
-            ps.mle_estimate(sample, cfg, MASS, search_bracket=(5.0, 5.0))
+            ps.mle_estimate(counts, cfg, MASS)
 
 
 class TestClosedFormMle:
@@ -252,12 +244,12 @@ class TestClosedFormMle:
         bracket = ps.default_bracket(cfg, target)
         checked = 0
         for seed in range(12):
-            sample = ps.sample_counts(lam, 1000, 7000 + seed)
-            level = sample.counts.sum() / len(sample.counts)
+            counts = ps.sample_counts(lam, 1000, 7000 + seed)
+            level = counts.sum() / len(counts)
             if len(ps.mle_candidates(level, cfg, target, bracket)) != 1:
                 continue  # two equally likely roots: no unique maximum
-            est = ps.mle_estimate(sample, cfg, target)
-            reference, xatol = oracle_mle(sample, cfg, target)
+            est = ps.mle_estimate(counts, cfg, target)
+            reference, xatol = oracle_mle(counts, cfg, target)
             assert abs(est - reference) <= xatol
             # the estimate solves lam(estimate) = S/N to round-off
             trial = with_target_value(cfg, target, est)
@@ -269,22 +261,22 @@ class TestClosedFormMle:
     def test_spurious_edge_case_finds_interior_peak(self):
         cfg = spurious_edge_config()
         lam = abs(detector_amplitude(cfg)) ** 2
-        sample = ps.sample_counts(lam, 1000, 373)
-        est = ps.mle_estimate(sample, cfg, PHASE)
+        counts = ps.sample_counts(lam, 1000, 373)
+        est = ps.mle_estimate(counts, cfg, PHASE)
         assert est == pytest.approx(5.34832, abs=1e-5)
-        reference, xatol = oracle_mle(sample, cfg, PHASE)
+        reference, xatol = oracle_mle(counts, cfg, PHASE)
         assert abs(est - reference) <= xatol
 
     def test_two_roots_return_nearest_and_count_as_ambiguous(self):
         cfg = vertex_inside_config()
         lam = abs(detector_amplitude(cfg)) ** 2
-        sample = ps.sample_counts(lam, 1000, 11)
-        level = sample.counts.sum() / len(sample.counts)
+        counts = ps.sample_counts(lam, 1000, 11)
+        level = counts.sum() / len(counts)
         found = ps.mle_candidates(level, cfg, MASS, ps.default_bracket(cfg, MASS))
         assert len(found) == 2
         assert found[0] == pytest.approx(20.0 - 2.0 * math.sqrt(level), rel=1e-12)
         assert found[1] == pytest.approx(20.0 + 2.0 * math.sqrt(level), rel=1e-12)
-        assert ps.mle_estimate(sample, cfg, MASS) == found[0]
+        assert ps.mle_estimate(counts, cfg, MASS) == found[0]
         report = ps.crb_validation(
             cfg, MASS, samples_per_trial=1000, n_trials=50, seed=11
         )
@@ -444,7 +436,7 @@ class TestCrbValidation:
         n = 1000
         scores = []
         for k in range(300):
-            counts = ps.sample_counts(lam, n, 4000 + k).counts
+            counts = ps.sample_counts(lam, n, 4000 + k)
             scores.append(d_lam * (counts.sum() / lam - n))
         scores = np.asarray(scores)
         stderr = scores.std(ddof=1) / math.sqrt(len(scores))
@@ -459,31 +451,30 @@ class TestMeanSensitivityScan:
             reference=ReferenceArm(1.0, 1.2),
             alpha0_mag=10.0,
         )
-        rows = ps.mean_sensitivity_scan(cfg, [0.0], optimize_reference=False)
+        scan = ps.mean_sensitivity_scan(cfg, [0.0], optimize_reference=False)
         expected = abs(2.3 + ReferenceArm(1.0, 1.2).amplitude()) ** 2
-        assert rows[0].detector_mean == pytest.approx(expected)
+        assert scan["detector_mean"][0] == pytest.approx(expected)
 
     def test_iscat_quarter_phase_mean_flat_at_first_order(self):
         cfg = FieldConfig(
             alpha_r=2.3, particle=ParticleModel(1.0, 0.05, PI / 2), alpha0_mag=10.0
         )
         powers = [0.0, 0.5, 1.0, 2.0]
-        rows = ps.mean_sensitivity_scan(cfg, powers, optimize_reference=False)
-        for row, p in zip(rows, powers):
-            assert row.detector_mean == pytest.approx(2.3**2 + p, rel=1e-12)
-            assert row.dmean_dpower == pytest.approx(1.0, abs=1e-12)
+        scan = ps.mean_sensitivity_scan(cfg, powers, optimize_reference=False)
+        for mean, dpower, p in zip(scan["detector_mean"], scan["dmean_dpower"], powers):
+            assert mean == pytest.approx(2.3**2 + p, rel=1e-12)
+            assert dpower == pytest.approx(1.0, abs=1e-12)
 
     def test_optimized_derivative_matches_alignment_value(self):
         cfg = FieldConfig(
             alpha_r=2.3, particle=ParticleModel(1.0, 0.05, PI / 2), alpha0_mag=10.0
         )
-        rows = ps.mean_sensitivity_scan(
+        scan = ps.mean_sensitivity_scan(
             cfg, [0.5, 1.0, 2.0], optimize_reference=True
         )
         s = cfg.particle.scale_per_kda
-        for row in rows:
-            alpha_d_mag = math.sqrt(row.detector_mean)
-            assert abs(row.dmean_dm) == pytest.approx(2.0 * alpha_d_mag * s, rel=1e-9)
+        for mean, dmean_dm in zip(scan["detector_mean"], scan["dmean_dm"]):
+            assert abs(dmean_dm) == pytest.approx(2.0 * math.sqrt(mean) * s, rel=1e-9)
 
     def test_optimized_mean_moves_while_iscat_stays(self):
         # the tuned arm cancels the reflected field, so the mean tracks
@@ -496,9 +487,9 @@ class TestMeanSensitivityScan:
         tuned = ps.mean_sensitivity_scan(cfg, powers, optimize_reference=True)
         flat = ps.mean_sensitivity_scan(cfg, powers, optimize_reference=False)
 
-        def visibility(rows):
-            shift = abs(rows[-1].detector_mean - rows[0].detector_mean)
-            return shift / math.sqrt(rows[-1].detector_mean)
+        def visibility(scan):
+            mean = scan["detector_mean"]
+            return abs(mean[-1] - mean[0]) / math.sqrt(mean[-1])
 
         assert visibility(tuned) > 10.0 * visibility(flat)
 
@@ -533,13 +524,10 @@ class TestMeanSensitivityScan:
             tuner, "saturating_reference_set",
             lambda *args: calls.append(args) or solve(*args),
         )
-        rows = ps.mean_sensitivity_scan(cfg, [0.0, 0.36, 1.0], True)
+        scan = ps.mean_sensitivity_scan(cfg, [0.0, 0.36, 1.0], True)
         assert len(calls) == 1
-        means = [row.detector_mean for row in rows]
-        assert means == pytest.approx([0.36, 0.36, 0.16], rel=1e-12)
-        assert [row.dmean_dm for row in rows] == pytest.approx(
-            [-0.12, 0.12, 0.08], rel=1e-12
-        )
+        assert scan["detector_mean"] == pytest.approx([0.36, 0.36, 0.16], rel=1e-12)
+        assert scan["dmean_dm"] == pytest.approx([-0.12, 0.12, 0.08], rel=1e-12)
 
     @staticmethod
     def _per_point_rows(cfg, grid, optimize):
@@ -581,7 +569,10 @@ class TestMeanSensitivityScan:
                 alpha0_mag=10.0,
             )
             grid = np.sort(rng.uniform(0, 4, 25))
-            rows = ps.mean_sensitivity_scan(cfg, grid, optimize)
+            scan = ps.mean_sensitivity_scan(cfg, grid, optimize)
+            assert list(scan) == SENSITIVITY_COLUMNS
+            assert all(col.dtype == np.float64 for col in scan.values())
+            assert scan["alpha_s_sq"].tobytes() == grid.tobytes()
             expected = self._per_point_rows(cfg, grid, optimize)
             # Round-off is relative to the arms, not to the detector field.
             # A tuned phase near tangency (|alpha_i| near the distance b of
@@ -589,14 +580,15 @@ class TestMeanSensitivityScan:
             mag = cfg.reference.mag if cfg.reference else abs(cfg.alpha_r)
             b = (cfg.alpha_r * cmath.exp(-1j * cfg.particle.phi_s)).imag
             cond = 1.0 + mag / math.sqrt(abs(mag * mag - b * b)) if optimize else 1.0
-            for row, (mean, dmean_dm, dmean_dpower) in zip(rows, expected):
-                arms = abs(cfg.alpha_r) + mag + math.sqrt(row.alpha_s_sq)
+            for k, (mean, dmean_dm, dmean_dpower) in enumerate(expected):
+                row = {name: col[k] for name, col in scan.items()}
+                arms = abs(cfg.alpha_r) + mag + math.sqrt(row["alpha_s_sq"])
                 unit = 8.0 * eps * cond * arms
-                assert abs(row.detector_mean - mean) <= unit * arms
+                assert abs(row["detector_mean"] - mean) <= unit * arms
                 s = cfg.particle.scale_per_kda
-                assert abs(row.dmean_dm - dmean_dm) <= unit * s
-                err = abs(row.dmean_dpower - dmean_dpower)
-                assert err * math.sqrt(row.alpha_s_sq) <= unit
+                assert abs(row["dmean_dm"] - dmean_dm) <= unit * s
+                err = abs(row["dmean_dpower"] - dmean_dpower)
+                assert err * math.sqrt(row["alpha_s_sq"]) <= unit
 
 
 class TestCsvEmission:
@@ -623,15 +615,16 @@ class TestCsvEmission:
     def test_sensitivity_csv(self, tmp_path):
         cfg = FieldConfig(alpha_r=1.0, particle=ParticleModel(1.0, 0.1, 0.3),
                           alpha0_mag=10.0)
-        rows = ps.mean_sensitivity_scan(cfg, [0.0, 1.0], optimize_reference=False)
+        scan = ps.mean_sensitivity_scan(cfg, [0.0, 1.0], optimize_reference=False)
         path = tmp_path / "scan.csv"
-        ps.write_sensitivity_csv(path, rows)
+        write_csv(path, scan)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "alpha_s_sq,detector_mean,dmean_dm,dmean_dpower"
+        assert lines[0] == ",".join(SENSITIVITY_COLUMNS)
         assert len(lines) == 3
-        summary = ps.sensitivity_to_json(rows)
-        assert summary[1]["detector_mean"] == rows[1].detector_mean
-        extremes = [ps.MeanSensitivityRow(*EXTREME_FLOATS, -math.inf)]
-        ps.write_sensitivity_csv(path, extremes)
+        cols = read_csv_columns(path)
+        for name in SENSITIVITY_COLUMNS:
+            assert same_bits(cols[name], scan[name])
+        extremes = dict(zip(SENSITIVITY_COLUMNS, [*EXTREME_FLOATS, -math.inf]))
+        write_csv(path, {name: np.array([x]) for name, x in extremes.items()})
         cells = [column[0] for column in read_csv_columns(path).values()]
         assert same_bits(cells, [*EXTREME_FLOATS, -math.inf])
