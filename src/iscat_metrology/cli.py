@@ -277,6 +277,7 @@ def run_snr(args, out: Path):
         "mode": "mass", "e_r": 1.0, "e_s": 0.01, "e_i": 1.0,
         "phi_s": 0.0, "phi_i": 0.0, "sweep": None,
     }
+    swept = {"mass": "phi_i", "phase": "phi_s"}
     if _uses_preset(args, defaults):
         mode, triple, sweep_var, sweep_values, log_scale = _preset(
             _snr_presets(), args.preset
@@ -288,15 +289,14 @@ def run_snr(args, out: Path):
         )
         if args.sweep is None:
             raise ValueError("snr needs either --preset or --sweep")
+        # checked before _parse_axis, whose message lists the scan axes
+        name = args.sweep.split(":")[0]
+        if name != swept[mode]:
+            raise ValueError(f"{mode}-mode sweeps run over {swept[mode]}, not {name!r}")
         axis = _parse_axis(args.sweep)  # reuse NAME:LO:HI:STEPS[:log]
         sweep_var, sweep_values = axis.name, axis.values
         log_scale = axis.scale == "log"
-    swept, sweep_fn = {
-        "mass": ("phi_i", snr.mass_snr_sweep),
-        "phase": ("phi_s", snr.phase_snr_sweep),
-    }[mode]
-    if sweep_var != swept:
-        raise ValueError(f"{mode}-mode sweeps run over {swept}")
+    sweep_fn = snr.mass_snr_sweep if mode == "mass" else snr.phase_snr_sweep
     sweep = sweep_fn(triple, sweep_values)
     for name, values in sweep.items():
         if not np.all(np.isfinite(values)):

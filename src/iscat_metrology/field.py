@@ -74,6 +74,14 @@ def magnitude(z):
     return np.hypot(z.real, z.imag)
 
 
+def phase(z):
+    """arg(z) in [0, 2*pi) of a complex array, rounding like wrap_angle:
+    the one rule for every reported angle (psi, chi, phi_i)."""
+    theta = np.arctan2(z.imag, z.real)
+    theta = np.where(theta < 0.0, theta + TAU, theta)
+    return np.where(theta >= TAU, 0.0, theta)
+
+
 class EstimationTarget(Enum):
     """Which particle parameter is being estimated."""
 

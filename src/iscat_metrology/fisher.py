@@ -13,6 +13,10 @@ detector phase is aligned with the derivative phase (mod pi).
 
 One array kernel, :func:`information`, evaluates them for the report below,
 the ratio scans of ``tuner`` and the broadband integrals of ``spectrum``.
+Its result type is :class:`FisherReport`: arrays on a grid, and floats for
+one configuration (:func:`fisher_report`).  The angles psi and chi come from
+``field.phase``, the one rule for reported angles, which ``tuner`` also
+uses, so a report and the saturating reference set agree on psi exactly.
 
 Two independent oracles back the closed forms: a truncated Fock-basis sum
 over the diagonal logarithmic-derivative spectrum, and a central
@@ -24,18 +28,18 @@ truncation no lower than :func:`min_truncation`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotEstimableError, TruncationError, VacuumPhaseError
 from .field import (
-    TAU,
     VACUUM_TOL,
     EstimationTarget,
     FieldConfig,
     detector_amplitude,
     magnitude,
+    phase,
     target_derivative,
     target_value,
     with_target_value,
@@ -57,85 +61,9 @@ def qfi_coherent(dalpha):
     return 4.0 * real_projection(dalpha, dalpha)
 
 
-def _wrapped_phase(z: np.ndarray) -> np.ndarray:
-    """arg(z) reduced to [0, 2*pi), rounding like field.wrap_angle."""
-    theta = np.arctan2(z.imag, z.real)
-    theta = np.where(theta < 0.0, theta + TAU, theta)
-    return np.where(theta >= TAU, 0.0, theta)
-
-
-def information(alpha_d, dalpha, vacuum_tol: float = 0.0):
-    """Information quantities of broadcast detector labels and derivatives.
-
-    Returns float arrays ``(qfi, cfi, psi, chi, ratio)`` of the broadcast
-    shape: F_q, F_pn (= F_pa), psi = arg(dalpha) and chi = arg(alpha_d) in
-    [0, 2*pi), and cos^2(psi - chi).  A value is NaN where it is undefined:
-    cfi and chi where the detector field is vacuum (|alpha_d| <= vacuum_tol),
-    psi where dalpha vanishes, and ratio at either.
-    """
-    ad = np.asarray(alpha_d, dtype=complex)
-    ad, dal = np.broadcast_arrays(ad, np.asarray(dalpha, dtype=complex))
-    mag = magnitude(ad)
-    vacuum = mag <= vacuum_tol
-    with np.errstate(all="ignore"):  # overflow is the callers' to report
-        proj = real_projection(ad, dal) / mag
-        cfi = np.where(vacuum, np.nan, 4.0 * proj * proj)
-        qfi = qfi_coherent(dal)
-    psi = np.where(dal == 0, np.nan, _wrapped_phase(dal))
-    chi = np.where(vacuum, np.nan, _wrapped_phase(ad))
-    c = np.cos(psi - chi)
-    return qfi, cfi, psi, chi, c * c
-
-
-def _single_information(alpha_d, dalpha, vacuum_tol: float = 0.0) -> list[float]:
-    """:func:`information` of one pair as floats.
-
-    Raises VacuumPhaseError at the vacuum (NaN chi), and ValueError naming
-    the quantity when F_q or F_pn is not finite (the inputs overflow doubles).
-    """
-    values = [float(v) for v in information(alpha_d, dalpha, vacuum_tol)]
-    if math.isnan(values[3]):
-        raise VacuumPhaseError(
-            "detector field is vacuum; chi = arg(alpha_d) and the counting "
-            "CFI are undefined"
-        )
-    for name, value in zip(("qfi_coherent", "cfi_photon_number"), values):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} = {value!r} is not finite")
-    return values
-
-
-def mismatch_angles(alpha_d: complex, dalpha: complex) -> tuple[float, float]:
-    """Phases (psi, chi) of the derivative and of the detector field, in
-    [0, 2*pi).
-
-    Raises VacuumPhaseError when either amplitude vanishes (the vacuum has
-    no defined phase).
-    """
-    _, _, psi, chi, _ = _single_information(alpha_d, dalpha)
-    if math.isnan(psi):
-        raise VacuumPhaseError(
-            "target derivative vanishes; psi = arg(dalpha) is undefined"
-        )
-    return psi, chi
-
-
-def qfi_phase_averaged(alpha_d: complex, dalpha: complex) -> float:
-    """QFI of the phase-averaged (Poisson-diagonal) state.
-
-    4*Re[(conj(alpha_d)/|alpha_d|)*dalpha]^2, undefined at the vacuum.
-    """
-    return _single_information(alpha_d, dalpha)[1]
-
-
-#: CFI of the photon-number measurement; the same function as the
-#: phase-averaged QFI, so the two are equal by construction.
-cfi_photon_number = qfi_phase_averaged
-
-
-@dataclass(frozen=True)
-class FisherReport:
-    """Information summary for one configuration and target."""
+class FisherReport(NamedTuple):
+    """The information quantities of :func:`information`: arrays of the
+    broadcast shape on a grid, floats at one point."""
 
     qfi_coherent: float
     cfi_photon_number: float
@@ -156,6 +84,79 @@ class FisherReport:
         }
 
 
+def information(alpha_d, dalpha, vacuum_tol: float = 0.0) -> FisherReport:
+    """Information quantities of broadcast detector labels and derivatives.
+
+    Returns a :class:`FisherReport` of float arrays of the broadcast shape:
+    F_q, F_pn (= F_pa), psi = arg(dalpha) and chi = arg(alpha_d) from
+    :func:`field.phase`, and the ratio cos^2(psi - chi).  A value is NaN
+    where it is undefined: cfi and chi where the detector field is vacuum
+    (|alpha_d| <= vacuum_tol), psi where dalpha vanishes, and the ratio at
+    either.
+    """
+    ad = np.asarray(alpha_d, dtype=complex)
+    ad, dal = np.broadcast_arrays(ad, np.asarray(dalpha, dtype=complex))
+    mag = magnitude(ad)
+    vacuum = mag <= vacuum_tol
+    with np.errstate(all="ignore"):  # overflow is the callers' to report
+        proj = real_projection(ad, dal) / mag
+        cfi = np.where(vacuum, np.nan, 4.0 * proj * proj)
+        qfi = qfi_coherent(dal)
+    psi = np.where(dal == 0, np.nan, phase(dal))
+    chi = np.where(vacuum, np.nan, phase(ad))
+    c = np.cos(psi - chi)
+    return FisherReport(qfi, cfi, psi, chi, c * c)
+
+
+def _single_information(alpha_d, dalpha, vacuum_tol: float = 0.0) -> FisherReport:
+    """:func:`information` of one pair, as floats.
+
+    Raises VacuumPhaseError at the vacuum (NaN chi), and ValueError naming
+    the quantity when F_q or F_pn is not finite (the inputs overflow doubles).
+    """
+    report = FisherReport._make(
+        float(v) for v in information(alpha_d, dalpha, vacuum_tol)
+    )
+    if math.isnan(report.chi):
+        raise VacuumPhaseError(
+            "detector field is vacuum; chi = arg(alpha_d) and the counting "
+            "CFI are undefined"
+        )
+    for name in ("qfi_coherent", "cfi_photon_number"):
+        value = getattr(report, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value!r} is not finite")
+    return report
+
+
+def mismatch_angles(alpha_d: complex, dalpha: complex) -> tuple[float, float]:
+    """Phases (psi, chi) of the derivative and of the detector field, in
+    [0, 2*pi).
+
+    Raises VacuumPhaseError when either amplitude vanishes (the vacuum has
+    no defined phase).
+    """
+    report = _single_information(alpha_d, dalpha)
+    if math.isnan(report.psi):
+        raise VacuumPhaseError(
+            "target derivative vanishes; psi = arg(dalpha) is undefined"
+        )
+    return report.psi, report.chi
+
+
+def qfi_phase_averaged(alpha_d: complex, dalpha: complex) -> float:
+    """QFI of the phase-averaged (Poisson-diagonal) state.
+
+    4*Re[(conj(alpha_d)/|alpha_d|)*dalpha]^2, undefined at the vacuum.
+    """
+    return _single_information(alpha_d, dalpha).cfi_photon_number
+
+
+#: CFI of the photon-number measurement; the same function as the
+#: phase-averaged QFI, so the two are equal by construction.
+cfi_photon_number = qfi_phase_averaged
+
+
 def fisher_report(cfg: FieldConfig, target: EstimationTarget) -> FisherReport:
     """Evaluate all Fisher quantities for a validated configuration.
 
@@ -169,16 +170,7 @@ def fisher_report(cfg: FieldConfig, target: EstimationTarget) -> FisherReport:
         raise NotEstimableError(
             "target derivative vanishes; the parameter leaves no imprint"
         )
-    qfi, cfi, psi, chi, ratio = _single_information(
-        alpha_d, dalpha, VACUUM_TOL * cfg.alpha0_mag
-    )
-    return FisherReport(
-        qfi_coherent=qfi,
-        cfi_photon_number=cfi,
-        psi=psi,
-        chi=chi,
-        saturation_ratio=ratio,
-    )
+    return _single_information(alpha_d, dalpha, VACUUM_TOL * cfg.alpha0_mag)
 
 
 # --- Fock-truncated oracle ---------------------------------------------------
@@ -209,15 +201,6 @@ def min_truncation(mean: float) -> int:
     return math.ceil(mean + 10.0 * math.sqrt(mean) + 25.0)
 
 
-@dataclass(frozen=True)
-class SldSpectrum:
-    """Diagonal of the logarithmic-derivative operator of the
-    phase-averaged state, on Fock levels 0..truncation_n."""
-
-    truncation_n: int
-    diagonal: np.ndarray
-
-
 def _check_truncation(mean: float, truncation_n: int) -> None:
     """Reject a truncation below the tail rule of :func:`min_truncation`."""
     if truncation_n < min_truncation(mean):
@@ -229,8 +212,10 @@ def _check_truncation(mean: float, truncation_n: int) -> None:
 
 def sld_diagonal(
     alpha: complex, dalpha: complex, truncation_n: int
-) -> SldSpectrum:
-    """Eigenvalues L_n = -2*Re[conj(alpha)*dalpha]*(1 - n/|alpha|^2).
+) -> np.ndarray:
+    """Eigenvalues L_n = -2*Re[conj(alpha)*dalpha]*(1 - n/|alpha|^2) of the
+    logarithmic-derivative operator of the phase-averaged state, on Fock
+    levels n = 0..truncation_n.
 
     The mean of L under the Poisson weights is zero, which makes the
     truncated sum of P_n*L_n^2 a direct QFI evaluation.
@@ -241,7 +226,7 @@ def sld_diagonal(
     _check_truncation(mean, truncation_n)
     n = np.arange(truncation_n + 1, dtype=float)
     coeff = -2.0 * (alpha.conjugate() * dalpha).real
-    return SldSpectrum(truncation_n, coeff * (1.0 - n / mean))
+    return coeff * (1.0 - n / mean)
 
 
 def qfi_phase_averaged_oracle(
@@ -253,9 +238,9 @@ def qfi_phase_averaged_oracle(
     1e-9 relative once the truncation covers the Poisson tail.
     """
     mean = abs(alpha) ** 2
-    spec = sld_diagonal(alpha, dalpha, truncation_n)
+    diagonal = sld_diagonal(alpha, dalpha, truncation_n)
     weights = poisson_pmf(mean, np.arange(truncation_n + 1))
-    return float(np.sum(weights * spec.diagonal**2))
+    return float(np.sum(weights * diagonal**2))
 
 
 # --- Finite-difference CFI oracle --------------------------------------------

@@ -176,7 +176,8 @@ def scattered_photons(f: SpectralField) -> float:
 
 def qfi_multifrequency(f: SpectralField, target: EstimationTarget) -> float:
     """Coherent-state QFI of the broadband field."""
-    return f.integrate(fisher.information(f.detector(), f.derivative(target))[0])
+    info = fisher.information(f.detector(), f.derivative(target))
+    return f.integrate(info.qfi_coherent)
 
 
 def qfi_multifrequency_phase_averaged(
@@ -188,8 +189,8 @@ def qfi_multifrequency_phase_averaged(
     the detector field vanishes at a frequency whose integrand contributes.
     """
     dal = f.derivative(target)
-    _, cfi, _, chi, _ = fisher.information(f.detector(), dal)
-    vacuum = np.isnan(chi)
+    info = fisher.information(f.detector(), dal)
+    vacuum = np.isnan(info.chi)
     dead = vacuum & (dal != 0)
     if np.any(dead):
         idx = int(np.argmax(dead))
@@ -198,7 +199,7 @@ def qfi_multifrequency_phase_averaged(
             f"(omega={f.omega[idx]!r}); the counting CFI is undefined there"
         )
     # a vacuum point with a vanishing derivative contributes nothing
-    return f.integrate(np.where(vacuum, 0.0, cfi))
+    return f.integrate(np.where(vacuum, 0.0, info.cfi_photon_number))
 
 
 def relative_mass_bound_multifrequency(f: SpectralField) -> float:

@@ -44,6 +44,7 @@ from .field import (
     first_arm_magnitude,
     from_polar,
     magnitude,
+    phase,
     scattered_amplitude,
     target_derivative,
     wrap_angle,
@@ -80,7 +81,7 @@ class SaturationSolution:
             r = math.sqrt(max(mag_i * mag_i - b * b, 0.0))
             ts = [a - r, a + r]
         arms = [(t * cmath.exp(1j * self.psi) - self.alpha_first, t) for t in ts]
-        return sorted((wrap_angle(math.atan2(z.imag, z.real)), t) for z, t in arms)
+        return sorted((float(phase(z)), t) for z, t in arms)
 
     def solutions_at(self, mag_i: float) -> tuple[float, ...]:
         """Saturating phases phi_i at the given reference magnitude.
@@ -109,7 +110,7 @@ def saturating_reference_set(
         raise ValueError(
             "target derivative vanishes; no alignment direction exists"
         )
-    psi = wrap_angle(math.atan2(dalpha.imag, dalpha.real))
+    psi = float(phase(dalpha))
     min_mag = abs((alpha_first * cmath.exp(-1j * psi)).imag)
     return SaturationSolution(
         min_mag_i=min_mag,
@@ -199,9 +200,11 @@ class AxisSpec:
 def apply_axis(cfg: FieldConfig, name: str, value: float) -> FieldConfig:
     """Baseline config with one scan parameter replaced."""
     if name == "alpha_r_mag":
+        if value < 0.0:  # cmath.rect would turn alpha_r by pi
+            raise ValueError(f"axis {name!r} needs magnitudes >= 0, got {value!r}")
         z = cfg.alpha_r
-        phase = math.atan2(z.imag, z.real) if z != 0 else 0.0
-        return replace(cfg, alpha_r=cmath.rect(value, phase))
+        angle = math.atan2(z.imag, z.real) if z != 0 else 0.0
+        return replace(cfg, alpha_r=cmath.rect(value, angle))
     if name == "phi_s":
         return replace(
             cfg, particle=replace(cfg.particle, phi_s=wrap_angle(value))
@@ -264,11 +267,13 @@ def scan_ratio_grid(
 
     Each axis value goes through apply_axis once, so it is validated and
     wrapped as in a single configuration, and each axis sets only its own
-    parameter (x wins if both axes set the same one).  The detector label
-    and target derivative are broadcast over the grid, the photon budget is
-    checked once over all cells (EnergyBudgetError names the bound), and
-    the ratio comes from :func:`fisher.information`.
+    parameter (ValueError if both axes set the same one).  The detector
+    label and target derivative are broadcast over the grid, the photon
+    budget is checked once over all cells (EnergyBudgetError names the
+    bound), and the ratio comes from :func:`fisher.information`.
     """
+    if y is not None and y.name == x.name:
+        raise ValueError(f"x and y axes both set {x.name!r}; scan it on one axis")
     grid_shape = (len(y.values) if y is not None else 1, len(x.values))
     cells = grid_shape[0] * grid_shape[1]
     if cells > MAX_CELLS:
@@ -298,7 +303,7 @@ def scan_ratio_grid(
     check_budget(magnitude(first), mag_i, base.alpha0_mag)
     phasor_i = column("phi_i", lambda c: from_polar(1.0, c.arm.phi_i))
     dalpha = column("phi_s", lambda c: target_derivative(c, target))
-    ratio = fisher.information(
+    info = fisher.information(
         first + mag_i * phasor_i, dalpha, VACUUM_TOL * base.alpha0_mag
-    )[4]
-    return ScanGrid(x, y, base, target, ratio)
+    )
+    return ScanGrid(x, y, base, target, info.saturation_ratio)

@@ -235,6 +235,27 @@ class TestScanCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            (["--x-axis", "alpha_r_mag:-1e-3:1e-3:5"],
+             "axis 'alpha_r_mag' needs magnitudes >= 0, got -0.001"),
+            (["--x-axis", "phi_i:0:6:4", "--y-axis", "phi_i:0:1:3"],
+             "x and y axes both set 'phi_i'; scan it on one axis"),
+        ],
+        ids=["negative_alpha_r_mag", "same_parameter_twice"],
+    )
+    def test_ill_posed_axis_exits_2(
+        self, tmp_path, capsys, config_file, axes, message
+    ):
+        # a negative magnitude would turn alpha_r by pi; a second axis on
+        # x's parameter would write a y column no ratio depends on
+        out = tmp_path / "grid.csv"
+        argv = ["scan", "--config", str(config_file(fig2_config())), *axes]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_over_budget_axis_exits_2(self, tmp_path, capsys, config_file):
         cfg_path = config_file(fig2_config())
         out = tmp_path / "grid.csv"
@@ -416,6 +437,24 @@ class TestSnrCommand:
         assert "axis 'phi_i': STEPS '2.5' is not a valid int" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mode, sweep, swept",
+        [("mass", "e_r:0:1:3", "phi_i"), ("mass", "alpha_r_mag:0:1:3", "phi_i"),
+         ("phase", "phi_i:0:1:3", "phi_s")],
+    )
+    def test_sweep_over_another_variable_names_its_own(
+        self, tmp_path, capsys, mode, sweep, swept
+    ):
+        # the message names the mode's variable, not the scan axes
+        out = tmp_path / "snr.csv"
+        rc = main(["snr", "--mode", mode, "--sweep", sweep, "--out", str(out)])
+        assert rc == 2
+        name = sweep.split(":")[0]
+        assert capsys.readouterr().err == (
+            f"error: {mode}-mode sweeps run over {swept}, not {name!r}\n"
+        )
+        assert not out.exists()
+
     def test_negative_amplitude_exits_2(self, tmp_path):
         rc = main([
             "snr", "--mode", "mass", "--e-r", "-1.0",
@@ -581,7 +620,9 @@ class TestMonteCarloCommand:
         sampled_on = {}
 
         def recording(mean, length, seed):
-            sampled_on[seed] = threading.get_ident()
+            # thread objects, not idents: CPython reuses an exited thread's
+            # ident, so two workers in turn could share one
+            sampled_on[seed] = threading.current_thread()
             return sample_counts(mean, length, seed)
 
         monkeypatch.setattr(photonstats, "sample_counts", recording)
@@ -599,7 +640,7 @@ class TestMonteCarloCommand:
             blobs.append(out.read_bytes() + trials.read_bytes())
             threads_used.append([sampled_on[40 + k] for k in range(7)])
         assert blobs[0] == blobs[1]
-        main_thread = threading.get_ident()
+        main_thread = threading.main_thread()
         assert threads_used[0] == [main_thread] * 7
         a, b, c = threads_used[1][0], threads_used[1][2], threads_used[1][4]
         assert threads_used[1] == [a, a, b, b, c, c, c]

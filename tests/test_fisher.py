@@ -120,25 +120,25 @@ class TestPoissonPmf:
 
 class TestSldDiagonal:
     def test_level_at_mean_vanishes(self):
-        spec = fisher.sld_diagonal(2 + 0j, 1 + 0j, 100)
-        assert spec.diagonal[4] == 0.0  # n = |alpha|^2 = 4
+        diagonal = fisher.sld_diagonal(2 + 0j, 1 + 0j, 100)
+        assert diagonal[4] == 0.0  # n = |alpha|^2 = 4
 
     def test_orthogonal_derivative_zeroes_spectrum(self):
-        spec = fisher.sld_diagonal(3 + 0j, 1j, 200)
-        assert np.all(spec.diagonal == 0.0)
+        diagonal = fisher.sld_diagonal(3 + 0j, 1j, 200)
+        assert np.all(diagonal == 0.0)
 
     def test_ground_level_value(self):
-        spec = fisher.sld_diagonal(2 + 0j, 1 + 0j, 100)
-        assert spec.diagonal[0] == pytest.approx(-4.0)
+        diagonal = fisher.sld_diagonal(2 + 0j, 1 + 0j, 100)
+        assert diagonal[0] == pytest.approx(-4.0)
 
     def test_zero_mean_under_state(self):
         alpha, dalpha = 1.3 - 0.4j, 0.7 + 0.2j
         n_max = fisher.min_truncation(abs(alpha) ** 2)
-        spec = fisher.sld_diagonal(alpha, dalpha, n_max)
+        diagonal = fisher.sld_diagonal(alpha, dalpha, n_max)
         from scipy import stats
 
         weights = stats.poisson.pmf(np.arange(n_max + 1), abs(alpha) ** 2)
-        assert abs(np.sum(weights * spec.diagonal)) < 1e-9
+        assert abs(np.sum(weights * diagonal)) < 1e-9
 
     def test_small_truncation_rejected(self):
         with pytest.raises(TruncationError):
