@@ -8,23 +8,20 @@ Usage: python scripts/make_figure_data.py [OUT_DIR]
 import sys
 from pathlib import Path
 
-from iscat_metrology.cli import main
+from iscat_metrology.cli import SNR_PRESETS, main, scan_presets
 
-SCAN_PRESETS = ["fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b"]
-SNR_PRESETS = ["figsnr1", "figsnr2"]
+
+def presets():
+    """(subcommand, preset name) of every figure preset the CLI defines."""
+    yield from (("scan", name) for name in scan_presets())
+    yield from (("snr", name) for name in SNR_PRESETS)
 
 
 def run(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for preset in SCAN_PRESETS:
+    for subcommand, preset in presets():
         out = out_dir / f"{preset}.csv"
-        rc = main(["scan", "--preset", preset, "--out", str(out)])
-        if rc != 0:
-            return rc
-        print(f"wrote {out}")
-    for preset in SNR_PRESETS:
-        out = out_dir / f"{preset}.csv"
-        rc = main(["snr", "--preset", preset, "--out", str(out)])
+        rc = main([subcommand, "--preset", preset, "--out", str(out)])
         if rc != 0:
             return rc
         print(f"wrote {out}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from iscat_metrology.cli import main
 from iscat_metrology.spectrum import SpectralField, spectrum_to_csv
-from make_figure_data import SCAN_PRESETS, SNR_PRESETS
+from make_figure_data import presets
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TARGETS = ["mass", "phase"]
@@ -52,10 +52,8 @@ def write_band(path: Path, points: int = 2001, seed: int = 7) -> None:
 
 def runs(band: Path):
     """(output name, CLI arguments before --out) of every run."""
-    for preset in SCAN_PRESETS:
-        yield f"{preset}.csv", ["scan", "--preset", preset]
-    for preset in SNR_PRESETS:
-        yield f"{preset}.csv", ["snr", "--preset", preset]
+    for subcommand, preset in presets():
+        yield f"{preset}.csv", [subcommand, "--preset", preset]
     for config in sorted(CONFIGS.glob("*.json")):
         for target in TARGETS:
             given = ["--config", str(config), "--target", target]

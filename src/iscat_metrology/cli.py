@@ -71,8 +71,12 @@ def _particle(mass_s: float, phi_s: float) -> ParticleModel:
     return ParticleModel(mass_kda=1.0, scale_per_kda=mass_s, phi_s=phi_s)
 
 
-def _scan_presets() -> dict:
-    """name: (baseline config, target, x axis, y axis)."""
+def scan_presets() -> dict:
+    """name: option values (``config``, ``target``, ``x_axis``, ``y_axis``).
+
+    The values are typed: no option string expresses these configs or the
+    three-phase ``phi_s`` axis.
+    """
     from . import tuner
 
     iscat_base = FieldConfig(
@@ -96,63 +100,55 @@ def _scan_presets() -> dict:
     mass, phase = EstimationTarget.MASS, EstimationTarget.SCATTER_PHASE
     linspace, logspace = tuner.AxisSpec.linspace, tuner.AxisSpec.logspace
     phases = tuner.AxisSpec("phi_s", np.array(_PHASE_TRIPLE))
+    phi_s = linspace("phi_s", 0.0, 2.0 * PI, 73)
     phi_i = linspace("phi_i", 0.0, 2.0 * PI, 721)
+    r_mag = logspace("alpha_r_mag", 1e-6, 1e-1, 121)
+    mag_i_2c = linspace("mag_i", 0.0, 9e-5, 181)
+    mag_i_2d = linspace("mag_i", 0.0, 2e-2, 201)
     return {
-        "fig2a": (
-            iscat_base, mass, logspace("alpha_r_mag", 1e-6, 1e-1, 121), phases
-        ),
-        "fig2b": (fig2bc_base, mass, linspace("phi_s", 0.0, 2.0 * PI, 73), phi_i),
-        "fig2c": (fig2bc_base, mass, linspace("mag_i", 0.0, 9e-5, 181), phi_i),
-        "fig2d": (fig2d_base, mass, linspace("mag_i", 0.0, 2e-2, 201), phi_i),
-        "fig3a": (
-            iscat_base, phase, logspace("alpha_r_mag", 1e-6, 1e-1, 121), phases
-        ),
-        "fig3b": (fig3b_base, phase, linspace("phi_s", 0.0, 2.0 * PI, 73), phi_i),
+        "fig2a": dict(config=iscat_base, target=mass, x_axis=r_mag, y_axis=phases),
+        "fig2b": dict(config=fig2bc_base, target=mass, x_axis=phi_s, y_axis=phi_i),
+        "fig2c": dict(config=fig2bc_base, target=mass, x_axis=mag_i_2c, y_axis=phi_i),
+        "fig2d": dict(config=fig2d_base, target=mass, x_axis=mag_i_2d, y_axis=phi_i),
+        "fig3a": dict(config=iscat_base, target=phase, x_axis=r_mag, y_axis=phases),
+        "fig3b": dict(config=fig3b_base, target=phase, x_axis=phi_s, y_axis=phi_i),
     }
 
 
-def _snr_presets() -> dict:
-    """name: (mode, field triple, sweep variable, sweep values, log scale)."""
-    from . import snr
-
-    return {
-        "figsnr1": (
-            "mass",
-            snr.RealFieldTriple(e_r=1.0, e_s=0.01, e_i=1.0, phi_s=PI / 2.0),
-            "phi_i",
-            np.linspace(0.0, 2.0 * PI, 721),
-            False,
-        ),
-        "figsnr2": (
-            "phase",
-            snr.RealFieldTriple(
-                e_r=1.0, e_s=0.01, e_i=1.0, phi_s=0.0, phi_i=PI / 2.0
-            ),
-            "phi_s",
-            np.logspace(-4, -2, 101),
-            True,
-        ),
-    }
+#: name: the snr options a preset stands for; the others keep their defaults.
+SNR_PRESETS = {
+    "figsnr1": dict(mode="mass", phi_s=PI / 2.0, sweep="phi_i:0:6.283185307179586:721"),
+    "figsnr2": dict(mode="phase", phi_i=PI / 2.0, sweep="phi_s:1e-4:1e-2:101:log"),
+}
 
 
-def _preset(presets: dict, name: str):
-    if name not in presets:
-        raise ValueError(
-            f"unknown preset {name!r}; expected one of {sorted(presets)}"
-        )
-    return presets[name]
+def _preset_help(presets: dict) -> str:
+    """Each preset as the options it stands for."""
+    return "; ".join(
+        name + " = " + " ".join(f"--{k.replace('_', '-')} {v}" for k, v in opts.items())
+        for name, opts in presets.items()
+    )
 
 
-def _uses_preset(args, defaults: dict) -> bool:
-    """Whether --preset is given.  A preset sets the options in ``defaults``,
-    so none may be given with it; an option not given takes its default."""
-    given = [name for name in defaults if getattr(args, name) is not None]
-    if args.preset is not None and given:
-        flags = ", ".join("--" + name.replace("_", "-") for name in given)
-        raise ValueError(f"--preset {args.preset} conflicts with {flags}")
-    for name in defaults.keys() - given:
-        setattr(args, name, defaults[name])
-    return args.preset is not None
+def _apply_preset(args, presets: dict, defaults: dict):
+    """Set the options in ``defaults`` from --preset, or else each one not
+    given to its default, and return the names given or set by the preset.
+
+    A preset sets the options in ``defaults``, so none may be given with it.
+    """
+    given = {n: getattr(args, n) for n in defaults if getattr(args, n) is not None}
+    if args.preset is not None:
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValueError(f"--preset {args.preset} conflicts with {flags}")
+        if args.preset not in presets:
+            raise ValueError(
+                f"unknown preset {args.preset!r}; expected one of {sorted(presets)}"
+            )
+        given = presets[args.preset]
+    for name, default in defaults.items():
+        setattr(args, name, given.get(name, default))
+    return given.keys()
 
 
 def _parse_axis(spec: str):
@@ -174,7 +170,7 @@ def _parse_axis(spec: str):
     lo, hi, steps = numbers
     if len(parts) == 5:
         if parts[4] != "log":
-            raise ValueError(f"unknown axis scale {parts[4]!r}")
+            raise ValueError(f"axis {name!r}: unknown scale {parts[4]!r}")
         return tuner.AxisSpec.logspace(name, lo, hi, steps)
     return tuner.AxisSpec.linspace(name, lo, hi, steps)
 
@@ -214,13 +210,14 @@ def run_scan(args, out: Path):
     from . import tuner
 
     defaults = {"config": None, "target": "mass", "x_axis": None, "y_axis": None}
-    if _uses_preset(args, defaults):
-        base, target, x, y = _preset(_scan_presets(), args.preset)
-    elif args.config is None or args.x_axis is None:
+    _apply_preset(args, scan_presets(), defaults)
+    if args.config is None or args.x_axis is None:
         raise ValueError("scan needs either --preset or --config + --x-axis")
+    target = EstimationTarget(args.target)
+    if args.preset is not None:  # a preset's values are typed
+        base, x, y = args.config, args.x_axis, args.y_axis
     else:
         base = load_config(args.config)
-        target = EstimationTarget(args.target)
         x = _parse_axis(args.x_axis)
         y = _parse_axis(args.y_axis) if args.y_axis else None
     grid = tuner.scan_ratio_grid(base, target, x, y)
@@ -277,27 +274,23 @@ def run_snr(args, out: Path):
         "mode": "mass", "e_r": 1.0, "e_s": 0.01, "e_i": 1.0,
         "phi_s": 0.0, "phi_i": 0.0, "sweep": None,
     }
-    swept = {"mass": "phi_i", "phase": "phi_s"}
-    if _uses_preset(args, defaults):
-        mode, triple, sweep_var, sweep_values, log_scale = _preset(
-            _snr_presets(), args.preset
-        )
-    else:
-        mode = args.mode
-        triple = snr.RealFieldTriple(
-            args.e_r, args.e_s, args.e_i, args.phi_s, args.phi_i
-        )
-        if args.sweep is None:
-            raise ValueError("snr needs either --preset or --sweep")
-        # checked before _parse_axis, whose message lists the scan axes
-        name = args.sweep.split(":")[0]
-        if name != swept[mode]:
-            raise ValueError(f"{mode}-mode sweeps run over {swept[mode]}, not {name!r}")
-        axis = _parse_axis(args.sweep)  # reuse NAME:LO:HI:STEPS[:log]
-        sweep_var, sweep_values = axis.name, axis.values
-        log_scale = axis.scale == "log"
+    given = _apply_preset(args, SNR_PRESETS, defaults)
+    mode = args.mode
+    triple = snr.RealFieldTriple(args.e_r, args.e_s, args.e_i, args.phi_s, args.phi_i)
+    if args.sweep is None:
+        raise ValueError("snr needs either --preset or --sweep")
+    sweep_var = {"mass": "phi_i", "phase": "phi_s"}[mode]
+    # checked before _parse_axis, whose message lists the scan axes
+    name = args.sweep.split(":")[0]
+    if name != sweep_var:
+        raise ValueError(f"{mode}-mode sweeps run over {sweep_var}, not {name!r}")
+    if sweep_var in given:
+        flag = "--" + sweep_var.replace("_", "-")
+        raise ValueError(f"--sweep over {sweep_var} conflicts with {flag}")
+    axis = _parse_axis(args.sweep)  # reuse NAME:LO:HI:STEPS[:log]
+    log_scale = axis.scale == "log"
     sweep_fn = snr.mass_snr_sweep if mode == "mass" else snr.phase_snr_sweep
-    sweep = sweep_fn(triple, sweep_values)
+    sweep = sweep_fn(triple, axis.values)
     for name, values in sweep.items():
         if not np.all(np.isfinite(values)):
             raise ValueError(f"snr column {name} overflows a double")
@@ -312,7 +305,7 @@ def run_snr(args, out: Path):
         "mode": mode,
         "triple": dataclasses.asdict(triple),
         "sweep_var": sweep_var,
-        "sweep_values": sweep_values.tolist(),
+        "sweep_values": axis.values.tolist(),
         "log_scale": log_scale,
         "format": args.format,
     }
@@ -413,7 +406,7 @@ SUBCOMMANDS = {
         run_snr,
         "signal-to-noise sweeps",
         {
-            "--preset": {"help": "figsnr1|figsnr2"},
+            "--preset": {"help": _preset_help(SNR_PRESETS)},
             "--mode": {"choices": ["mass", "phase"]},
             "--e-r": {"type": float},
             "--e-s": {"type": float},
@@ -512,7 +505,7 @@ def main(argv=None) -> int:
     except (NotEstimableError, BracketError) as exc:
         print(f"not estimable: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

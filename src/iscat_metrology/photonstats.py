@@ -224,8 +224,10 @@ def crb_validation(
     mean above :data:`POISSON_LAM_MAX`, more than :data:`MAX_DRAWS` draws
     in all and a negative seed raise before any sampling.
     """
-    if samples_per_trial < 2 or n_trials < 2:
-        raise ValueError("need at least 2 samples per trial and 2 trials")
+    if samples_per_trial < 2:
+        raise ValueError(f"need at least 2 samples per trial, got {samples_per_trial}")
+    if n_trials < 2:
+        raise ValueError(f"need at least 2 trials, got {n_trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if n_trials * samples_per_trial > MAX_DRAWS:

@@ -21,7 +21,7 @@ bound on the relative mass error is
     (dm/m)*sqrt(n_s) >= (1/2)*sqrt(F_q / F_pa).
 
 A band's CSV columns come from one map, column name to attribute and part:
-the writer, the JSON rows, the finiteness check and the reader all use it.
+the writer, the finiteness check and the reader all use it.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def qfi_multifrequency_phase_averaged(
         idx = int(np.argmax(dead))
         raise VacuumPhaseError(
             f"detector field is vacuum at grid point {idx} "
-            f"(omega={f.omega[idx]!r}); the counting CFI is undefined there"
+            f"(omega={float(f.omega[idx])!r}); the counting CFI is undefined there"
         )
     # a vacuum point with a vanishing derivative contributes nothing
     return f.integrate(np.where(vacuum, 0.0, info.cfi_photon_number))
@@ -231,11 +231,6 @@ def spectrum_columns(f: SpectralField) -> dict[str, np.ndarray | None]:
 
 def spectrum_to_csv(f: SpectralField, path) -> None:
     write_csv(path, spectrum_columns(f))
-
-
-def spectrum_to_json_rows(f: SpectralField) -> list[dict]:
-    columns = {name: col.tolist() for name, col in spectrum_columns(f).items()}
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def spectrum_from_csv(path) -> SpectralField:

@@ -184,7 +184,7 @@ class AxisSpec:
     def logspace(cls, name: str, lo: float, hi: float, steps: int) -> "AxisSpec":
         cls._check_range(name, lo, hi, steps)
         if not (0.0 < lo < hi):
-            raise ValueError(f"log axis needs 0 < lo < hi, got [{lo}, {hi}]")
+            raise ValueError(f"log axis {name!r} needs 0 < lo < hi, got [{lo}, {hi}]")
         with np.errstate(over="ignore"):
             values = np.logspace(math.log10(lo), math.log10(hi), steps)
         return cls(name, values, "log")

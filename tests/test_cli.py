@@ -455,6 +455,47 @@ class TestSnrCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "preset, options",
+        [
+            ("figsnr1", ["--mode", "mass", "--phi-s", "1.5707963267948966",
+                         "--sweep", "phi_i:0:6.283185307179586:721"]),
+            ("figsnr2", ["--mode", "phase", "--phi-i", "1.5707963267948966",
+                         "--sweep", "phi_s:1e-4:1e-2:101:log"]),
+        ],
+    )
+    def test_preset_is_the_command_line_it_stands_for(
+        self, tmp_path, preset, options, fmt
+    ):
+        runs = []
+        for name, given in (("preset", ["--preset", preset]), ("explicit", options)):
+            out = tmp_path / f"{name}.{fmt}"
+            assert main(["snr", *given, "--format", fmt, "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+            runs.append((out.read_bytes(), manifest["arguments"]))
+        (preset_data, preset_args), (explicit_data, explicit_args) = runs
+        assert preset_data == explicit_data
+        assert (preset_args.pop("preset"), explicit_args.pop("preset")) == (preset, None)
+        assert preset_args == explicit_args
+
+    @pytest.mark.parametrize(
+        "mode, flag, sweep",
+        [("mass", "--phi-i", "phi_i:0:1:3"), ("phase", "--phi-s", "phi_s:0:1:3")],
+    )
+    def test_swept_variable_given_a_value_exits_2(
+        self, tmp_path, capsys, mode, flag, sweep
+    ):
+        # no cell would use the fixed value
+        out = tmp_path / "snr.csv"
+        rc = main(["snr", "--mode", mode, flag, "1", "--sweep", sweep,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --sweep over {sweep[:5]} conflicts with {flag}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_amplitude_exits_2(self, tmp_path):
         rc = main([
             "snr", "--mode", "mass", "--e-r", "-1.0",
@@ -598,6 +639,23 @@ class TestMonteCarloCommand:
         assert err == f"error: --threads must be >= 1, got {threads}\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
+    @pytest.mark.parametrize(
+        "trials, samples, message",
+        [("1", "4", "need at least 2 trials, got 1"),
+         ("4", "1", "need at least 2 samples per trial, got 1")],
+    )
+    def test_too_few_draws_exits_2_naming_the_option(
+        self, tmp_path, capsys, config_file, mc_saturated_cfg, trials, samples, message
+    ):
+        out = tmp_path / "mc.json"
+        rc = main([
+            "montecarlo", "--config", str(config_file(mc_saturated_cfg)),
+            "--trials", trials, "--samples", samples, "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
     def test_negative_seed_exits_2(self, tmp_path, capsys, config_file, mc_saturated_cfg):
         out = tmp_path / "mc.json"
         rc = main([
@@ -716,6 +774,18 @@ class TestSpectrumCommand:
         data = json.loads(out.read_text())
         assert data["relative_mass_bound_sqrt_n"] == pytest.approx(0.5, abs=1e-10)
         assert data["scattered_photons"] == pytest.approx(220.0, abs=1e-10)
+
+    def test_vacuum_point_names_its_omega(self, tmp_path, capsys):
+        # the detector field alpha_r + alpha_s vanishes, the mass derivative not
+        cfg = FieldConfig(alpha_r=-0.01, particle=ParticleModel(1.0, 0.01, 0.0))
+        path = self.spectrum_csv_for(tmp_path, cfg)
+        out = tmp_path / "o.json"
+        assert main(["spectrum", "--spectrum", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "not estimable: detector field is vacuum at grid point 0 (omega=1.0); "
+            "the counting CFI is undefined there\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("column", ["alpha_s_re", "omega", "scale_s", "weight"])
     def test_non_finite_column_exits_2(self, tmp_path, capsys, column):
@@ -1057,6 +1127,38 @@ class TestPresetConflicts:
         assert arguments["target"] == "mass" and arguments["y"] is None
 
 
+@pytest.mark.parametrize(
+    "scale, message",
+    [("log", "log axis 'phi_s' needs 0 < lo < hi, got [0.0, 1.0]"),
+     ("lin", "axis 'phi_s': unknown scale 'lin'")],
+)
+@pytest.mark.parametrize("subcommand", ["scan", "snr"])
+def test_axis_scale_errors_name_the_axis(
+    tmp_path, capsys, config_file, subcommand, scale, message
+):
+    if subcommand == "scan":
+        given = ["scan", "--config", str(config_file(fig2_config())), "--x-axis"]
+    else:
+        given = ["snr", "--mode", "phase", "--sweep"]
+    out = tmp_path / "o.csv"
+    assert main([*given, f"phi_s:0:1:3:{scale}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_key_error_from_a_runner_propagates(tmp_path, config_file, monkeypatch):
+    # no input path raises KeyError, so one is a fault in the code, not exit 2
+    from iscat_metrology import fisher
+
+    def fault(cfg, target):
+        raise KeyError("x")
+
+    monkeypatch.setattr(fisher, "fisher_report", fault)
+    argv = ["fisher", "--config", str(config_file(worked_example_config()))]
+    with pytest.raises(KeyError):
+        main([*argv, "--out", str(tmp_path / "o.json")])
+
+
 def test_cli_import_leaves_scipy_out():
     code = "import sys, iscat_metrology.cli; print('scipy' in sys.modules)"
     assert run_fresh("-c", code).strip() == "False"
@@ -1074,8 +1176,9 @@ COLD_MODULES = ["cli", "errors", "field", "fisher", "textio"]
         ("fisher", []),
         ("optimize", ["tuner"]),
         ("scan", ["tuner"]),
-        (["snr", "--preset", "figsnr1"], ["snr"]),
-        ("snr", ["snr", "tuner"]),  # --sweep parses its axis as a tuner.AxisSpec
+        # a preset runs as its --sweep, whose axis is a tuner.AxisSpec
+        (["snr", "--preset", "figsnr1"], ["snr", "tuner"]),
+        ("snr", ["snr", "tuner"]),
         ("montecarlo", ["photonstats"]),
         ("spectrum", ["spectrum"]),
     ],

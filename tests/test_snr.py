@@ -7,11 +7,28 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import EXTREME_FLOATS, oracle_csv, read_csv_columns, same_bits
 from iscat_metrology import snr
-from iscat_metrology.cli import _snr_presets, main
+from iscat_metrology.cli import SNR_PRESETS, main
 from iscat_metrology.errors import DegenerateFieldError
 from iscat_metrology.snr import RealFieldTriple
 
 PI = math.pi
+
+#: What each SNR preset stands for, as the sweep function's inputs: the
+#: default amplitudes (1, 0.01, 1) and the preset's fixed phase.
+PRESET_SWEEPS = {
+    "figsnr1": {
+        "sweep": snr.mass_snr_sweep,
+        "triple": RealFieldTriple(1.0, 0.01, 1.0, phi_s=PI / 2.0),
+        "values": np.linspace(0.0, 2.0 * PI, 721),
+        "meta": ["mode: mass", "log_scale: false"],
+    },
+    "figsnr2": {
+        "sweep": snr.phase_snr_sweep,
+        "triple": RealFieldTriple(1.0, 0.01, 1.0, phi_s=0.0, phi_i=PI / 2.0),
+        "values": np.logspace(-4, -2, 101),
+        "meta": ["mode: phase", "log_scale: true"],
+    },
+}
 
 amp = st.floats(0.0, 10.0)
 angle = st.floats(0.0, 2 * PI, exclude_max=True)
@@ -104,7 +121,8 @@ class TestMassSnrPrecision:
             return float(signal / mpmath.sqrt(re * re + im * im))
 
     def test_figsnr1_against_extended_precision(self):
-        _, f, _, phi_i, _ = _snr_presets()["figsnr1"]
+        inputs = PRESET_SWEEPS["figsnr1"]
+        f, phi_i = inputs["triple"], inputs["values"]
         exact = np.array([self._exact(f, p) for p in phi_i])
         values = snr.mass_snr_sweep(f, phi_i)["snr_miscat"]
         assert np.max(np.abs(values - exact)) <= 2e-16
@@ -194,13 +212,11 @@ class TestSweepCsv:
             assert same_bits(cells, EXTREME_FLOATS), name
 
 
-@pytest.mark.parametrize("preset", sorted(_snr_presets()))
+@pytest.mark.parametrize("preset", sorted(SNR_PRESETS))
 def test_preset_csv_matches_cell_by_cell_oracle(tmp_path, preset):
     out = tmp_path / f"{preset}.csv"
     assert main(["snr", "--preset", preset, "--out", str(out)]) == 0
-    mode, triple, _, values, log_scale = _snr_presets()[preset]
-    sweep_fn = {"mass": snr.mass_snr_sweep, "phase": snr.phase_snr_sweep}[mode]
-    sweep = sweep_fn(triple, values)
+    inputs = PRESET_SWEEPS[preset]
+    sweep = inputs["sweep"](inputs["triple"], inputs["values"])
     rows = zip(*(column.tolist() for column in sweep.values()))
-    meta = [f"mode: {mode}", f"log_scale: {str(log_scale).lower()}"]
-    assert out.read_bytes() == oracle_csv(list(sweep), rows, meta)
+    assert out.read_bytes() == oracle_csv(list(sweep), rows, inputs["meta"])

@@ -288,12 +288,6 @@ class TestSerialization:
             for part in ("real", "imag"):
                 assert same_bits(getattr(b, part), getattr(a, part)), name
 
-    def test_json_rows_match_columns(self):
-        f = spectrum.flat_white_spectrum(1.0, 2.0, 3, 9.0, 0.2)
-        rows = spectrum.spectrum_to_json_rows(f)
-        assert len(rows) == 3
-        assert list(rows[0].keys()) == spectrum.SPECTRUM_CSV_COLUMNS
-
     def test_columns_come_from_one_map(self):
         f = spectrum.flat_white_spectrum(1.0, 2.0, 3, 9.0, 0.2, phi_i=0.3,
                                          reference_photons=1.0)

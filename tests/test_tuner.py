@@ -6,7 +6,7 @@ import pytest
 
 from conftest import EXTREME_FLOATS, oracle_csv, read_csv_columns, same_bits
 from iscat_metrology import fisher, tuner
-from iscat_metrology.cli import _scan_presets, main
+from iscat_metrology.cli import main, scan_presets
 from iscat_metrology.errors import EnergyBudgetError, NotEstimableError
 from iscat_metrology.field import (
     BUDGET_TOL,
@@ -402,11 +402,14 @@ class TestScanGrid:
         assert read_csv_columns(path)["y"] == [""] * 5
 
 
-@pytest.mark.parametrize("preset", sorted(_scan_presets()))
+@pytest.mark.parametrize("preset", sorted(scan_presets()))
 def test_preset_csv_matches_cell_by_cell_oracle(tmp_path, preset):
     out = tmp_path / f"{preset}.csv"
     assert main(["scan", "--preset", preset, "--out", str(out)]) == 0
-    grid = tuner.scan_ratio_grid(*_scan_presets()[preset])
+    options = scan_presets()[preset]
+    grid = tuner.scan_ratio_grid(
+        options["config"], options["target"], options["x_axis"], options["y_axis"]
+    )
     rows = (
         (x, y, ratio, "0" if math.isnan(ratio) else "1")
         for y, ratios in zip(grid.y.values.tolist(), grid.values.tolist())
