@@ -3,7 +3,8 @@
 byte for byte.
 
 Into OUT_DIR (new or empty) it writes: every figure dataset of
-make_figure_data.py; ``fisher`` (JSON and CSV), ``optimize`` and
+make_figure_data.py, and ``fig2a``, ``fig3a``, ``figsnr1`` and ``figsnr2``
+also as JSON; ``fisher`` (JSON and CSV), ``optimize`` and
 ``montecarlo`` (50 trials x 200 samples, seed 7) for every ``configs/``
 file and both targets; and ``spectrum`` for both targets on a seeded
 2001-point band that it writes itself with ``spectrum_to_csv``.  It prints
@@ -29,6 +30,10 @@ from make_figure_data import presets
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TARGETS = ["mass", "phase"]
+#: Presets also run with --format json: one scan per target, both SNR sweeps.
+JSON_PRESETS = [
+    ("scan", "fig2a"), ("scan", "fig3a"), ("snr", "figsnr1"), ("snr", "figsnr2")
+]
 
 
 def write_band(path: Path, points: int = 2001, seed: int = 7) -> None:
@@ -54,6 +59,8 @@ def runs(band: Path):
     """(output name, CLI arguments before --out) of every run."""
     for subcommand, preset in presets():
         yield f"{preset}.csv", [subcommand, "--preset", preset]
+    for subcommand, preset in JSON_PRESETS:
+        yield f"{preset}.json", [subcommand, "--preset", preset, "--format", "json"]
     for config in sorted(CONFIGS.glob("*.json")):
         for target in TARGETS:
             given = ["--config", str(config), "--target", target]

@@ -71,6 +71,11 @@ def _particle(mass_s: float, phi_s: float) -> ParticleModel:
     return ParticleModel(mass_kda=1.0, scale_per_kda=mass_s, phi_s=phi_s)
 
 
+#: The scan presets, named here so that the parser lists them without
+#: loading ``tuner``.
+SCAN_PRESET_NAMES = ("fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b")
+
+
 def scan_presets() -> dict:
     """name: option values (``config``, ``target``, ``x_axis``, ``y_axis``).
 
@@ -105,14 +110,15 @@ def scan_presets() -> dict:
     r_mag = logspace("alpha_r_mag", 1e-6, 1e-1, 121)
     mag_i_2c = linspace("mag_i", 0.0, 9e-5, 181)
     mag_i_2d = linspace("mag_i", 0.0, 2e-2, 201)
-    return {
-        "fig2a": dict(config=iscat_base, target=mass, x_axis=r_mag, y_axis=phases),
-        "fig2b": dict(config=fig2bc_base, target=mass, x_axis=phi_s, y_axis=phi_i),
-        "fig2c": dict(config=fig2bc_base, target=mass, x_axis=mag_i_2c, y_axis=phi_i),
-        "fig2d": dict(config=fig2d_base, target=mass, x_axis=mag_i_2d, y_axis=phi_i),
-        "fig3a": dict(config=iscat_base, target=phase, x_axis=r_mag, y_axis=phases),
-        "fig3b": dict(config=fig3b_base, target=phase, x_axis=phi_s, y_axis=phi_i),
-    }
+    options = [  # in SCAN_PRESET_NAMES order
+        dict(config=iscat_base, target=mass, x_axis=r_mag, y_axis=phases),
+        dict(config=fig2bc_base, target=mass, x_axis=phi_s, y_axis=phi_i),
+        dict(config=fig2bc_base, target=mass, x_axis=mag_i_2c, y_axis=phi_i),
+        dict(config=fig2d_base, target=mass, x_axis=mag_i_2d, y_axis=phi_i),
+        dict(config=iscat_base, target=phase, x_axis=r_mag, y_axis=phases),
+        dict(config=fig3b_base, target=phase, x_axis=phi_s, y_axis=phi_i),
+    ]
+    return dict(zip(SCAN_PRESET_NAMES, options, strict=True))
 
 
 #: name: the snr options a preset stands for; the others keep their defaults.
@@ -391,7 +397,7 @@ SUBCOMMANDS = {
         {
             "--config": {},
             "--target": {"default": None},
-            "--preset": {"help": "fig2a|fig2b|fig2c|fig2d|fig3a|fig3b"},
+            "--preset": {"help": "|".join(SCAN_PRESET_NAMES)},
             "--x-axis": {"help": _AXIS},
             "--y-axis": {"help": _AXIS},
             "--format": {"default": "csv"},

@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -288,13 +288,27 @@ def _number(value, field: str) -> float:
     raise ValueError(f"{field} must be a number, got {value!r}")
 
 
+def _reject_unknown_keys(obj: dict, field: str, keys) -> None:
+    """Raise ValueError listing the keys of ``obj`` that ``keys`` does not name."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ValueError(f"{field} has unknown keys {unknown}")
+
+
 def _numbers(obj, field: str, keys) -> list[float]:
-    """The numbers under ``keys`` of the JSON object ``obj`` named ``field``."""
+    """The numbers under ``keys`` of the JSON object ``obj`` named ``field``,
+    which may hold no other key."""
     if not isinstance(obj, dict):
         raise ValueError(
             f"{field} must be an object with keys {', '.join(keys)}, got {obj!r}"
         )
+    _reject_unknown_keys(obj, field, keys)
     return [_number(obj.get(key), f"{field}.{key}") for key in keys]
+
+
+def _names(cls) -> list[str]:
+    """Field names of a config dataclass: the keys of its JSON object."""
+    return [f.name for f in fields(cls)]
 
 
 def config_to_dict(cfg: FieldConfig) -> dict:
@@ -314,15 +328,18 @@ def config_to_dict(cfg: FieldConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> FieldConfig:
-    """FieldConfig from the JSON schema; ValueError names a malformed field."""
+    """FieldConfig from the JSON schema; ValueError names a malformed field
+    or lists the keys the schema does not name."""
     if not isinstance(d, dict):
         raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-    keys = ("mass_kda", "scale_per_kda", "phi_s")
-    particle = ParticleModel(*_numbers(d.get("particle"), "particle", keys))
+    _reject_unknown_keys(d, "config", _names(FieldConfig))
+    particle = ParticleModel(
+        *_numbers(d.get("particle"), "particle", _names(ParticleModel))
+    )
     reference = None
     if d.get("reference") is not None:
         reference = ReferenceArm(
-            *_numbers(d["reference"], "reference", ("mag", "phi_i"))
+            *_numbers(d["reference"], "reference", _names(ReferenceArm))
         )
     return FieldConfig(
         alpha_r=complex(*_numbers(d.get("alpha_r"), "alpha_r", ("re", "im"))),

@@ -145,16 +145,11 @@ def mismatch_angles(alpha_d: complex, dalpha: complex) -> tuple[float, float]:
 
 
 def qfi_phase_averaged(alpha_d: complex, dalpha: complex) -> float:
-    """QFI of the phase-averaged (Poisson-diagonal) state.
+    """QFI of the phase-averaged (Poisson-diagonal) state; the counting CFI.
 
     4*Re[(conj(alpha_d)/|alpha_d|)*dalpha]^2, undefined at the vacuum.
     """
     return _single_information(alpha_d, dalpha).cfi_photon_number
-
-
-#: CFI of the photon-number measurement; the same function as the
-#: phase-averaged QFI, so the two are equal by construction.
-cfi_photon_number = qfi_phase_averaged
 
 
 def fisher_report(cfg: FieldConfig, target: EstimationTarget) -> FisherReport:
@@ -287,15 +282,13 @@ def cfi_numeric_oracle(
 # --- Cramer-Rao bounds --------------------------------------------------------
 
 
-def qcrb(fisher_value: float, repetitions: int = 1) -> float:
-    """Cramer-Rao lower bound 1/sqrt(repetitions * fisher_value)."""
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+def qcrb(fisher_value: float) -> float:
+    """Cramer-Rao lower bound 1/sqrt(fisher_value) of one measurement."""
     if not (fisher_value > 0.0):
         raise NotEstimableError(
             f"Fisher information {fisher_value!r} admits no finite bound"
         )
-    return 1.0 / math.sqrt(repetitions * fisher_value)
+    return 1.0 / math.sqrt(fisher_value)
 
 
 def relative_mass_bound(

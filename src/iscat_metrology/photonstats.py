@@ -30,7 +30,6 @@ import numpy as np
 
 from . import fisher
 from .errors import BracketError, NotEstimableError
-from .fisher import poisson_pmf  # noqa: F401  (part of this module's API)
 from .field import (
     TAU,
     VACUUM_TOL,

@@ -199,9 +199,10 @@ class AxisSpec:
 
 def apply_axis(cfg: FieldConfig, name: str, value: float) -> FieldConfig:
     """Baseline config with one scan parameter replaced."""
+    if name in ("alpha_r_mag", "mag_i") and value < 0.0:
+        # cmath.rect would turn alpha_r by pi; ReferenceArm names no axis
+        raise ValueError(f"axis {name!r} needs magnitudes >= 0, got {value!r}")
     if name == "alpha_r_mag":
-        if value < 0.0:  # cmath.rect would turn alpha_r by pi
-            raise ValueError(f"axis {name!r} needs magnitudes >= 0, got {value!r}")
         z = cfg.alpha_r
         angle = math.atan2(z.imag, z.real) if z != 0 else 0.0
         return replace(cfg, alpha_r=cmath.rect(value, angle))

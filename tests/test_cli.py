@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import threading
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import (
     worked_example_config,
 )
 from iscat_metrology import spectrum as sp
-from iscat_metrology.cli import main
+from iscat_metrology.cli import main, scan_presets
 from iscat_metrology.field import (
     FieldConfig,
     ParticleModel,
@@ -240,21 +241,30 @@ class TestScanCommand:
         [
             (["--x-axis", "alpha_r_mag:-1e-3:1e-3:5"],
              "axis 'alpha_r_mag' needs magnitudes >= 0, got -0.001"),
+            (["--x-axis", "mag_i:-1e-3:1e-3:5"],
+             "axis 'mag_i' needs magnitudes >= 0, got -0.001"),
             (["--x-axis", "phi_i:0:6:4", "--y-axis", "phi_i:0:1:3"],
              "x and y axes both set 'phi_i'; scan it on one axis"),
         ],
-        ids=["negative_alpha_r_mag", "same_parameter_twice"],
+        ids=["negative_alpha_r_mag", "negative_mag_i", "same_parameter_twice"],
     )
     def test_ill_posed_axis_exits_2(
         self, tmp_path, capsys, config_file, axes, message
     ):
-        # a negative magnitude would turn alpha_r by pi; a second axis on
-        # x's parameter would write a y column no ratio depends on
+        # a negative magnitude would turn alpha_r by pi, or fail in
+        # ReferenceArm without naming the axis; a second axis on x's
+        # parameter would write a y column no ratio depends on
         out = tmp_path / "grid.csv"
         argv = ["scan", "--config", str(config_file(fig2_config())), *axes]
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_help_lists_every_preset(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["scan", "--help"])
+        listed = re.search(r"--preset PRESET\s+(\S+)", capsys.readouterr().out)[1]
+        assert listed.split("|") == list(scan_presets())
 
     def test_over_budget_axis_exits_2(self, tmp_path, capsys, config_file):
         cfg_path = config_file(fig2_config())
@@ -921,6 +931,34 @@ def test_malformed_input_shape_exits_2(tmp_path, capsys, write_input, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(refrence=d.pop("reference")),
+         "config has unknown keys ['refrence']"),
+        (lambda d: d.update(alpha_0_mag=10), "config has unknown keys ['alpha_0_mag']"),
+        (lambda d: d["particle"].update(mass=5.0), "particle has unknown keys ['mass']"),
+        (lambda d: d["alpha_r"].update(phase=0.0, mag=1.0),
+         "alpha_r has unknown keys ['phase', 'mag']"),
+        (lambda d: d["reference"].update(phi_s=0.0),
+         "reference has unknown keys ['phi_s']"),
+    ],
+    ids=["misspelt_reference", "misspelt_alpha0_mag", "particle_mass",
+         "alpha_r_polar", "reference_phi_s"],
+)
+def test_unknown_config_key_exits_2(tmp_path, capsys, edit, message):
+    # an ignored key would leave the value it was meant to set at its default
+    d = config_to_dict(fig2_config())
+    d["reference"] = {"mag": 4.5e-5, "phi_i": 0.0}
+    edit(d)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(d))
+    out = tmp_path / "o.json"
+    assert main(["fisher", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 @pytest.fixture
 def subcommand_argv(tmp_path, config_file, mc_saturated_cfg):
     """A small valid argv, without --out, for every subcommand."""
@@ -1197,17 +1235,3 @@ def test_cold_cli_loads_only_what_the_subcommand_runs(
     code += "print(*sorted(m for m in sys.modules if m.startswith('iscat_metrology')))"
     expected = ["iscat_metrology", *(f"iscat_metrology.{m}" for m in COLD_MODULES + adds)]
     assert run_fresh("-c", code).split() == sorted(expected)
-
-
-def test_tuner_exports_load_on_first_access():
-    code = (
-        "from iscat_metrology import phase_solutions, saturating_reference_set\n"
-        "import iscat_metrology.tuner as tuner\n"
-        "assert phase_solutions is tuner.phase_solutions\n"
-        "assert saturating_reference_set is tuner.saturating_reference_set\n"
-        "try:\n"
-        "    from iscat_metrology import no_such_name\n"
-        "except ImportError:\n"
-        "    print('ok')\n"
-    )
-    assert run_fresh("-c", code).strip() == "ok"

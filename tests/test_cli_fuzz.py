@@ -8,7 +8,7 @@ the ``csv`` module's field limit.  Scan axes and SNR sweeps get hostile
 NAME:LO:HI:STEPS[:log] specs.  Whatever the input, ``main`` returns 0, 2 or
 3 and raises nothing; a success writes only finite numbers, and a failure
 writes no file.  A config field that is not a JSON number (null, a bool, a
-string or a list) always exits 2.
+string or a list), and a config key the schema does not name, always exit 2.
 """
 
 import csv
@@ -39,7 +39,7 @@ def field(valid):
     return st.one_of(st.just(valid), HOSTILE)
 
 
-CONFIGS = st.fixed_dictionaries(
+SCHEMA_CONFIGS = st.fixed_dictionaries(
     {
         "alpha0_mag": field(1.0),
         "alpha_r": st.fixed_dictionaries({"re": field(2.3e-5), "im": field(0.0)}),
@@ -56,6 +56,37 @@ CONFIGS = st.fixed_dictionaries(
         ),
     }
 )
+
+#: The keys of each config object; any other key exits 2.
+SCHEMA = {
+    "config": {"alpha0_mag", "alpha_r", "particle", "reference"},
+    "alpha_r": {"re", "im"},
+    "particle": {"mass_kda", "scale_per_kda", "phi_s"},
+    "reference": {"mag", "phi_i"},
+}
+
+
+def _objects(config):
+    """(name, object) of the config and each of its objects."""
+    yield "config", config
+    for name in ("alpha_r", "particle", "reference"):
+        if isinstance(config.get(name), dict):
+            yield name, config[name]
+
+
+@st.composite
+def configs(draw):
+    """A config, one time in four with a new key in one of its objects: a
+    schema key of another object, a misspelling or any text."""
+    config = draw(SCHEMA_CONFIGS)
+    if draw(st.integers(0, 3)) == 0:
+        _, obj = draw(st.sampled_from(list(_objects(config))))
+        keys = st.one_of(st.sampled_from(["re", "mass", "refrence"]), st.text())
+        obj[draw(keys.filter(lambda key: key not in obj))] = draw(HOSTILE)
+    return config
+
+
+CONFIGS = configs()
 
 #: A valid config that overflows doubles: |dalpha|^2 and the projection of
 #: alpha_d onto dalpha exceed 1.8e308.
@@ -143,6 +174,8 @@ def run_cli(subcommand, config, options):
         cfg_path.write_text(json.dumps(config))  # NaN / Infinity tokens allowed
         rc = run_checked(tmp, [subcommand, "--config", str(cfg_path), *options])
         if any(_not_a_number(value) for value in _numbers(config)):
+            assert rc == 2
+        if any(set(obj) - SCHEMA[name] for name, obj in _objects(config)):
             assert rc == 2
         return rc
 
