@@ -225,7 +225,7 @@ def run_scan(args, out: Path):
     else:
         base = load_config(args.config)
         x = _parse_axis(args.x_axis)
-        y = _parse_axis(args.y_axis) if args.y_axis else None
+        y = _parse_axis(args.y_axis) if args.y_axis is not None else None
     grid = tuner.scan_ratio_grid(base, target, x, y)
     outputs = [out]
     if args.format == "json":

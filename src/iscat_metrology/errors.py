@@ -13,10 +13,6 @@ class VacuumPhaseError(NotEstimableError):
     """The detector field vanishes; its phase (and the CFI) is undefined."""
 
 
-class TruncationError(ValueError):
-    """A Fock-space truncation lies below the tail-coverage rule."""
-
-
 class BracketError(RuntimeError):
     """A likelihood maximum could not be located inside the search bracket."""
 

@@ -36,7 +36,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnergyBudgetError
-from .textio import dump_json
 
 TAU = 2.0 * math.pi
 
@@ -219,11 +218,6 @@ def check_budget(first_mag, reference_mag, alpha0_mag: float) -> None:
         raise EnergyBudgetError("; ".join(violations))
 
 
-def validate_energy(cfg: FieldConfig) -> list[str]:
-    """Budget violations of one configuration; empty when it is valid."""
-    return budget_violations(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag)
-
-
 def detector_amplitude(cfg: FieldConfig) -> complex:
     """Total label at the detector, alpha_r + alpha_s + alpha_i.
 
@@ -360,7 +354,3 @@ def load_config(path) -> FieldConfig:
         except json.JSONDecodeError as exc:  # a UTF-8 BOM included
             raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)
-
-
-def save_config(cfg: FieldConfig, path) -> None:
-    dump_json(path, config_to_dict(cfg))

@@ -86,16 +86,6 @@ def _fields(f: RealFieldTriple):
     return arms, alpha_s, magnitude(arms + alpha_s)
 
 
-def intensity_iscat(f: RealFieldTriple):
-    """One-arm detector intensity I1."""
-    return intensity_miscat(replace(f, e_i=0.0))
-
-
-def intensity_miscat(f: RealFieldTriple):
-    """Two-arm detector intensity I2 = |A + alpha_s|^2."""
-    return _maybe_scalar(_fields(f)[2] ** 2)
-
-
 def snr_mass_iscat(f: RealFieldTriple):
     """Mass SNR of the one-arm setup: 2*E_r*E_s*cos(phi_s)/sqrt(I1), the
     two-arm SNR at E_i = 0."""

@@ -121,13 +121,6 @@ def saturating_reference_set(
     )
 
 
-def phase_solutions(
-    cfg: FieldConfig, target: EstimationTarget, mag_i: float
-) -> tuple[float, ...]:
-    """Saturating phi_i values at a fixed reference magnitude."""
-    return saturating_reference_set(cfg, target).solutions_at(mag_i)
-
-
 # --- Parameter scans ----------------------------------------------------------
 
 AXIS_NAMES = ("alpha_r_mag", "phi_s", "mag_i", "phi_i")

@@ -13,11 +13,12 @@ from iscat_metrology.field import (
     FieldConfig,
     ParticleModel,
     ReferenceArm,
+    config_to_dict,
     detector_amplitude,
     first_arm_amplitude,
-    save_config,
     scattered_amplitude,
 )
+from iscat_metrology.textio import dump_json
 
 PI = math.pi
 
@@ -94,7 +95,7 @@ def saturated_mc_config() -> FieldConfig:
     """Desk-scale two-arm config tuned to a saturating reference phase
     (the branch with the larger detector amplitude)."""
     base = desk_scale_config()
-    phases = tuner.phase_solutions(base, EstimationTarget.MASS, 4.5)
+    sol = tuner.saturating_reference_set(base, EstimationTarget.MASS)
     candidates = [
         FieldConfig(
             alpha_r=base.alpha_r,
@@ -102,7 +103,7 @@ def saturated_mc_config() -> FieldConfig:
             reference=ReferenceArm(4.5, phi),
             alpha0_mag=base.alpha0_mag,
         )
-        for phi in phases
+        for phi in sol.solutions_at(4.5)
     ]
     return max(candidates, key=lambda c: abs(detector_amplitude(c)))
 
@@ -158,7 +159,7 @@ def mc_quarter_cfg():
 def config_file(tmp_path):
     def write(cfg, name="config.json"):
         path = tmp_path / name
-        save_config(cfg, path)
+        dump_json(path, config_to_dict(cfg))
         return path
 
     return write

@@ -20,7 +20,6 @@ from iscat_metrology.field import (
     ParticleModel,
     ReferenceArm,
     config_to_dict,
-    save_config,
 )
 
 PI = math.pi
@@ -245,15 +244,21 @@ class TestScanCommand:
              "axis 'mag_i' needs magnitudes >= 0, got -0.001"),
             (["--x-axis", "phi_i:0:6:4", "--y-axis", "phi_i:0:1:3"],
              "x and y axes both set 'phi_i'; scan it on one axis"),
+            (["--x-axis", "phi_s:0:1:3", "--y-axis", ""],
+             "axis spec '' is not NAME:LO:HI:STEPS[:log]"),
         ],
-        ids=["negative_alpha_r_mag", "negative_mag_i", "same_parameter_twice"],
+        ids=[
+            "negative_alpha_r_mag", "negative_mag_i", "same_parameter_twice",
+            "empty_y_axis",
+        ],
     )
     def test_ill_posed_axis_exits_2(
         self, tmp_path, capsys, config_file, axes, message
     ):
         # a negative magnitude would turn alpha_r by pi, or fail in
         # ReferenceArm without naming the axis; a second axis on x's
-        # parameter would write a y column no ratio depends on
+        # parameter would write a y column no ratio depends on; an empty y
+        # axis is a malformed spec, not an absent one
         out = tmp_path / "grid.csv"
         argv = ["scan", "--config", str(config_file(fig2_config())), *axes]
         assert main([*argv, "--out", str(out)]) == 2

@@ -13,19 +13,20 @@ from iscat_metrology.field import (
     FieldConfig,
     ParticleModel,
     ReferenceArm,
+    budget_violations,
     check_budget,
     config_from_dict,
     config_to_dict,
     detector_amplitude,
+    first_arm_magnitude,
     from_polar,
     load_config,
-    save_config,
     scattered_amplitude,
     target_derivative,
-    validate_energy,
     with_target_value,
     wrap_angle,
 )
+from iscat_metrology.textio import dump_json
 
 PI = math.pi
 
@@ -97,14 +98,18 @@ class TestValidateEnergy:
             alpha_r=0.3, particle=ParticleModel(1.0, 0.1, 0.0),
             reference=ReferenceArm(0.1, 0.0),
         )
-        assert validate_energy(cfg) == []
+        assert budget_violations(
+            first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag
+        ) == []
 
     def test_reference_arm_violation(self):
         cfg = FieldConfig(
             alpha_r=0.0001, particle=ParticleModel(1.0, 0.0001, 0.0),
             reference=ReferenceArm(0.6, 0.0),
         )
-        findings = validate_energy(cfg)
+        findings = budget_violations(
+            first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag
+        )
         assert len(findings) == 1
         assert "reference arm" in findings[0]
         with pytest.raises(EnergyBudgetError, match="reference arm"):
@@ -114,7 +119,9 @@ class TestValidateEnergy:
         cfg = FieldConfig(
             alpha_r=0.5 + 1e-15, particle=ParticleModel(0.0, 1.0, 0.0)
         )
-        assert validate_energy(cfg) == []
+        assert budget_violations(
+            first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag
+        ) == []
 
     def test_sample_arm_violation_named(self):
         cfg = FieldConfig(alpha_r=0.7, particle=ParticleModel(0.0, 1.0, 0.0))
@@ -196,7 +203,7 @@ def test_detector_bounded_by_input(mag_r, ms, phi_s, mag_i, phi_i):
         particle=ParticleModel(1.0, ms, phi_s) if ms > 0 else ParticleModel(0.0, 1.0, phi_s),
         reference=ReferenceArm(mag_i, phi_i),
     )
-    if validate_energy(cfg):
+    if budget_violations(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag):
         return
     assert abs(detector_amplitude(cfg)) <= cfg.alpha0_mag * (1 + 1e-11)
 
@@ -244,7 +251,7 @@ class TestJsonSchema:
             alpha0_mag=30.0,
         )
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        dump_json(path, config_to_dict(cfg))
         assert load_config(path) == cfg
 
     def test_round_trip_iscat_null_reference(self, fig2_cfg):

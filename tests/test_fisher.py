@@ -4,15 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import EXTREME_FLOATS, same_bits
 from iscat_metrology import fisher
-from iscat_metrology.errors import (
-    NotEstimableError,
-    TruncationError,
-    VacuumPhaseError,
-)
+from iscat_metrology.errors import NotEstimableError, VacuumPhaseError
 from iscat_metrology.field import (
     EstimationTarget,
     FieldConfig,
@@ -43,33 +39,42 @@ class TestQfiCoherent:
         assert qfi == cfi == math.inf
 
 
+def counting_cfi(alpha_d, dalpha) -> float:
+    return float(fisher.information(alpha_d, dalpha).cfi_photon_number)
+
+
 class TestMismatchAngles:
+    @staticmethod
+    def angles(alpha_d, dalpha):
+        report = fisher.information(alpha_d, dalpha)
+        return float(report.psi), float(report.chi)
+
     def test_orthogonal_pair(self):
-        psi, chi = fisher.mismatch_angles(1 + 0j, 1j)
+        psi, chi = self.angles(1 + 0j, 1j)
         assert (psi, chi) == (PI / 2, 0.0)
 
     def test_fig2_angles(self):
         alpha_d = (0.5679491924311223 + 1.0j) * 1e-5
-        psi, chi = fisher.mismatch_angles(alpha_d, cmath.exp(1j * 5 * PI / 6))
+        psi, chi = self.angles(alpha_d, cmath.exp(1j * 5 * PI / 6))
         assert chi == pytest.approx(math.atan2(1.0, 0.568), abs=1e-3)
         assert psi == pytest.approx(5 * PI / 6)
 
-    def test_vacuum_raises(self):
-        with pytest.raises(VacuumPhaseError):
-            fisher.mismatch_angles(0j, 1 + 0j)
-        with pytest.raises(VacuumPhaseError):
-            fisher.mismatch_angles(1 + 0j, 0j)
+    def test_vacuum_angle_is_nan(self):
+        # the vacuum has no phase: chi at a vacuum detector, psi at a
+        # vanishing derivative
+        assert math.isnan(self.angles(0j, 1 + 0j)[1])
+        assert math.isnan(self.angles(1 + 0j, 0j)[0])
 
 
 class TestQfiPhaseAveraged:
     def test_aligned_saturates(self):
-        assert fisher.qfi_phase_averaged(2 + 0j, 0.5 + 0j) == pytest.approx(1.0)
+        assert counting_cfi(2 + 0j, 0.5 + 0j) == pytest.approx(1.0)
 
     def test_orthogonal_vanishes(self):
-        assert fisher.qfi_phase_averaged(1 + 0j, 1j) == 0.0
+        assert counting_cfi(1 + 0j, 1j) == 0.0
 
     def test_diagonal_case(self):
-        assert fisher.qfi_phase_averaged(1 + 1j, 1 + 0j) == pytest.approx(2.0)
+        assert counting_cfi(1 + 1j, 1 + 0j) == pytest.approx(2.0)
 
 
 class TestCfiLimits:
@@ -88,119 +93,6 @@ class TestCfiLimits:
         rep = fisher.fisher_report(cfg, EstimationTarget.MASS)
         assert rep.saturation_ratio == 1.0
         assert rep.cfi_photon_number == rep.qfi_coherent
-
-
-class TestPoissonPmf:
-    """The Fock weights of both oracles, checked against scipy."""
-
-    @pytest.mark.parametrize("mean", [0.0, 1e-6, 0.5, 1.0, 7.3, 100.0, 1e4])
-    def test_matches_scipy(self, mean):
-        from scipy import stats
-
-        n = np.arange(fisher.min_truncation(mean) + 1)
-        ours = fisher.poisson_pmf(mean, n)
-        assert np.max(np.abs(ours - stats.poisson.pmf(n, mean))) <= 1e-11
-
-    def test_truncation_rule_bounds_tail(self):
-        from scipy import stats
-
-        for mean in np.logspace(-12, 12, 241):
-            n_max = fisher.min_truncation(mean)
-            assert stats.poisson.sf(n_max, mean) <= 1e-12
-
-    @pytest.mark.parametrize("mean", [math.nan, math.inf])
-    def test_non_finite_mean_rejected(self, mean):
-        with pytest.raises(ValueError, match="mean must be"):
-            fisher.poisson_pmf(mean, 0)
-
-
-class TestSldDiagonal:
-    def test_level_at_mean_vanishes(self):
-        diagonal = fisher.sld_diagonal(2 + 0j, 1 + 0j, 100)
-        assert diagonal[4] == 0.0  # n = |alpha|^2 = 4
-
-    def test_orthogonal_derivative_zeroes_spectrum(self):
-        diagonal = fisher.sld_diagonal(3 + 0j, 1j, 200)
-        assert np.all(diagonal == 0.0)
-
-    def test_ground_level_value(self):
-        diagonal = fisher.sld_diagonal(2 + 0j, 1 + 0j, 100)
-        assert diagonal[0] == pytest.approx(-4.0)
-
-    def test_zero_mean_under_state(self):
-        alpha, dalpha = 1.3 - 0.4j, 0.7 + 0.2j
-        n_max = fisher.min_truncation(abs(alpha) ** 2)
-        diagonal = fisher.sld_diagonal(alpha, dalpha, n_max)
-        from scipy import stats
-
-        weights = stats.poisson.pmf(np.arange(n_max + 1), abs(alpha) ** 2)
-        assert abs(np.sum(weights * diagonal)) < 1e-9
-
-    def test_small_truncation_rejected(self):
-        with pytest.raises(TruncationError):
-            fisher.sld_diagonal(3 + 0j, 1 + 0j, 10)
-
-
-class TestPhaseAveragedOracle:
-    def test_diagonal_case_matches(self):
-        oracle = fisher.qfi_phase_averaged_oracle(1 + 1j, 1 + 0j, 200)
-        assert oracle == pytest.approx(2.0, rel=1e-9)
-
-    def test_zero_derivative(self):
-        assert fisher.qfi_phase_averaged_oracle(1 + 1j, 0j, 200) == 0.0
-
-    def test_orthogonal_phases(self):
-        assert abs(fisher.qfi_phase_averaged_oracle(3 + 0j, 1j, 200)) < 1e-9
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        mag=st.floats(0.1, 7.0),
-        theta=st.floats(0.0, 2 * PI, exclude_max=True),
-        dmag=st.floats(0.01, 3.0),
-        dtheta=st.floats(0.0, 2 * PI, exclude_max=True),
-    )
-    # |rect(5, 0.045)|^2 rounds to 25.00000000000001, whose rule is 101
-    @example(mag=5.0, theta=0.045, dmag=1.0, dtheta=0.0)
-    def test_matches_analytic(self, mag, theta, dmag, dtheta):
-        alpha = cmath.rect(mag, theta)
-        dalpha = cmath.rect(dmag, dtheta)
-        analytic = fisher.qfi_phase_averaged(alpha, dalpha)
-        oracle = fisher.qfi_phase_averaged_oracle(
-            alpha, dalpha, fisher.min_truncation(abs(alpha) ** 2)
-        )
-        assert oracle == pytest.approx(analytic, rel=1e-9, abs=1e-15)
-
-
-class TestCfiNumericOracle:
-    def test_saturated_matches_qfi(self):
-        cfg = FieldConfig(
-            alpha_r=0j, particle=ParticleModel(10.0, 0.3, 0.7), alpha0_mag=10.0
-        )
-        oracle = fisher.cfi_numeric_oracle(cfg, EstimationTarget.MASS)
-        assert oracle == pytest.approx(4 * 0.3**2, rel=1e-6)
-
-    def test_orthogonal_configuration_near_zero(self):
-        # dark field, phase target: the counting mean is phase-independent
-        cfg = FieldConfig(
-            alpha_r=0j, particle=ParticleModel(10.0, 0.3, 0.7), alpha0_mag=10.0
-        )
-        oracle = fisher.cfi_numeric_oracle(cfg, EstimationTarget.SCATTER_PHASE)
-        assert abs(oracle) < 1e-10
-
-    def test_iscat_large_reflected_ratio(self):
-        cfg = FieldConfig(
-            alpha_r=1e-3, particle=ParticleModel(1.0, 1e-8, 2 * PI / 3)
-        )
-        oracle = fisher.cfi_numeric_oracle(cfg, EstimationTarget.MASS, step=0.5)
-        qfi = fisher.qfi_coherent(
-            cmath.rect(1e-8, 2 * PI / 3)
-        )
-        assert oracle / qfi == pytest.approx(0.25, abs=1e-4)
-
-    def test_bad_step_rejected(self):
-        cfg = FieldConfig(alpha_r=0j, particle=ParticleModel(1.0, 0.3, 0.0))
-        with pytest.raises(ValueError):
-            fisher.cfi_numeric_oracle(cfg, EstimationTarget.MASS, step=0.0)
 
 
 class TestBounds:
@@ -321,8 +213,8 @@ class TestReportInvariants:
         if abs(alpha_d) < 1e-3 or abs(dalpha) < 1e-3:
             return
         rot = cmath.exp(1j * theta)
-        before = fisher.qfi_phase_averaged(alpha_d, dalpha)
-        after = fisher.qfi_phase_averaged(alpha_d * rot, dalpha * rot)
+        before = counting_cfi(alpha_d, dalpha)
+        after = counting_cfi(alpha_d * rot, dalpha * rot)
         assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
 
     def test_vacuum_report_raises(self, fig2_cfg):

@@ -28,41 +28,12 @@ from iscat_metrology.field import (
     with_target_value,
 )
 from iscat_metrology.textio import write_csv
+from oracles import poisson_pmf
 
 PI = math.pi
 MASS = EstimationTarget.MASS
 PHASE = EstimationTarget.SCATTER_PHASE
 SENSITIVITY_COLUMNS = ["alpha_s_sq", "detector_mean", "dmean_dm", "dmean_dpower"]
-
-
-class TestPoissonPmf:
-    def test_analytic_point(self):
-        assert fisher.poisson_pmf(1.0, 0) == pytest.approx(math.exp(-1.0))
-
-    def test_zero_mean(self):
-        assert fisher.poisson_pmf(0.0, 0) == 1.0
-        assert fisher.poisson_pmf(0.0, 3) == 0.0
-
-    def test_mode_at_mean_100(self):
-        n = np.arange(0, 300)
-        pmf = fisher.poisson_pmf(100.0, n)
-        top = set(np.argsort(pmf)[-2:])
-        assert top == {99, 100}  # both are modes, pmf(99) == pmf(100)
-        assert pmf[99] == pytest.approx(pmf[100], rel=1e-12)
-
-    def test_normalization(self):
-        for mean in (0.5, 7.0, 100.0, 500.0):
-            n_max = fisher.min_truncation(mean)
-            total = fisher.poisson_pmf(mean, np.arange(n_max + 1)).sum()
-            assert 1.0 - 1e-12 <= total <= 1.0 + 1e-13
-        # at mean 1e4 the log-space route loses ~1e-11 to gammaln rounding
-        n_max = fisher.min_truncation(1e4)
-        total = fisher.poisson_pmf(1e4, np.arange(n_max + 1)).sum()
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            fisher.poisson_pmf(-1.0, 0)
 
 
 class TestGaussianApprox:
@@ -79,7 +50,7 @@ class TestGaussianApprox:
         mean = 1e4
         sigma = math.sqrt(mean)
         n = np.arange(int(mean - 3 * sigma), int(mean + 3 * sigma) + 1)
-        rel = np.abs(ps.gaussian_approx_pmf(mean, n) / fisher.poisson_pmf(mean, n) - 1)
+        rel = np.abs(ps.gaussian_approx_pmf(mean, n) / poisson_pmf(mean, n) - 1)
         assert rel.max() < 0.05
         inner = np.abs(n - mean) <= sigma
         assert rel[inner].max() < 0.01
@@ -87,7 +58,7 @@ class TestGaussianApprox:
     def test_small_mean_is_poor(self):
         # documented: the approximation is invalid at mean ~ 1
         n = np.arange(0, 6)
-        rel = np.abs(ps.gaussian_approx_pmf(1.0, n) / fisher.poisson_pmf(1.0, n) - 1)
+        rel = np.abs(ps.gaussian_approx_pmf(1.0, n) / poisson_pmf(1.0, n) - 1)
         assert rel.max() > 0.2
 
     def test_nonpositive_mean_rejected(self):

@@ -104,26 +104,26 @@ class TestSaturatingReferenceSet:
 class TestPhaseSolutions:
     def test_solution_count_trichotomy(self, fig2_cfg):
         sol = tuner.saturating_reference_set(fig2_cfg, MASS)
-        assert tuner.phase_solutions(fig2_cfg, MASS, 1.0e-5) == ()
+        assert sol.solutions_at(1.0e-5) == ()
         assert len(sol.solutions_at(sol.min_mag_i)) == 1
-        assert len(tuner.phase_solutions(fig2_cfg, MASS, 4.5e-5)) == 2
+        assert len(sol.solutions_at(4.5e-5)) == 2
 
     def test_solutions_sorted_and_in_range(self, fig2_cfg):
-        phases = tuner.phase_solutions(fig2_cfg, MASS, 4.5e-5)
+        phases = tuner.saturating_reference_set(fig2_cfg, MASS).solutions_at(4.5e-5)
         assert list(phases) == sorted(phases)
         assert all(0.0 <= p < 2 * PI for p in phases)
 
     def test_vacuum_branch_excluded(self, fig2_cfg):
         # at mag_i = |alpha_first| one intersection is the cancelling arm
         mag = abs(first_arm_amplitude(fig2_cfg))
-        phases = tuner.phase_solutions(fig2_cfg, MASS, mag)
+        phases = tuner.saturating_reference_set(fig2_cfg, MASS).solutions_at(mag)
         assert len(phases) == 1
         cfg = with_reference(fig2_cfg, mag, phases[0])
         assert abs(detector_amplitude(cfg)) > 1e-12 * fig2_cfg.alpha0_mag
 
     def test_out_of_budget_magnitude_rejected(self, fig2_cfg):
         with pytest.raises(ValueError):
-            tuner.phase_solutions(fig2_cfg, MASS, 0.6)
+            tuner.saturating_reference_set(fig2_cfg, MASS).solutions_at(0.6)
 
     def test_magnitude_bound_carries_the_budget_slack(self, fig2_cfg):
         sol = tuner.saturating_reference_set(fig2_cfg, MASS)
@@ -136,8 +136,9 @@ class TestPhaseSolutions:
                 sol.line_points(mag)
 
     def test_returned_solutions_saturate(self, fig2_cfg):
+        sol = tuner.saturating_reference_set(fig2_cfg, MASS)
         for mag in (1.16e-5, 2e-5, 4.5e-5, 3e-4, 0.01):
-            for phi in tuner.phase_solutions(fig2_cfg, MASS, mag):
+            for phi in sol.solutions_at(mag):
                 cfg = with_reference(fig2_cfg, mag, phi)
                 rep = fisher.fisher_report(cfg, MASS)
                 assert rep.saturation_ratio >= 1.0 - 1e-9
