@@ -10,14 +10,21 @@ Subcommands map one-to-one onto the library surfaces:
     spectrum    broadband bounds from a spectrum CSV
 
 The parser is built from the ``SUBCOMMANDS`` table.  Each subcommand is a
-``run_<name>(args, out)`` function that writes its data files and returns
-``(arguments, outputs, seed)``: the resolved inputs, the paths it wrote and
-the seed (None unless the run samples).  :func:`main` owns the rest: it
-writes one ``<out>.manifest.json`` sidecar per successful run (those three
-plus tool version and timestamp) and maps errors to exit codes: 0 success,
-2 input/config error, 3 well-formed but non-estimable configuration (vacuum
-detector field, zero information).  Data files contain no timestamps, so
-identical inputs reproduce them byte for byte.
+``run_<name>(args)`` function that loads, checks and computes, and returns
+``(arguments, files)``: the resolved inputs, and each output suffix (``""``
+for ``--out`` itself) mapped to a one-argument writer of that file.  A
+runner names no path and writes no file.  :func:`main` owns the rest.  It
+names each file ``<out><suffix>`` and lists them in one
+``<out>.manifest.json`` sidecar (arguments, outputs, the ``--seed`` of a
+sampling run, tool version and timestamp).  It refuses a path that exists
+and is not a regular file, writes every file under a staged name beside its
+own, then moves each into place with ``os.replace``, the manifest last; on
+any exception it removes every file it staged or moved, so a run's files
+appear together or not at all.  It maps errors to exit codes: 0 success, 2
+input/config error (a failed write or an empty ``--out`` included), 3
+well-formed but non-estimable configuration (vacuum detector field, zero
+information).  Data files contain no timestamps, so identical inputs
+reproduce them byte for byte.
 
 A process runs one subcommand, so this module loads only what every
 subcommand uses (``errors``, ``field``, ``fisher``, ``textio``).  Each
@@ -37,10 +44,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime
 import math
+import os
 import re
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -181,10 +189,15 @@ def _parse_axis(spec: str):
     return tuner.AxisSpec.linspace(name, lo, hi, steps)
 
 
-# --- subcommands: each returns (arguments, outputs, seed) -----------------------
+# --- subcommands: each returns (arguments, files) ------------------------------
 
 
-def run_fisher(args, out: Path):
+def _json(obj):
+    """A writer of ``obj`` as a JSON document."""
+    return lambda path: dump_json(path, obj)
+
+
+def run_fisher(args):
     cfg = load_config(args.config)
     target = EstimationTarget(args.target)
     report = fisher.fisher_report(cfg, target)
@@ -192,27 +205,24 @@ def run_fisher(args, out: Path):
     qcrb_coherent = fisher.qcrb(report.qfi_coherent)
     qcrb_counting = fisher.qcrb(report.cfi_photon_number)
     if args.format == "csv":
-        fisher.write_report_csv(out, cfg, target, report)
+        write = lambda path: fisher.write_report_csv(path, cfg, target, report)
     else:
-        dump_json(
-            out,
-            {
-                "setup": cfg.setup,
-                "target": target.value,
-                "report": report.to_dict(),
-                "qcrb_coherent": qcrb_coherent,
-                "qcrb_photon_counting": qcrb_counting,
-            },
-        )
+        write = _json({
+            "setup": cfg.setup,
+            "target": target.value,
+            "report": report.to_dict(),
+            "qcrb_coherent": qcrb_coherent,
+            "qcrb_photon_counting": qcrb_counting,
+        })
     arguments = {
         "config": config_to_dict(cfg),
         "target": target.value,
         "format": args.format,
     }
-    return arguments, [out], None
+    return arguments, {"": write}
 
 
-def run_scan(args, out: Path):
+def run_scan(args):
     from . import tuner
 
     defaults = {"config": None, "target": "mass", "x_axis": None, "y_axis": None}
@@ -227,17 +237,14 @@ def run_scan(args, out: Path):
         x = _parse_axis(args.x_axis)
         y = _parse_axis(args.y_axis) if args.y_axis is not None else None
     grid = tuner.scan_ratio_grid(base, target, x, y)
-    outputs = [out]
     if args.format == "json":
         ratio = [
             [None if math.isnan(v) else v for v in row]
             for row in grid.values.tolist()
         ]
-        dump_json(out, {"header": grid.header_dict(), "ratio": ratio})
+        files = {"": _json({"header": grid.header_dict(), "ratio": ratio})}
     else:
-        grid.to_csv(out)
-        outputs.append(out.with_suffix(out.suffix + ".header.json"))
-        dump_json(outputs[1], grid.header_dict())
+        files = {"": grid.to_csv, ".header.json": _json(grid.header_dict())}
     arguments = {
         "preset": args.preset,
         "baseline": config_to_dict(base),
@@ -246,34 +253,32 @@ def run_scan(args, out: Path):
         "y": y.to_dict() if y is not None else None,
         "format": args.format,
     }
-    return arguments, outputs, None
+    return arguments, files
 
 
-def run_optimize(args, out: Path):
+def run_optimize(args):
     from . import tuner
 
     cfg = load_config(args.config)
     target = EstimationTarget(args.target)
     sol = tuner.saturating_reference_set(cfg, target)
     ref = cfg.reference
-    dump_json(
-        out,
-        {
-            "setup": cfg.setup,
-            "target": target.value,
-            "min_mag_i": sol.min_mag_i,
-            "psi": sol.psi,
-            "feasible": sol.feasible,
-            "reference_mag": ref.mag if ref is not None else None,
-            "phi_solutions_at_reference_mag": (
-                list(sol.solutions_at(ref.mag)) if ref is not None else None
-            ),
-        },
-    )
-    return {"config": config_to_dict(cfg), "target": target.value}, [out], None
+    result = {
+        "setup": cfg.setup,
+        "target": target.value,
+        "min_mag_i": sol.min_mag_i,
+        "psi": sol.psi,
+        "feasible": sol.feasible,
+        "reference_mag": ref.mag if ref is not None else None,
+        "phi_solutions_at_reference_mag": (
+            list(sol.solutions_at(ref.mag)) if ref is not None else None
+        ),
+    }
+    arguments = {"config": config_to_dict(cfg), "target": target.value}
+    return arguments, {"": _json(result)}
 
 
-def run_snr(args, out: Path):
+def run_snr(args):
     from . import snr
 
     defaults = {
@@ -302,10 +307,10 @@ def run_snr(args, out: Path):
             raise ValueError(f"snr column {name} overflows a double")
     if args.format == "json":
         columns = {name: values.tolist() for name, values in sweep.items()}
-        dump_json(out, {"mode": mode, "log_scale": log_scale, "sweep": columns})
+        write = _json({"mode": mode, "log_scale": log_scale, "sweep": columns})
     else:
         meta = [f"mode: {mode}", f"log_scale: {str(log_scale).lower()}"]
-        snr.write_sweep_csv(out, sweep, meta)
+        write = lambda path: snr.write_sweep_csv(path, sweep, meta)
     arguments = {
         "preset": args.preset,
         "mode": mode,
@@ -315,10 +320,10 @@ def run_snr(args, out: Path):
         "log_scale": log_scale,
         "format": args.format,
     }
-    return arguments, [out], None
+    return arguments, {"": write}
 
 
-def run_montecarlo(args, out: Path):
+def run_montecarlo(args):
     from . import photonstats
 
     cfg = load_config(args.config)
@@ -331,19 +336,19 @@ def run_montecarlo(args, out: Path):
         seed=args.seed,
         threads=args.threads,
     )
-    dump_json(out, {"setup": cfg.setup, **report.to_dict()})
-    trials_path = out.with_suffix(out.suffix + ".trials.csv")
-    photonstats.write_trials_csv(trials_path, report)
     arguments = {
         "config": config_to_dict(cfg),
         "target": target.value,
         "samples": args.samples,
         "trials": args.trials,
     }
-    return arguments, [out, trials_path], args.seed
+    return arguments, {
+        "": _json({"setup": cfg.setup, **report.to_dict()}),
+        ".trials.csv": lambda path: photonstats.write_trials_csv(path, report),
+    }
 
 
-def run_spectrum(args, out: Path):
+def run_spectrum(args):
     from . import spectrum
 
     f = spectrum.spectrum_from_csv(args.spectrum)
@@ -369,8 +374,7 @@ def run_spectrum(args, out: Path):
         result["relative_mass_bound_sqrt_n"] = (
             spectrum.relative_mass_bound_multifrequency(f)
         )
-    dump_json(out, result)
-    return {"spectrum": args.spectrum, "target": target.value}, [out], None
+    return {"spectrum": args.spectrum, "target": target.value}, {"": _json(result)}
 
 
 # --- parser -------------------------------------------------------------------
@@ -488,26 +492,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _commit(files: dict) -> None:
+    """Write each path's file under a staged name beside it, then move each
+    into place in order.  On any exception, remove every file staged or
+    moved and re-raise; an OSError names the path, not its staged name."""
+    for path in files:  # os.replace would replace a device node too
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ValueError(f"{path} exists and is not a regular file")
+    staged = {f"{path}.{os.getpid()}.staged": path for path in files}
+    placed = 0
+    try:
+        for name, write in zip(staged, files.values()):
+            write(name)
+        for name, path in staged.items():
+            os.replace(name, path)
+            placed += 1
+    except BaseException as exc:
+        for k, (name, path) in enumerate(staged.items()):
+            try:
+                os.remove(path if k < placed else name)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and exc.filename in staged:
+            raise OSError(exc.errno, exc.strerror, staged[exc.filename]) from None
+        raise
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = Path(args.out)
     try:
+        if not args.out:  # Path("") would be the working directory
+            raise ValueError(f"--out needs a file name, got {args.out!r}")
         if args.threads is not None and args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        arguments, outputs, seed = args.run(args, out)
-        dump_json(
-            f"{out}.manifest.json",
-            {
-                "subcommand": args.subcommand,
-                "arguments": arguments,
-                "outputs": [str(path) for path in outputs],
-                "seed": seed,
-                "tool_version": __version__,
-                "timestamp": datetime.datetime.now(
-                    datetime.timezone.utc
-                ).isoformat(),
-            },
-        )
+        arguments, files = args.run(args)
+        out = Path(args.out)
+        files = {f"{out}{suffix}": write for suffix, write in files.items()}
+        manifest = {
+            "subcommand": args.subcommand,
+            "arguments": arguments,
+            "outputs": list(files),
+            "seed": getattr(args, "seed", None),
+            "tool_version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        _commit({**files, f"{out}.manifest.json": _json(manifest)})
     except (NotEstimableError, BracketError) as exc:
         print(f"not estimable: {exc}", file=sys.stderr)
         return 3

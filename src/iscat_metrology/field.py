@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -269,10 +269,6 @@ def target_value(cfg: FieldConfig, target: EstimationTarget) -> float:
 #  "reference": {"mag": float, "phi_i": float} | null}
 
 
-def complex_to_json(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def _number(value, field: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
@@ -306,18 +302,14 @@ def _names(cls) -> list[str]:
 
 
 def config_to_dict(cfg: FieldConfig) -> dict:
-    ref = None
-    if cfg.reference is not None:
-        ref = {"mag": cfg.reference.mag, "phi_i": cfg.reference.phi_i}
+    """The JSON schema of ``cfg``; ``particle`` and ``reference`` hold the
+    fields that :func:`config_from_dict` reads, in the same order."""
+    ref = cfg.reference
     return {
         "alpha0_mag": cfg.alpha0_mag,
-        "alpha_r": complex_to_json(cfg.alpha_r),
-        "particle": {
-            "mass_kda": cfg.particle.mass_kda,
-            "scale_per_kda": cfg.particle.scale_per_kda,
-            "phi_s": cfg.particle.phi_s,
-        },
-        "reference": ref,
+        "alpha_r": {"re": cfg.alpha_r.real, "im": cfg.alpha_r.imag},
+        "particle": asdict(cfg.particle),
+        "reference": asdict(ref) if ref is not None else None,
     }
 
 

@@ -1,7 +1,10 @@
 import csv
+import errno
 import json
 import math
+import os
 import re
+import socket
 import threading
 
 import numpy as np
@@ -13,7 +16,7 @@ from conftest import (
     vacuum_config,
     worked_example_config,
 )
-from iscat_metrology import spectrum as sp
+from iscat_metrology import spectrum as sp, tuner
 from iscat_metrology.cli import main, scan_presets
 from iscat_metrology.field import (
     FieldConfig,
@@ -994,18 +997,38 @@ def test_format_only_where_honoured(tmp_path, subcommand_argv, subcommand):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand", ["fisher", "scan", "optimize", "snr", "montecarlo", "spectrum"]
+)
+def test_empty_out_exits_2_naming_the_option(
+    tmp_path, monkeypatch, capsys, subcommand_argv, subcommand
+):
+    # Path("") is the working directory, which no run may write to
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    inputs = sorted(tmp_path.iterdir())
+    assert main(subcommand_argv[subcommand] + ["--out", ""]) == 2
+    assert capsys.readouterr().err == "error: --out needs a file name, got ''\n"
+    assert sorted(tmp_path.iterdir()) == inputs
+    assert list(cwd.iterdir()) == []
+
+
 class TestManifestRoundTrip:
     @pytest.mark.parametrize(
-        "subcommand",
-        ["fisher", "scan", "optimize", "snr", "montecarlo", "spectrum"],
+        "run",
+        [
+            "fisher", "fisher --format csv", "scan", "scan --format json",
+            "optimize", "snr", "snr --format json", "montecarlo", "spectrum",
+        ],
     )
-    def test_manifest_lists_what_was_written(
-        self, tmp_path, subcommand_argv, subcommand
-    ):
+    def test_manifest_lists_what_was_written(self, tmp_path, subcommand_argv, run):
+        subcommand, *options = run.split()
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         out = out_dir / "result.dat"
-        assert main(subcommand_argv[subcommand] + ["--out", str(out)]) == 0
+        argv = [*subcommand_argv[subcommand], *options, "--out", str(out)]
+        assert main(argv) == 0
         sidecar = out_dir / "result.dat.manifest.json"
         manifest = json.loads(sidecar.read_text())
         assert manifest["subcommand"] == subcommand
@@ -1034,6 +1057,91 @@ class TestManifestRoundTrip:
         second = tmp_path / "second.csv"
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+def _bind_unix_socket(path):
+    """Leave a socket file at ``path``: a path that is not a regular file."""
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.bind(path)
+
+
+class TestFilesAppearTogether:
+    """A run's files and its manifest appear together or not at all."""
+
+    @pytest.mark.parametrize(
+        "subcommand, blocked, make",
+        [
+            ("fisher", ".manifest.json", os.mkdir),
+            ("montecarlo", ".trials.csv", os.mkdir),
+            ("fisher", "", _bind_unix_socket),  # os.replace would replace it
+        ],
+        ids=["fisher-manifest-dir", "montecarlo-trials-dir", "fisher-out-socket"],
+    )
+    def test_blocked_path_leaves_no_file(
+        self, tmp_path, monkeypatch, capsys, subcommand_argv, subcommand, blocked, make
+    ):
+        monkeypatch.chdir(tmp_path)  # a socket's path may hold at most 107 bytes
+        out = tmp_path / "R"
+        make(f"R{blocked}")
+        before = sorted(tmp_path.iterdir())
+        assert main(subcommand_argv[subcommand] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {out}{blocked} exists and is not a regular file\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_missing_directory_is_named_as_given(
+        self, tmp_path, capsys, subcommand_argv
+    ):
+        out = tmp_path / "missing" / "o.json"
+        before = sorted(tmp_path.iterdir())
+        assert main(subcommand_argv["fisher"] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "earlier", [None, "a grid an earlier run wrote\n"], ids=["none", "earlier"]
+    )
+    def test_interrupted_csv_write_keeps_the_earlier_file(
+        self, tmp_path, monkeypatch, subcommand_argv, earlier
+    ):
+        class Interrupt(BaseException):
+            pass
+
+        def interrupted(path, columns, comments=()):
+            with open(path, "w") as fh:
+                fh.write(",".join(columns) + "\n")
+                raise Interrupt
+
+        monkeypatch.setattr(tuner, "write_csv", interrupted)
+        out = tmp_path / "grid.csv"
+        if earlier is not None:
+            out.write_text(earlier)
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(Interrupt):
+            main(subcommand_argv["scan"] + ["--out", str(out)])
+        assert sorted(tmp_path.iterdir()) == before
+        if earlier is not None:
+            assert out.read_text() == earlier
+
+    def test_failed_manifest_move_removes_the_moved_files(
+        self, tmp_path, monkeypatch, capsys, subcommand_argv
+    ):
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if dst.endswith(".manifest.json"):
+                raise OSError(errno.EIO, os.strerror(errno.EIO), src, dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        out = tmp_path / "grid.csv"
+        before = sorted(tmp_path.iterdir())
+        assert main(subcommand_argv["scan"] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        message = f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}: '{out}.manifest.json'"
+        assert err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == before
 
 
 #: Every subcommand that reads ``--config``, with the rest of a valid call.

@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,7 +56,8 @@ class TestIntensityIscat:
 class TestIntensityMiscat:
     def test_reduces_without_reference(self):
         f = RealFieldTriple(1.2, 0.3, 0.0, 0.7, 1.9)
-        assert intensity(f) == intensity(replace(f, e_i=0.0))
+        one_arm = 1.2**2 + 2 * 1.2 * 0.3 * math.cos(0.7) + 0.3**2
+        assert intensity(f) == pytest.approx(one_arm, rel=1e-12)
 
     def test_total_destruction(self):
         f = RealFieldTriple(1.0, 0.0, 1.0, 0.0, PI)
