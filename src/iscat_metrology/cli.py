@@ -523,6 +523,10 @@ def main(argv=None) -> int:
     try:
         if not args.out:  # Path("") would be the working directory
             raise ValueError(f"--out needs a file name, got {args.out!r}")
+        for option in ("out", "config", "spectrum"):  # the path options
+            path = getattr(args, option, None)
+            if path is not None and "\0" in path:
+                raise ValueError(f"--{option} holds a NUL byte: {path!r}")
         if args.threads is not None and args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         arguments, files = args.run(args)

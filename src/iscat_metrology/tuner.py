@@ -49,7 +49,7 @@ from .field import (
     target_derivative,
     wrap_angle,
 )
-from .textio import fmt, write_csv
+from .textio import Indexed, write_csv
 
 #: Classification band for tangency, in units of alpha0_mag.
 GEOMETRY_TOL = 1e-12
@@ -234,19 +234,25 @@ class ScanGrid:
         }
 
     def to_csv(self, path) -> None:
-        """Long-form x, y, ratio, defined_flag; y is blank in 1-D scans."""
+        """Long-form x, y, ratio, defined_flag; y is blank in 1-D scans.
+
+        Each axis value is formatted once and repeated by index, a chunk of
+        rows at a time: x runs through its values along each grid row, and
+        y repeats one value for a whole grid row.  defined_flag is "1" or
+        "0" by the NaN mask.
+        """
         ny, nx = self.values.shape
-        # each axis value is formatted once, not once per cell
-        x = [fmt(v) for v in self.x.values.tolist()]
-        y = [""] if self.y is None else [fmt(v) for v in self.y.values.tolist()]
         ratio = self.values.ravel()
         write_csv(
             path,
             {
-                "x": x * ny,
-                "y": [cell for cell in y for _ in range(nx)],
+                "x": Indexed(self.x.values, np.tile(np.arange(nx, dtype=np.int32), ny)),
+                "y": Indexed(
+                    [""] if self.y is None else self.y.values,
+                    np.repeat(np.arange(ny, dtype=np.int32), nx),
+                ),
                 "ratio": ratio,
-                "defined_flag": np.where(np.isnan(ratio), "0", "1").tolist(),
+                "defined_flag": Indexed(["1", "0"], np.isnan(ratio)),
             },
         )
 

@@ -1014,6 +1014,29 @@ def test_empty_out_exits_2_naming_the_option(
     assert list(cwd.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--out", ["fisher", "--config", "CONFIG", "--out", "a\0b"]),
+        ("--config", ["fisher", "--config", "a\0b", "--out", "OUT"]),
+        ("--spectrum", ["spectrum", "--spectrum", "a\0b", "--out", "OUT"]),
+    ],
+)
+def test_nul_byte_in_a_path_exits_2_naming_the_option(
+    tmp_path, monkeypatch, capsys, config_file, option, argv
+):
+    config = str(config_file(fig2_config()))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    inputs = sorted(tmp_path.iterdir())
+    argv = [{"CONFIG": config, "OUT": str(tmp_path / "o.csv")}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {option} holds a NUL byte: 'a\\x00b'\n"
+    assert sorted(tmp_path.iterdir()) == inputs
+    assert list(cwd.iterdir()) == []
+
+
 class TestManifestRoundTrip:
     @pytest.mark.parametrize(
         "run",

@@ -1,10 +1,13 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import EXTREME_FLOATS, oracle_csv, read_csv_columns, same_bits
+from conftest import (
+    EXTREME_FLOATS, fig2_config, oracle_csv, read_csv_columns, same_bits
+)
 from iscat_metrology import fisher, tuner
 from iscat_metrology.cli import main, scan_presets
 from iscat_metrology.errors import EnergyBudgetError, NotEstimableError
@@ -18,6 +21,7 @@ from iscat_metrology.field import (
     first_arm_amplitude,
     target_derivative,
 )
+from iscat_metrology.textio import CHUNK_ROWS
 
 PI = math.pi
 MASS = EstimationTarget.MASS
@@ -411,10 +415,58 @@ def test_preset_csv_matches_cell_by_cell_oracle(tmp_path, preset):
     grid = tuner.scan_ratio_grid(
         options["config"], options["target"], options["x_axis"], options["y_axis"]
     )
+    assert out.read_bytes() == oracle_scan_csv(grid)
+
+
+def oracle_scan_csv(grid) -> bytes:
+    """A scan CSV as a cell-by-cell writer makes it: x, y (blank in 1-D),
+    ratio and defined_flag per cell, x fastest."""
+    ys = [""] if grid.y is None else grid.y.values.tolist()
     rows = (
         (x, y, ratio, "0" if math.isnan(ratio) else "1")
-        for y, ratios in zip(grid.y.values.tolist(), grid.values.tolist())
+        for y, ratios in zip(ys, grid.values.tolist())
         for x, ratio in zip(grid.x.values.tolist(), ratios)
     )
-    expected = oracle_csv(["x", "y", "ratio", "defined_flag"], rows)
-    assert out.read_bytes() == expected
+    return oracle_csv(["x", "y", "ratio", "defined_flag"], rows)
+
+
+def grid_with_nan_at(cells, nx, ny, two_d=True):
+    """A grid of random ratios, NaN at the given flat cell indices."""
+    values = np.random.default_rng(nx * ny).random(nx * ny)
+    values[list(cells)] = math.nan
+    return tuner.ScanGrid(
+        tuner.AxisSpec.linspace("phi_s", 0.0, 2 * PI, nx),
+        tuner.AxisSpec.linspace("phi_i", 0.0, 2 * PI, ny) if two_d else None,
+        fig2_config(),
+        MASS,
+        values.reshape(ny, nx),
+    )
+
+
+def test_scan_csv_across_chunk_boundaries_matches_the_oracle(tmp_path):
+    # nx does not divide CHUNK_ROWS, so a chunk starts inside a grid row
+    assert CHUNK_ROWS % 1000 != 0
+    grid = grid_with_nan_at([0, CHUNK_ROWS - 1, CHUNK_ROWS, 9999], 1000, 10)
+    grid.to_csv(tmp_path / "grid.csv")
+    assert (tmp_path / "grid.csv").read_bytes() == oracle_scan_csv(grid)
+    one_d = grid_with_nan_at([CHUNK_ROWS - 1, CHUNK_ROWS], CHUNK_ROWS + 3, 1, False)
+    one_d.to_csv(tmp_path / "line.csv")
+    assert (tmp_path / "line.csv").read_bytes() == oracle_scan_csv(one_d)
+
+
+def test_scan_csv_makes_no_python_call_per_cell(tmp_path):
+    grid = grid_with_nan_at([CHUNK_ROWS - 1, CHUNK_ROWS], 1000, 3 * CHUNK_ROWS // 1000)
+    path = tmp_path / "grid.csv"
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        grid.to_csv(path)
+    finally:
+        sys.setprofile(None)
+    # a handful of calls per column and per chunk (and per NaN), none per cell
+    assert calls < 50, calls
