@@ -9,12 +9,12 @@ Subcommands map one-to-one onto the library surfaces:
     montecarlo  Monte Carlo MLE validation of the Cramer-Rao bound
     spectrum    broadband bounds from a spectrum CSV
 
-The parser is built from the ``SUBCOMMANDS`` table.  Each subcommand is a
-``run_<name>(args)`` function that loads, checks and computes, and returns
-``(arguments, files)``: the resolved inputs, and each output suffix (``""``
-for ``--out`` itself) mapped to a one-argument writer of that file.  A
-runner names no path and writes no file.  :func:`main` owns the rest.  It
-names each file ``<out><suffix>`` and lists them in one
+The parser is built once per process from the ``SUBCOMMANDS`` table.  Each
+subcommand is a ``run_<name>(args)`` function that loads, checks and
+computes, and returns ``(arguments, files)``: the resolved inputs, and each
+output suffix (``""`` for ``--out`` itself) mapped to a one-argument writer
+of that file.  A runner names no path and writes no file.  :func:`main` owns
+the rest.  It names each file ``<out><suffix>`` and lists them in one
 ``<out>.manifest.json`` sidecar (arguments, outputs, the ``--seed`` of a
 sampling run, tool version and timestamp).  It refuses a path that exists
 and is not a regular file, writes every file under a staged name beside its
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -467,6 +468,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+@functools.cache  # one parser per process; main parses into a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="iscat-metrology",
@@ -477,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (run, help_text, options) in SUBCOMMANDS.items():
+    for name, (_, help_text, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in options.items():
             p.add_argument(flag, **{**_SHARED.get(flag, {}), **kwargs})
@@ -488,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="montecarlo sampling threads (default: available cores); "
             "other subcommands run in one thread",
         )
-        p.set_defaults(run=run)
     return parser
 
 
@@ -529,7 +530,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{option} holds a NUL byte: {path!r}")
         if args.threads is not None and args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        arguments, files = args.run(args)
+        arguments, files = SUBCOMMANDS[args.subcommand][0](args)
         out = Path(args.out)
         files = {f"{out}{suffix}": write for suffix, write in files.items()}
         manifest = {

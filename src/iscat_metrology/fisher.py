@@ -89,10 +89,10 @@ def information(alpha_d, dalpha, vacuum_tol: float = 0.0) -> FisherReport:
     :func:`field.phase`, and the ratio cos^2(psi - chi).  A value is NaN
     where it is undefined: cfi and chi where the detector field is vacuum
     (|alpha_d| <= vacuum_tol), psi where dalpha vanishes, and the ratio at
-    either.
+    either; F_q, psi and chi are computed on their input's shape.
     """
     ad = np.asarray(alpha_d, dtype=complex)
-    ad, dal = np.broadcast_arrays(ad, np.asarray(dalpha, dtype=complex))
+    dal = np.asarray(dalpha, dtype=complex)
     mag = magnitude(ad)
     vacuum = mag <= vacuum_tol
     with np.errstate(all="ignore"):  # overflow is the callers' to report
@@ -102,6 +102,7 @@ def information(alpha_d, dalpha, vacuum_tol: float = 0.0) -> FisherReport:
     psi = np.where(dal == 0, np.nan, phase(dal))
     chi = np.where(vacuum, np.nan, phase(ad))
     c = np.cos(psi - chi)
+    qfi, psi, chi = (np.broadcast_to(v, cfi.shape) for v in (qfi, psi, chi))
     return FisherReport(qfi, cfi, psi, chi, c * c)
 
 

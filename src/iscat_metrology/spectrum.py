@@ -108,7 +108,8 @@ class SpectralField:
         return 1j * self.alpha_s
 
     def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weights * values))
+        with np.errstate(over="ignore"):  # inf, with no warning, on overflow
+            return float(np.sum(self.weights * values))
 
 
 def flat_white_spectrum(

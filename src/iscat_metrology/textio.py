@@ -219,6 +219,13 @@ def _strings(cells: list) -> np.ndarray:
 
 def _encode(part) -> np.ndarray:
     """Cells of one column as :func:`fmt` has them, as a padded block."""
+    if len(part) > CHUNK_ROWS:  # an Indexed column's cells: a chunk at a time
+        starts = range(0, len(part), CHUNK_ROWS)
+        parts = [_encode(part[at : at + CHUNK_ROWS]) for at in starts]
+        block = np.full((len(part), max(b.shape[1] for b in parts)), _PAD, np.uint8)
+        for at, b in zip(starts, parts):
+            block[at : at + len(b), : b.shape[1]] = b
+        return block
     if isinstance(part, np.ndarray):
         if part.dtype.kind == "f":
             return _floats(part.astype(np.float64, copy=False))

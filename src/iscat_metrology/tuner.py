@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,6 @@ from .field import (
     VACUUM_TOL,
     EstimationTarget,
     FieldConfig,
-    ReferenceArm,
     budget_violations,
     check_budget,
     config_to_dict,
@@ -45,7 +44,6 @@ from .field import (
     from_polar,
     magnitude,
     phase,
-    scattered_amplitude,
     target_derivative,
     wrap_angle,
 )
@@ -125,9 +123,10 @@ def saturating_reference_set(
 
 AXIS_NAMES = ("alpha_r_mag", "phi_s", "mag_i", "phi_i")
 
-#: Largest scan accepted, in axis steps and in grid cells (nx*ny): a cell
-#: holds about 150 bytes while the grid is computed and written, so this
-#: caps a scan near 1.5 GB.  Checked before anything is allocated.
+#: Largest scan accepted, in axis steps and in grid cells (nx*ny).  A scan's
+#: peak memory grows by about 63 bytes a cell in 2-D and 150 a step in 1-D,
+#: whose axis values the header and manifest list (measured to 4*10**6), so
+#: the cap holds it near 0.7 or 1.6 GB.  Checked before anything is allocated.
 MAX_CELLS = 10**7
 
 
@@ -190,26 +189,6 @@ class AxisSpec:
         }
 
 
-def apply_axis(cfg: FieldConfig, name: str, value: float) -> FieldConfig:
-    """Baseline config with one scan parameter replaced."""
-    if name in ("alpha_r_mag", "mag_i") and value < 0.0:
-        # cmath.rect would turn alpha_r by pi; ReferenceArm names no axis
-        raise ValueError(f"axis {name!r} needs magnitudes >= 0, got {value!r}")
-    if name == "alpha_r_mag":
-        z = cfg.alpha_r
-        angle = math.atan2(z.imag, z.real) if z != 0 else 0.0
-        return replace(cfg, alpha_r=cmath.rect(value, angle))
-    if name == "phi_s":
-        return replace(
-            cfg, particle=replace(cfg.particle, phi_s=wrap_angle(value))
-        )
-    if name == "mag_i":
-        return replace(cfg, reference=ReferenceArm(value, cfg.arm.phi_i))
-    if name == "phi_i":
-        return replace(cfg, reference=ReferenceArm(cfg.arm.mag, wrap_angle(value)))
-    raise ValueError(f"unknown axis {name!r}; expected one of {AXIS_NAMES}")
-
-
 @dataclass(frozen=True)
 class ScanGrid:
     """Saturation-ratio matrix over one or two scan axes.
@@ -265,45 +244,56 @@ def scan_ratio_grid(
 ) -> ScanGrid:
     """Evaluate the saturation ratio over a 1-D or 2-D parameter grid.
 
-    Each axis value goes through apply_axis once, so it is validated and
-    wrapped as in a single configuration, and each axis sets only its own
-    parameter (ValueError if both axes set the same one).  The detector
-    label and target derivative are broadcast over the grid, the photon
-    budget is checked once over all cells (EnergyBudgetError names the
-    bound), and the ratio comes from :func:`fisher.information`.
+    Each axis sets only its own parameter of ``base`` (ValueError if both
+    axes set the same one), as one configuration would: a magnitude must be
+    >= 0 (ValueError names the first negative value, y axis first), and an
+    angle is wrapped.  Each term of a cell is computed once per value of the
+    axis it depends on, the photon budget included (EnergyBudgetError names
+    the bound); only the detector label and the ratio span the grid.
     """
     if y is not None and y.name == x.name:
         raise ValueError(f"x and y axes both set {x.name!r}; scan it on one axis")
-    grid_shape = (len(y.values) if y is not None else 1, len(x.values))
-    cells = grid_shape[0] * grid_shape[1]
+    cells = len(x.values) * (len(y.values) if y is not None else 1)
     if cells > MAX_CELLS:
         raise ValueError(
             f"scan grid of {cells} cells (x axis {x.name!r}, y axis "
             f"{y.name if y else None!r}) exceeds the cap of {MAX_CELLS}"
         )
+    p, arm, z = base.particle, base.arm, base.alpha_r
+    m_s = p.mass_kda * p.scale_per_kda  # |alpha_s|, as field.scattered_amplitude
+    angle = math.atan2(z.imag, z.real) if z != 0 else 0.0
+    # each parameter's value in base, and the value an axis value sets
+    params = {
+        "alpha_r_mag": (z, lambda v: cmath.rect(v, angle)),
+        "phi_s": (p.phi_s, wrap_angle),
+        "mag_i": (arm.mag, float),
+        "phi_i": (arm.phi_i, wrap_angle),
+    }
     axes = {}
     for axis, shape in ((y, (-1, 1)), (x, (1, -1))):
-        if axis is not None:
-            cfgs = [apply_axis(base, axis.name, float(v)) for v in axis.values]
-            axes[axis.name] = cfgs, shape
+        if axis is None:
+            continue
+        negative = axis.values[axis.values < 0.0]
+        if axis.name in ("alpha_r_mag", "mag_i") and negative.size:
+            # a negative magnitude would turn alpha_r or the arm by pi
+            bad = float(negative[0])
+            raise ValueError(f"axis {axis.name!r} needs magnitudes >= 0, got {bad!r}")
+        axes[axis.name] = list(map(params[axis.name][1], axis.values.tolist())), shape
 
-    def column(name, get):
-        """get(cfg) per value of the axis that sets ``name``, else of base."""
+    def column(name, term=lambda v: v):  # per value of name's axis, else base's
         if name not in axes:
-            return get(base)
-        cfgs, shape = axes[name]
-        return np.array([get(c) for c in cfgs]).reshape(shape)
+            return term(params[name][0])
+        values, shape = axes[name]
+        return np.array(list(map(term, values))).reshape(shape)
 
-    first = np.broadcast_to(
-        column("alpha_r_mag", lambda c: c.alpha_r)
-        + column("phi_s", lambda c: scattered_amplitude(c.particle)),
-        grid_shape,
-    )
-    mag_i = column("mag_i", lambda c: c.arm.mag)
+    def derivative(phi):  # field.target_derivative at phi_s = phi
+        d = from_polar(p.scale_per_kda, phi)
+        return d if target is EstimationTarget.MASS else 1j * p.mass_kda * d
+
+    first = column("alpha_r_mag") + column("phi_s", lambda phi: from_polar(m_s, phi))
+    mag_i = column("mag_i")
     check_budget(magnitude(first), mag_i, base.alpha0_mag)
-    phasor_i = column("phi_i", lambda c: from_polar(1.0, c.arm.phi_i))
-    dalpha = column("phi_s", lambda c: target_derivative(c, target))
-    info = fisher.information(
-        first + mag_i * phasor_i, dalpha, VACUUM_TOL * base.alpha0_mag
-    )
+    alpha_d = first + mag_i * column("phi_i", lambda phi: from_polar(1.0, phi))
+    dalpha = column("phi_s", derivative)
+    info = fisher.information(alpha_d, dalpha, VACUUM_TOL * base.alpha0_mag)
     return ScanGrid(x, y, base, target, info.saturation_ratio)

@@ -45,18 +45,28 @@ def oracle_csv(names, rows, comments=()) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def run_fresh(*args) -> str:
-    """Standard output of ``python ARGS`` in a new interpreter on this
-    checkout's ``src``; a non-zero exit fails the test."""
+def _fresh(args, **kwargs) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a new interpreter on this checkout's ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]
     )}
-    result = subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True,
-        check=True,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
     )
-    return result.stdout
+
+
+def run_fresh(*args) -> str:
+    """Standard output of ``python ARGS`` in a new interpreter on this
+    checkout's ``src``; a non-zero exit fails the test."""
+    return _fresh(args, check=True).stdout
+
+
+def run_fresh_cli(argv, cwd) -> tuple[int, str]:
+    """Exit code and standard error of the CLI run on ``argv`` in a new
+    process working in ``cwd``."""
+    result = _fresh(["-m", "iscat_metrology.cli", *argv], cwd=cwd)
+    return result.returncode, result.stderr
 
 
 def same_bits(cells, values) -> bool:

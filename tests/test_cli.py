@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     fig2_config,
     run_fresh,
+    run_fresh_cli,
     vacuum_config,
     worked_example_config,
 )
@@ -863,8 +864,11 @@ class TestSpectrumCommand:
             # alpha_d nearly orthogonal to dalpha: F_q/F_pa = 1e320
             ({"alpha_r_re": "1e-160", "alpha_r_im": "1"},
              "relative mass bound inf is not finite"),
+            # a finite integrand whose quadrature overflows: 1e308 * 4
+            ({"weight": "1e308", "alpha_r_re": "0.02"},
+             "qfi_coherent must be finite, got inf"),
         ],
-        ids=["scattered_photons", "counting_cfi", "mass_bound"],
+        ids=["scattered_photons", "counting_cfi", "mass_bound", "weighted_sum"],
     )
     @pytest.mark.filterwarnings("error")
     def test_overflowing_spectrum_exits_2(self, tmp_path, capsys, cells, message):
@@ -1299,6 +1303,66 @@ class TestPresetConflicts:
         ]
         assert arguments["preset"] is None
         assert arguments["target"] == "mass" and arguments["y"] is None
+
+
+def _snapshot(directory) -> dict:
+    """Each file's bytes, a manifest's without its timestamp line."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        if path.name.endswith(".manifest.json"):
+            lines = [line for line in lines if b'"timestamp"' not in line]
+        files[path.name] = b"".join(lines)
+    return files
+
+
+def test_one_parser_serves_calls_as_fresh_processes(
+    tmp_path, monkeypatch, capsys, config_file, mc_saturated_cfg
+):
+    # one process, one parser: nothing a call sets on its namespace, such as
+    # a preset's options or a montecarlo seed, reaches the next call
+    from iscat_metrology import cli
+
+    cfg = str(config_file(fig2_config()))
+    mc = ["--config", str(config_file(mc_saturated_cfg, "mc.json")), "--seed", "5"]
+    calls = [
+        ["scan", "--preset", "fig2a", "--y-axis", "--out", "s.csv"],
+        ["scan", "--preset", "fig2a", "--out", "s.csv"],
+        ["scan", "--config", cfg, "--x-axis", "phi_s:0:1:3", "--out", "s.csv"],
+        ["montecarlo", *mc, "--trials", "2", "--samples", "50", "--out", "m.json"],
+        ["fisher", "--config", cfg, "--out", "f.json"],
+    ]
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    want = []
+    for argv in calls:
+        rc, err = run_fresh_cli(argv, fresh)
+        want.append((rc, err, _snapshot(fresh)))
+    progs = []  # of every parser built: the top one and its subparsers
+
+    def init(self, *args, **kwargs):
+        progs.append(kwargs["prog"])
+        real_init(self, *args, **kwargs)
+
+    real_init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", init)
+    monkeypatch.chdir(here)
+    cli.build_parser.cache_clear()
+    got = []
+    try:
+        for argv in calls:
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            got.append((rc, capsys.readouterr().err, _snapshot(here)))
+    finally:
+        cli.build_parser.cache_clear()
+    assert [rc for rc, *_ in got] == [2, 0, 0, 0, 0]
+    assert got == want
+    assert progs.count("iscat-metrology") == 1
+    assert len(progs) == 1 + len(cli.SUBCOMMANDS)
 
 
 @pytest.mark.parametrize(

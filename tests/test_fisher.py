@@ -39,6 +39,24 @@ class TestQfiCoherent:
         assert qfi == cfi == math.inf
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["grid_label", "grid_derivative"])
+def test_information_on_input_shapes_matches_broadcast_inputs(swap):
+    # each input's own terms are computed on its shape and then broadcast:
+    # every field equals the one computed from inputs broadcast beforehand,
+    # with a vacuum label and a vanishing derivative among them
+    rng = np.random.default_rng(7)
+    grid = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    grid[1, 2] = 0.0
+    axis = np.array([[0.3 - 0.2j], [0.0], [1.5j], [-2.0 + 0.1j]])
+    alpha_d, dalpha = (axis, grid) if swap else (grid, axis)
+    report = fisher.information(alpha_d, dalpha, 1e-12)
+    want = fisher.information(*np.broadcast_arrays(alpha_d, dalpha), 1e-12)
+    for got, expected in zip(report, want):
+        assert got.shape == (4, 5)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        assert got[~np.isnan(got)].tobytes() == expected[~np.isnan(expected)].tobytes()
+
+
 def counting_cfi(alpha_d, dalpha) -> float:
     return float(fisher.information(alpha_d, dalpha).cfi_photon_number)
 

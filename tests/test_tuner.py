@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from iscat_metrology.field import (
     detector_amplitude,
     first_arm_amplitude,
     target_derivative,
+    wrap_angle,
 )
 from iscat_metrology.textio import CHUNK_ROWS
 
@@ -35,6 +38,67 @@ def with_reference(cfg, mag, phi):
         reference=ReferenceArm(mag, phi),
         alpha0_mag=cfg.alpha0_mag,
     )
+
+
+def apply_axis(cfg, name, value):
+    """Per-cell reference of a scan: ``cfg`` with one scan parameter set to
+    ``value``, through the config types, so it is validated and wrapped as
+    a single configuration is."""
+    if name in ("alpha_r_mag", "mag_i") and value < 0.0:
+        raise ValueError(f"axis {name!r} needs magnitudes >= 0, got {value!r}")
+    if name == "alpha_r_mag":
+        z = cfg.alpha_r
+        angle = math.atan2(z.imag, z.real) if z != 0 else 0.0
+        return replace(cfg, alpha_r=cmath.rect(value, angle))
+    if name == "phi_s":
+        return replace(cfg, particle=replace(cfg.particle, phi_s=wrap_angle(value)))
+    if name == "mag_i":
+        return replace(cfg, reference=ReferenceArm(value, cfg.arm.phi_i))
+    assert name == "phi_i"
+    return replace(cfg, reference=ReferenceArm(cfg.arm.mag, wrap_angle(value)))
+
+
+def reference_ratios(base, target, xs, ys=None):
+    """The ratio of each scan cell from its own config's Fisher report (NaN
+    where the report finds the cell not estimable), y set before x."""
+    rows = []
+    for y_value in ys.values if ys is not None else [None]:
+        row = base if ys is None else apply_axis(base, ys.name, float(y_value))
+        rows.append([])
+        for value in xs.values:
+            cfg = apply_axis(row, xs.name, float(value))
+            try:
+                rows[-1].append(fisher.fisher_report(cfg, target).saturation_ratio)
+            except NotEstimableError:
+                rows[-1].append(math.nan)
+    return np.array(rows)
+
+
+#: Small axes over each scan parameter; the angles run past [0, 2*pi), so
+#: they are wrapped.
+CELL_AXES = {
+    "alpha_r_mag": ("alpha_r_mag", 0.0, 1e-4, 4),
+    "phi_s": ("phi_s", -1.0, 7.0, 5),
+    "mag_i": ("mag_i", 0.0, 4e-5, 3),
+    "phi_i": ("phi_i", -0.5, 6.9, 6),
+}
+#: Each parameter on x and on y, for both targets, on a two-arm base; then
+#: phi_i on an iSCAT base, where the arm it turns has magnitude 0.
+_CYCLE = [*CELL_AXES]
+_PAIRS = [(x, y, (3e-5, 0.5)) for x, y in zip(_CYCLE, _CYCLE[1:] + _CYCLE[:1])]
+_PAIRS += [
+    ("phi_i", "alpha_r_mag", None),
+    ("alpha_r_mag", "phi_i", None),
+    ("phi_i", None, None),
+]
+CELL_CASES = [
+    pytest.param(
+        arm, 0.7, target, CELL_AXES[x], CELL_AXES.get(y),
+        id=f"{target.value}-{x}_by_{y or 'none'}{'' if arm else '_iscat'}",
+    )
+    for x, y, arm in _PAIRS
+    for target in (MASS, PHASE)
+]
 
 
 class TestSaturatingReferenceSet:
@@ -233,8 +297,8 @@ class TestScanGrid:
         )
         for iy in (0, 3, 6):
             for ix in (0, 5, 10):
-                cfg = tuner.apply_axis(fig2_cfg, "phi_i", float(grid.y.values[iy]))
-                cfg = tuner.apply_axis(cfg, "phi_s", float(grid.x.values[ix]))
+                cfg = apply_axis(fig2_cfg, "phi_i", float(grid.y.values[iy]))
+                cfg = apply_axis(cfg, "phi_s", float(grid.x.values[ix]))
                 rep = fisher.fisher_report(cfg, MASS)
                 assert grid.values[iy, ix] == rep.saturation_ratio
 
@@ -257,29 +321,57 @@ class TestScanGrid:
         assert grid.y is None
 
     @pytest.mark.parametrize(
-        "reference,x,y",
+        "reference,r_phase,target,x,y",
         [
-            (None, ("mag_i", 0.0, 4e-5, 5), None),
-            (None, ("alpha_r_mag", 1e-6, 1e-4, 4), ("phi_s", 0.1, 6.0, 3)),
-            (None, ("phi_s", 0.0, 6.0, 4), ("mag_i", 0.0, 4e-5, 3)),
-            ((3e-5, 0.5), ("mag_i", 0.0, 4e-5, 4), ("alpha_r_mag", 0.0, 1e-4, 3)),
+            pytest.param(
+                None, None, MASS, ("mag_i", 0.0, 4e-5, 5), None, id="mag_i_no_arm"
+            ),
+            pytest.param(
+                None, None, MASS, ("alpha_r_mag", 1e-6, 1e-4, 4),
+                ("phi_s", 0.1, 6.0, 3), id="alpha_r_by_phi_s",
+            ),
+            pytest.param(
+                None, None, MASS, ("phi_s", 0.0, 6.0, 4), ("mag_i", 0.0, 4e-5, 3),
+                id="phi_s_by_mag_i",
+            ),
+            pytest.param(
+                (3e-5, 0.5), None, MASS, ("mag_i", 0.0, 4e-5, 4),
+                ("alpha_r_mag", 0.0, 1e-4, 3), id="mag_i_by_alpha_r",
+            ),
+            *CELL_CASES,
         ],
-        ids=["mag_i_no_arm", "alpha_r_by_phi_s", "phi_s_by_mag_i",
-             "mag_i_by_alpha_r"],
     )
-    def test_cells_match_sequential_apply_axis(self, fig2_cfg, reference, x, y):
-        base = fig2_cfg if reference is None else with_reference(fig2_cfg, *reference)
+    def test_cells_match_sequential_apply_axis(
+        self, fig2_cfg, reference, r_phase, target, x, y
+    ):
+        base = fig2_cfg
+        if r_phase is not None:
+            # a phase of alpha_r for alpha_r_mag to keep, and a mass other
+            # than 1 for the phase derivative to scale by
+            base = FieldConfig(
+                alpha_r=cmath.rect(2.3e-5, r_phase),
+                particle=ParticleModel(3.0, 2e-5 / 3, 5 * PI / 6),
+            )
+        if reference is not None:
+            base = with_reference(base, *reference)
         xs = tuner.AxisSpec.linspace(*x)
         ys = tuner.AxisSpec.linspace(*y) if y is not None else None
-        grid = tuner.scan_ratio_grid(base, MASS, xs, ys)
-        for iy in range(grid.values.shape[0]):
-            row = base
-            if ys is not None:
-                row = tuner.apply_axis(base, ys.name, float(ys.values[iy]))
-            for ix, value in enumerate(xs.values):
-                cfg = tuner.apply_axis(row, xs.name, float(value))
-                rep = fisher.fisher_report(cfg, MASS)
-                assert grid.values[iy, ix] == rep.saturation_ratio
+        grid = tuner.scan_ratio_grid(base, target, xs, ys).values
+        want = reference_ratios(base, target, xs, ys)
+        assert grid.shape == want.shape
+        assert np.array_equal(np.isnan(grid), np.isnan(want))
+        assert grid[~np.isnan(grid)].tobytes() == want[~np.isnan(want)].tobytes()
+
+    def test_negative_magnitudes_on_both_axes_name_the_y_value(self, fig2_cfg):
+        # the whole y axis is checked before the x axis
+        base = with_reference(fig2_cfg, 3e-5, 0.5)
+        x = tuner.AxisSpec("mag_i", np.array([1e-5, -2e-5, -3e-5]))
+        y = tuner.AxisSpec("alpha_r_mag", np.array([1e-5, -4e-5, -5e-5]))
+        message = "axis 'alpha_r_mag' needs magnitudes >= 0, got -4e-05"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tuner.scan_ratio_grid(base, MASS, x, y)
+        with pytest.raises(ValueError, match=r"'mag_i' needs .* got -2e-05$"):
+            tuner.scan_ratio_grid(base, MASS, x)
 
     def test_two_axes_on_one_parameter_rejected(self, fig2_cfg):
         # a y axis over x's parameter would add a column no ratio depends on
@@ -301,8 +393,8 @@ class TestScanGrid:
         undefined = []
         for iy, phi in enumerate(y.values):
             for ix, mag in enumerate(x.values):
-                cfg = tuner.apply_axis(fig2_cfg, "phi_i", float(phi))
-                cfg = tuner.apply_axis(cfg, "mag_i", float(mag))
+                cfg = apply_axis(fig2_cfg, "phi_i", float(phi))
+                cfg = apply_axis(cfg, "mag_i", float(mag))
                 try:
                     want = fisher.fisher_report(cfg, MASS).saturation_ratio
                 except NotEstimableError:
@@ -332,7 +424,7 @@ class TestScanGrid:
         with pytest.raises(ValueError, match="unknown axis"):
             tuner.AxisSpec.linspace("mass_kda", 0.0, 1.0, 5)
         with pytest.raises(ValueError, match="unknown axis"):
-            tuner.apply_axis(fig2_cfg, "nope", 1.0)
+            tuner.AxisSpec("nope", np.array([1.0]))
 
     @pytest.mark.parametrize(
         "make",
