@@ -20,11 +20,11 @@ sampling run, tool version and timestamp).  It refuses a path that exists
 and is not a regular file, writes every file under a staged name beside its
 own, then moves each into place with ``os.replace``, the manifest last; on
 any exception it removes every file it staged or moved, so a run's files
-appear together or not at all.  It maps errors to exit codes: 0 success, 2
-input/config error (a failed write or an empty ``--out`` included), 3
-well-formed but non-estimable configuration (vacuum detector field, zero
-information).  Data files contain no timestamps, so identical inputs
-reproduce them byte for byte.
+appear together or not at all.  It maps errors to exit codes: 0 success, 3
+a ``NotEstimableError`` (vacuum detector field, zero information, a fit at
+the bracket edge), 2 any other input/config error (a failed write or an
+empty ``--out`` included).  Data files contain no timestamps, so identical
+inputs reproduce them byte for byte.
 
 A process runs one subcommand, so this module loads only what every
 subcommand uses (``errors``, ``field``, ``fisher``, ``textio``).  Each
@@ -35,7 +35,7 @@ so a function replaced on its module is the one called.
 
 Only ``fisher``, ``scan`` and ``snr`` take ``--format``; the others always
 write JSON.  Every subcommand accepts ``--threads N`` (N >= 1); only
-``montecarlo`` uses it, sampling its trials on up to N threads (default: the
+``montecarlo`` uses it, running its trials on up to N threads (default: the
 available cores), and its outputs do not depend on N.  Option values such
 as ``-1e-3``, ``-inf`` or ``-nan`` are read as numbers, not as flags.
 """
@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fisher
-from .errors import BracketError, NotEstimableError
+from .errors import NotEstimableError
 from .field import (
     EstimationTarget,
     FieldConfig,
@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            help="montecarlo sampling threads (default: available cores); "
+            help="montecarlo trial threads (default: available cores); "
             "other subcommands run in one thread",
         )
     return parser
@@ -542,7 +542,7 @@ def main(argv=None) -> int:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         _commit({**files, f"{out}.manifest.json": _json(manifest)})
-    except (NotEstimableError, BracketError) as exc:
+    except NotEstimableError as exc:
         print(f"not estimable: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each a ValueError: the CLI
+exits 3 on a NotEstimableError (subclasses included) and 2 on any other."""
 
 
 class EnergyBudgetError(ValueError):
@@ -13,7 +14,7 @@ class VacuumPhaseError(NotEstimableError):
     """The detector field vanishes; its phase (and the CFI) is undefined."""
 
 
-class BracketError(RuntimeError):
+class BracketError(NotEstimableError):
     """A likelihood maximum could not be located inside the search bracket."""
 
 

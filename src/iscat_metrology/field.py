@@ -336,9 +336,17 @@ def config_from_dict(d: dict) -> FieldConfig:
 
 
 def load_config(path) -> FieldConfig:
+    def unique_keys(pairs):  # json.load would keep the last of equal keys
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"config {path} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
         except RecursionError:  # e.g. 100,000 nested '['
             raise ValueError(f"config {path} nests too deeply to read") from None
         except UnicodeDecodeError as exc:

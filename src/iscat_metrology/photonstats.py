@@ -13,17 +13,18 @@ configured value is taken.  The MLE variance across trials is compared
 against 1/(N*F) with F the counting CFI.  Sampling uses numpy's PCG64
 generator with explicit 64-bit seeds, and trial k draws from its own stream
 seeded with seed + k, so a trial's counts do not depend on earlier trials.
-The validation splits its trials into contiguous chunks sampled on worker
-threads (numpy's Poisson sampler runs without the GIL); each trial's count
-total lands in its own slot and the fit then runs serially in trial order,
-so the chunking cannot change a result, a count or an error message.
+The validation splits its trials into contiguous chunks, each sampled and
+fitted trial by trial on a thread of a standard pool (numpy's Poisson
+sampler runs without the GIL).  The chunks are read back in trial order, so
+the chunking cannot change a result or a count, and the error raised is
+that of the first failing trial, as in a serial run.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -61,15 +62,6 @@ def available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-def worker_count(threads: int | None, n_trials: int) -> int:
-    """Sampling threads for ``n_trials`` trials: ``threads`` (default: every
-    available core), clamped to the available cores and to the trials."""
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    cores = available_cores()
-    return min(cores if threads is None else threads, cores, n_trials)
 
 
 def gaussian_approx_pmf(mean: float, n) -> float | np.ndarray:
@@ -217,11 +209,14 @@ def crb_validation(
 
     Trial k uses the derived seed ``seed + k`` and is fitted as in
     :func:`mle_estimate`; ``ambiguous_trials`` counts the trials with two
-    roots inside the bracket.  The trials are sampled on
-    :func:`worker_count` threads; the result does not depend on how many.
+    roots inside the bracket.  The trials run in contiguous chunks on
+    ``threads`` threads (default: every available core), clamped to the
+    available cores and to the trials; the result does not depend on how
+    many, and the first failing trial in trial order is the one raised.
     Non-estimable configurations, a mass target at zero mass, a detector
     mean above :data:`POISSON_LAM_MAX`, more than :data:`MAX_DRAWS` draws
-    in all and a negative seed raise before any sampling.
+    in all, a negative seed and ``threads`` below 1 raise before any
+    sampling.
     """
     if samples_per_trial < 2:
         raise ValueError(f"need at least 2 samples per trial, got {samples_per_trial}")
@@ -234,7 +229,8 @@ def crb_validation(
             f"trials x samples = {n_trials} x {samples_per_trial} exceeds "
             f"the cap of {MAX_DRAWS} Poisson draws"
         )
-    workers = worker_count(threads, n_trials)
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     report = fisher.fisher_report(cfg, target)  # raises if not estimable
     if not (report.cfi_photon_number > 0.0):
         raise NotEstimableError("counting CFI is zero; the bound is infinite")
@@ -249,36 +245,24 @@ def crb_validation(
     true_value = target_value(cfg, target)
     bracket = default_bracket(cfg, target)
 
-    # each trial's count total first, then its estimate, in the same slot
-    estimates = np.full(n_trials, math.nan)
-    edges = [n_trials * w // workers for w in range(workers + 1)]
-    failures = [None] * workers
+    cores = available_cores()
+    workers = min(cores if threads is None else threads, cores, n_trials)
+    estimates = np.empty(n_trials)
 
-    def sample_chunk(w: int) -> None:
-        try:
-            for k in range(edges[w], edges[w + 1]):
-                estimates[k] = sample_counts(lam, samples_per_trial, seed + k).sum()
-        except Exception as exc:  # re-raised below, after every join
-            failures[w] = exc
+    def fit_chunk(w: int) -> int:
+        """Sample and fit chunk ``w``'s trials; return how many were ambiguous."""
+        ambiguous = 0
+        for k in range(n_trials * w // workers, n_trials * (w + 1) // workers):
+            total = float(sample_counts(lam, samples_per_trial, seed + k).sum())
+            found = mle_candidates(total / samples_per_trial, cfg, target, bracket)
+            estimates[k] = found[0]
+            ambiguous += len(found) > 1
+        return ambiguous
 
-    pool = [threading.Thread(target=sample_chunk, args=(w,)) for w in range(1, workers)]
-    for thread in pool:
-        thread.start()
-    try:
-        sample_chunk(0)
-    finally:
-        for thread in pool:
-            thread.join()
-    # the earliest chunk's failure is the one a single thread would raise
-    for exc in failures:
-        if exc is not None:
-            raise exc
-    ambiguous = 0
-    for k in range(n_trials):
-        total = float(estimates[k])
-        found = mle_candidates(total / samples_per_trial, cfg, target, bracket)
-        estimates[k] = found[0]
-        ambiguous += len(found) > 1
+    # map reads the chunks in order, so the earliest chunk's failure is raised;
+    # leaving the block joins every thread
+    with ThreadPoolExecutor(workers) as pool:
+        ambiguous = sum(pool.map(fit_chunk, range(workers)))
     variance = float(np.var(estimates, ddof=1))
     crb = 1.0 / (samples_per_trial * report.cfi_photon_number)
     ratio = variance / crb

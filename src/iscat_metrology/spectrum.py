@@ -244,21 +244,25 @@ def spectrum_from_csv(path) -> SpectralField:
             if line.rstrip("\r\n") and not line.startswith("#")
         )
         try:
-            # one tuple per column, its header cell first; short rows read ""
-            table = list(itertools.zip_longest(*reader, fillvalue=""))
+            rows = list(reader)
         except UnicodeDecodeError as exc:
             raise ValueError(f"spectrum CSV {path} is not UTF-8: {exc}") from None
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
             raise ValueError(f"spectrum CSV {path}: {exc}") from None
+    # one tuple per column, its header cell first; short rows read ""
+    table = list(itertools.zip_longest(*rows, fillvalue=""))
     if len(table[0] if table else ()) < 2:
         raise ValueError(f"no spectrum rows in {path}")
-    header = [column[0] for column in table]
+    header = rows[0]
     missing = set(SPECTRUM_CSV_COLUMNS) - set(header)
     if missing:
         raise ValueError(f"spectrum CSV missing columns: {sorted(missing)}")
     twice = [n for n in SPECTRUM_CSV_COLUMNS if header.count(n) > 1]
     if twice:
         raise ValueError(f"spectrum CSV {path} names columns twice: {twice}")
+    if len(table) > len(header):  # a row has a cell no header cell names
+        k = next(k for k, row in enumerate(rows) if len(row) > len(header))
+        raise ValueError(f"spectrum CSV {path}: data row {k} is longer than the header")
     # parsed in SpectralField's field order; the first bad column is named
     names = [field.name for field in fields(SpectralField)]
     values = {}

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from iscat_metrology import tuner
 from iscat_metrology.field import (
@@ -21,6 +22,14 @@ from iscat_metrology.field import (
 from iscat_metrology.textio import dump_json
 
 PI = math.pi
+
+# A tier-1 run draws the same hypothesis examples every time and replays
+# nothing from earlier runs, so its result is a function of the tree.
+# HYPOTHESIS_PROFILE=explore draws new examples, more of them where a test
+# does not set its own count, and keeps failures in .hypothesis/.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.register_profile("explore", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
 #: Doubles every CSV writer must read back bit for bit: a signed zero, the
 #: smallest subnormal and the largest finite double.

@@ -717,11 +717,13 @@ class TestMonteCarloCommand:
             blobs.append(out.read_bytes() + trials.read_bytes())
             threads_used.append([sampled_on[40 + k] for k in range(7)])
         assert blobs[0] == blobs[1]
+        # every chunk runs on one pool thread, none on the caller's; a thread
+        # that has finished one chunk may take the next
         main_thread = threading.main_thread()
-        assert threads_used[0] == [main_thread] * 7
+        assert threads_used[0] == [threads_used[0][0]] * 7
         a, b, c = threads_used[1][0], threads_used[1][2], threads_used[1][4]
         assert threads_used[1] == [a, a, b, b, c, c, c]
-        assert a == main_thread and len({a, b, c}) == 3
+        assert main_thread not in (threads_used[0][0], a, b, c)
 
     def test_failing_chunk_writes_nothing(
         self, tmp_path, capsys, config_file, mc_quarter_cfg, monkeypatch
@@ -879,6 +881,18 @@ class TestSpectrumCommand:
         assert message in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", ["7", ""], ids=["cell", "trailing_comma"])
+    def test_long_row_exits_2_naming_the_file_and_row(self, tmp_path, capsys, extra):
+        path = _spectrum_row(tmp_path)
+        header, row = path.read_text().splitlines()
+        path.write_text(f"# band\n{header}\n{row}\n\n{row},{extra}\n{row}\n")
+        out = tmp_path / "o.json"
+        assert main(["spectrum", "--spectrum", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: spectrum CSV {path}: data row 2 is longer than the header\n"
+        )
+        assert not out.exists()
+
     def test_blank_lines_are_skipped_like_comments(self, tmp_path):
         path = _spectrum_row(tmp_path, alpha_r_re="0.5", alpha_s_re="0.01")
         header, row = path.read_text().splitlines()
@@ -968,6 +982,26 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, edit, message):
     out = tmp_path / "o.json"
     assert main(["fisher", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        # a null reference, then a two-arm one: the last would win
+        (lambda text: text[:-1] + ', "reference": {"mag": 4.5e-05, "phi_i": 0.0}}',
+         "reference"),
+        (lambda text: text.replace('"particle": {', '"particle": {"phi_s": 0.0, '),
+         "phi_s"),
+    ],
+    ids=["top_level", "nested"],
+)
+def test_duplicate_config_key_exits_2(tmp_path, capsys, edit, key):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(edit(json.dumps(config_to_dict(fig2_config()))))
+    out = tmp_path / "o.json"
+    assert main(["fisher", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config {cfg_path} repeats the key {key!r}\n"
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 

@@ -330,17 +330,33 @@ class TestCrbValidation:
             assert later <= earlier + 3.0 * se * math.sqrt(2.0)
         assert ratios[-1] == pytest.approx(1.0, abs=5.0 * se)
 
-    def test_worker_count_clamps_to_cores_and_trials(self, monkeypatch):
+    def test_threads_clamp_to_cores_and_trials(self, mc_quarter_cfg, monkeypatch):
         assert 1 <= ps.available_cores() <= (os.cpu_count() or 1)
         monkeypatch.setattr(ps, "available_cores", lambda: 4)
-        assert ps.worker_count(None, 1000) == 4
-        assert ps.worker_count(10**9, 1000) == 4  # never more threads than cores
-        assert ps.worker_count(3, 1000) == 3
-        assert ps.worker_count(None, 2) == 2
-        assert ps.worker_count(1, 1000) == 1
+        pools = []
+
+        class Recording(ps.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(ps, "ThreadPoolExecutor", Recording)
+        # (threads, trials, pool threads): never more threads than cores or trials
+        cases = [
+            (None, 1000, 4), (10**9, 1000, 4), (3, 1000, 3),
+            (None, 2, 2), (3, 2, 2), (1, 1000, 1),
+        ]
+        for threads, trials, _ in cases:
+            ps.crb_validation(
+                mc_quarter_cfg, MASS, 30, n_trials=trials, seed=0, threads=threads
+            )
+        assert pools == [workers for *_, workers in cases]
         for threads in (0, -5):
             with pytest.raises(ValueError, match="threads must be >= 1"):
-                ps.worker_count(threads, 1000)
+                ps.crb_validation(
+                    mc_quarter_cfg, MASS, 30, n_trials=1000, seed=0, threads=threads
+                )
+        assert len(pools) == len(cases)
 
     def test_worker_failure_is_raised_not_swallowed(self, mc_quarter_cfg, monkeypatch):
         monkeypatch.setattr(ps, "available_cores", lambda: 3)
@@ -350,15 +366,20 @@ class TestCrbValidation:
         def failing(mean, length, seed):
             # trial 3 in the second chunk, trials 5 and 6 in the third
             if seed in (43, 45, 46):
-                raised_on.append(threading.get_ident())
+                raised_on.append((seed, threading.get_ident()))
                 raise RuntimeError(f"injected failure at seed {seed}")
             return sample_counts(mean, length, seed)
 
         monkeypatch.setattr(ps, "sample_counts", failing)
+        before = threading.active_count()
         # the failure a single thread would meet first
         with pytest.raises(RuntimeError, match="at seed 43$"):
             ps.crb_validation(mc_quarter_cfg, MASS, 30, n_trials=7, seed=40)
-        assert len(raised_on) == 2 and threading.get_ident() not in raised_on
+        assert threading.active_count() == before
+        # a chunk stops at its own first failure; the third chunk may be
+        # cancelled before it starts once the second has failed
+        assert {seed for seed, _ in raised_on} in ({43}, {43, 45})
+        assert threading.get_ident() not in {ident for _, ident in raised_on}
 
     def test_fit_failure_is_the_first_trial_in_order(self, monkeypatch):
         # iSCAT at a quarter phase: most trials' maxima sit on a bracket edge
@@ -375,10 +396,21 @@ class TestCrbValidation:
                 messages.append((k, str(exc)))
         assert messages[0][0] == 1 and len(messages) > 10
         monkeypatch.setattr(ps, "available_cores", lambda: 3)
+        sample_counts = ps.sample_counts
+
+        def failing(mean, length, seed):
+            if seed == 10 + 40:  # trial 40, in the third chunk of 3
+                raise RuntimeError("injected sampling failure in trial 40")
+            return sample_counts(mean, length, seed)
+
+        # a later trial's sampling failure does not hide trial 1's fit failure
+        monkeypatch.setattr(ps, "sample_counts", failing)
+        before = threading.active_count()
         for threads in (1, 3):
             with pytest.raises(BracketError) as exc:
                 ps.crb_validation(cfg, MASS, 100, n_trials=50, seed=10, threads=threads)
             assert str(exc.value) == messages[0][1]
+            assert threading.active_count() == before
 
     def test_stress_more_workers_than_cores(self, mc_quarter_cfg, monkeypatch):
         kwargs = dict(samples_per_trial=20, n_trials=240, seed=9)
@@ -400,6 +432,22 @@ class TestCrbValidation:
         assert not runner.is_alive()
         assert reports[0].estimates.tobytes() == serial.estimates.tobytes()
         assert reports[0].to_dict() == serial.to_dict()
+
+    @pytest.mark.parametrize("workers", [1, 3, 12])
+    def test_same_report_for_any_worker_count(self, mc_quarter_cfg, monkeypatch, workers):
+        kwargs = dict(samples_per_trial=20, n_trials=240, seed=9)
+        lam = abs(detector_amplitude(mc_quarter_cfg)) ** 2
+        serial = [  # the serial reference: fit trial after trial
+            ps.mle_estimate(ps.sample_counts(lam, 20, 9 + k), mc_quarter_cfg, PHASE)
+            for k in range(240)
+        ]
+        single = ps.crb_validation(mc_quarter_cfg, PHASE, threads=1, **kwargs)
+        monkeypatch.setattr(ps, "available_cores", lambda: workers)
+        before = threading.active_count()
+        report = ps.crb_validation(mc_quarter_cfg, PHASE, **kwargs)
+        assert threading.active_count() == before
+        assert report.estimates.tobytes() == np.array(serial).tobytes()
+        assert report.to_dict() == single.to_dict()
 
     def test_score_identity_at_truth(self, mc_saturated_cfg):
         lam = abs(detector_amplitude(mc_saturated_cfg)) ** 2
