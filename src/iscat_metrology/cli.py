@@ -238,20 +238,18 @@ def run_scan(args):
         x = _parse_axis(args.x_axis)
         y = _parse_axis(args.y_axis) if args.y_axis is not None else None
     grid = tuner.scan_ratio_grid(base, target, x, y)
+    header = grid.header_dict()
     if args.format == "json":
         ratio = [
             [None if math.isnan(v) else v for v in row]
             for row in grid.values.tolist()
         ]
-        files = {"": _json({"header": grid.header_dict(), "ratio": ratio})}
+        files = {"": _json({"header": header, "ratio": ratio})}
     else:
-        files = {"": grid.to_csv, ".header.json": _json(grid.header_dict())}
+        files = {"": grid.to_csv, ".header.json": _json(header)}
     arguments = {
         "preset": args.preset,
-        "baseline": config_to_dict(base),
-        "target": target.value,
-        "x": x.to_dict(),
-        "y": y.to_dict() if y is not None else None,
+        **{key: header[key] for key in ("baseline", "target", "x", "y")},
         "format": args.format,
     }
     return arguments, files

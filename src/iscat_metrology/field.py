@@ -63,11 +63,6 @@ def _require_finite(fields: dict) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def from_polar(mag: float, phase: float) -> complex:
-    """Complex amplitude from magnitude and argument."""
-    return cmath.rect(mag, phase)
-
-
 def magnitude(z):
     """|z| of a complex array; np.abs on complex may round differently."""
     return np.hypot(z.real, z.imag)
@@ -129,9 +124,6 @@ class ReferenceArm:
             raise ValueError(f"reference magnitude must be >= 0, got {self.mag}")
         object.__setattr__(self, "phi_i", wrap_angle(self.phi_i))
 
-    def amplitude(self) -> complex:
-        return from_polar(self.mag, self.phi_i)
-
 
 @dataclass(frozen=True)
 class FieldConfig:
@@ -169,12 +161,13 @@ class FieldConfig:
 
 def scattered_amplitude(p: ParticleModel) -> complex:
     """Scattered coherent-state label m*s*exp(i*phi_s)."""
-    return from_polar(p.mass_kda * p.scale_per_kda, p.phi_s)
+    return cmath.rect(p.mass_kda * p.scale_per_kda, p.phi_s)
 
 
 def reference_amplitude(cfg: FieldConfig) -> complex:
     """Reference-arm label; 0 in iSCAT mode."""
-    return cfg.arm.amplitude()
+    arm = cfg.arm
+    return cmath.rect(arm.mag, arm.phi_i)
 
 
 def first_arm_amplitude(cfg: FieldConfig) -> complex:
@@ -236,7 +229,7 @@ def target_derivative(cfg: FieldConfig, target: EstimationTarget) -> complex:
     by m.
     """
     p = cfg.particle
-    d = from_polar(p.scale_per_kda, p.phi_s)
+    d = cmath.rect(p.scale_per_kda, p.phi_s)
     if target is EstimationTarget.MASS:
         return d
     return 1j * p.mass_kda * d

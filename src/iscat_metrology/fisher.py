@@ -7,6 +7,9 @@ and a target derivative ``dalpha = d(alpha_s)/d(mu)``:
 * phase-averaged-state QFI    F_pa = 4*Re[(conj(alpha_d)/|alpha_d|)*dalpha]**2
 * photon-counting CFI         F_pn = F_pa
 
+F_pa is not computed apart: :class:`FisherReport` holds F_pn, and its
+``to_dict`` writes that value under the ``qfi_phase_averaged`` key too.
+
 With psi = arg(dalpha) and chi = arg(alpha_d) the ratio F_pn/F_q equals
 cos^2(psi - chi): photon counting is quantum-optimal exactly when the
 detector phase is aligned with the derivative phase (mod pi).
@@ -67,13 +70,11 @@ class FisherReport(NamedTuple):
     psi: float
     chi: float
     saturation_ratio: float
-    #: equal to the counting CFI by construction
-    qfi_phase_averaged = property(lambda self: self.cfi_photon_number)
 
     def to_dict(self) -> dict:
         return {
             "qfi_coherent": self.qfi_coherent,
-            "qfi_phase_averaged": self.qfi_phase_averaged,
+            "qfi_phase_averaged": self.cfi_photon_number,  # F_pa = F_pn
             "cfi_photon_number": self.cfi_photon_number,
             "psi": self.psi,
             "chi": self.chi,

@@ -7,9 +7,9 @@ lam(mu) = |alpha_d(mu)|^2, so the log-likelihood of counts n_1..n_N is
     ll(mu) = S*log(lam(mu)) - N*lam(mu) + const,   S = sum(n_i).
 
 It is largest where lam(mu) = S/N, so the MLE inverts the counting mean in
-closed form (roots of a quadratic in mass, of a cosine in phase); of two
-roots inside the search bracket, equally likely, the one nearest the
-configured value is taken.  The MLE variance across trials is compared
+closed form (:func:`mle_candidates`: roots of a quadratic in mass, of a
+cosine in phase); of two roots inside the search bracket, equally likely,
+the one nearest the configured value is taken.  The MLE variance across trials is compared
 against 1/(N*F) with F the counting CFI.  Sampling uses numpy's PCG64
 generator with explicit 64-bit seeds, and trial k draws from its own stream
 seeded with seed + k, so a trial's counts do not depend on earlier trials.
@@ -22,6 +22,7 @@ that of the first failing trial, as in a serial run.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -38,9 +39,9 @@ from .field import (
     FieldConfig,
     check_budget,
     detector_amplitude,
-    from_polar,
     magnitude,
     reference_amplitude,
+    target_derivative,
     target_value,
     with_target_value,
 )
@@ -122,7 +123,7 @@ def mle_candidates(
     base = cfg.alpha_r + reference_amplitude(cfg)
     p = cfg.particle
     if target is EstimationTarget.MASS:
-        d = from_polar(p.scale_per_kda, p.phi_s)
+        d = target_derivative(cfg, target)
         b, dd = fisher.real_projection(base, d), p.scale_per_kda**2
         gap = abs(base) ** 2 - mean_count
         disc = b * b - dd * gap
@@ -151,23 +152,6 @@ def mle_candidates(
         )
     mu = target_value(cfg, target)
     return sorted(inside, key=lambda r: abs(r - mu))
-
-
-def mle_estimate(counts, cfg: FieldConfig, target: EstimationTarget) -> float:
-    """Maximum-likelihood value of the target parameter from ``counts``.
-
-    By MLE invariance the fit matches the Poisson mean, lam(mu) = S/N,
-    inverted in closed form by :func:`mle_candidates` inside
-    :func:`default_bracket`.  Two roots inside the bracket have equal
-    likelihood; the one nearest the configured value is returned.  A
-    maximum at a bracket edge means the parameter is not identifiable from
-    these counts, and raises BracketError.
-    """
-    bracket = default_bracket(cfg, target)
-    counts = np.asarray(counts)
-    if counts.size == 0:
-        raise ValueError("empty count sample")
-    return mle_candidates(float(counts.sum()) / len(counts), cfg, target, bracket)[0]
 
 
 # --- Monte Carlo CRB validation -------------------------------------------------
@@ -207,8 +191,9 @@ def crb_validation(
 ) -> CrbValidationReport:
     """Repeatedly sample counts, fit the MLE, and compare var against CRB.
 
-    Trial k uses the derived seed ``seed + k`` and is fitted as in
-    :func:`mle_estimate`; ``ambiguous_trials`` counts the trials with two
+    Trial k uses the derived seed ``seed + k`` and is fitted to the root of
+    :func:`mle_candidates` nearest the configured value, inside
+    :func:`default_bracket`; ``ambiguous_trials`` counts the trials with two
     roots inside the bracket.  The trials run in contiguous chunks on
     ``threads`` threads (default: every available core), clamped to the
     available cores and to the trials; the result does not depend on how
@@ -323,7 +308,7 @@ def mean_sensitivity_scan(
     p, ref = cfg_base.particle, cfg_base.reference
     s = p.scale_per_kda
     root = np.sqrt(grid)
-    direction = from_polar(1.0, p.phi_s)
+    direction = cmath.rect(1.0, p.phi_s)
     alpha_s = root * direction
     first_mag = magnitude(cfg_base.alpha_r + alpha_s)
     check_budget(first_mag, cfg_base.arm.mag, cfg_base.alpha0_mag)
@@ -340,7 +325,7 @@ def mean_sensitivity_scan(
         points = sol.line_points(mag)
         (low, t_low), (high, _) = points[0], points[-1]
         vacuum = np.abs(t_low + root - root[0]) <= VACUUM_TOL * cfg_base.alpha0_mag
-        arm = np.where(vacuum, from_polar(mag, high), from_polar(mag, low))
+        arm = np.where(vacuum, cmath.rect(mag, high), cmath.rect(mag, low))
     # mean(P) = |A|^2 + 2*sqrt(P)*Re[conj(A)*e^(i*phi_s)] + P,
     # with A the mass-independent arms alpha_r + alpha_i
     other_arms = cfg_base.alpha_r + arm

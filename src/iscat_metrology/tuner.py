@@ -41,7 +41,6 @@ from .field import (
     config_to_dict,
     first_arm_amplitude,
     first_arm_magnitude,
-    from_polar,
     magnitude,
     phase,
     target_derivative,
@@ -287,13 +286,13 @@ def scan_ratio_grid(
         return np.array(list(map(term, values))).reshape(shape)
 
     def derivative(phi):  # field.target_derivative at phi_s = phi
-        d = from_polar(p.scale_per_kda, phi)
+        d = cmath.rect(p.scale_per_kda, phi)
         return d if target is EstimationTarget.MASS else 1j * p.mass_kda * d
 
-    first = column("alpha_r_mag") + column("phi_s", lambda phi: from_polar(m_s, phi))
+    first = column("alpha_r_mag") + column("phi_s", lambda phi: cmath.rect(m_s, phi))
     mag_i = column("mag_i")
     check_budget(magnitude(first), mag_i, base.alpha0_mag)
-    alpha_d = first + mag_i * column("phi_i", lambda phi: from_polar(1.0, phi))
+    alpha_d = first + mag_i * column("phi_i", lambda phi: cmath.rect(1.0, phi))
     dalpha = column("phi_s", derivative)
     info = fisher.information(alpha_d, dalpha, VACUUM_TOL * base.alpha0_mag)
     return ScanGrid(x, y, base, target, info.saturation_ratio)

@@ -957,6 +957,43 @@ def test_malformed_input_shape_exits_2(tmp_path, capsys, write_input, name):
     assert not out.exists()
 
 
+def _scan_config_without_x_axis(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(fig2_config())))
+    message = "scan needs either --preset or --config + --x-axis"
+    return ["scan", "--config", str(path)], message
+
+
+def _spectrum_holding(text):
+    """Input writer: a spectrum CSV holding ``text``."""
+
+    def write(tmp_path):
+        path = tmp_path / "band.csv"
+        path.write_text(text)
+        return ["spectrum", "--spectrum", str(path)], f"no spectrum rows in {path}"
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "write_input",
+    [
+        _scan_config_without_x_axis,
+        lambda tmp_path: (["snr"], "snr needs either --preset or --sweep"),
+        _spectrum_holding(",".join(sp.SPECTRUM_CSV_COLUMNS) + "\n"),
+        _spectrum_holding(""),
+    ],
+    ids=["scan_without_x_axis", "snr_without_sweep", "header_only_spectrum",
+         "empty_spectrum"],
+)
+def test_incomplete_input_exits_2_and_writes_nothing(tmp_path, capsys, write_input):
+    argv, message = write_input(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv + ["--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before  # no data file, no manifest
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

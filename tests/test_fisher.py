@@ -169,7 +169,7 @@ class TestReportInvariants:
                 continue
             for target in EstimationTarget:
                 rep = fisher.fisher_report(cfg, target)
-                assert rep.cfi_photon_number == rep.qfi_phase_averaged
+                assert rep.to_dict()["qfi_phase_averaged"] == rep.cfi_photon_number
                 assert 0.0 <= rep.saturation_ratio <= 1.0
                 assert rep.cfi_photon_number <= rep.qfi_coherent * (1 + 1e-12)
                 assert rep.saturation_ratio == pytest.approx(

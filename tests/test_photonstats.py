@@ -92,6 +92,15 @@ def saturated_config():
     return saturated_mc_config()
 
 
+def mle_estimate(counts, cfg, target):
+    """Serial reference of one Monte Carlo trial's fit: the MLE of the
+    target from ``counts``, the root of ``mle_candidates`` nearest the
+    configured value at the sample mean S/N, inside the default bracket."""
+    bracket = ps.default_bracket(cfg, target)
+    mean_count = float(counts.sum()) / len(counts)
+    return ps.mle_candidates(mean_count, cfg, target, bracket)[0]
+
+
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -169,14 +178,14 @@ class TestMleEstimate:
         base, extra = divmod(total, n)
         counts = np.full(n, base, dtype=np.int64)
         counts[:extra] += 1  # sample mean == round(lam*n)/n
-        est = ps.mle_estimate(counts, cfg, MASS)
+        est = mle_estimate(counts, cfg, MASS)
         assert est == pytest.approx(66.0, abs=0.01)
 
     def test_monte_carlo_bias_small(self):
         cfg = saturated_config()
         lam = abs(detector_amplitude(cfg)) ** 2
         estimates = [
-            ps.mle_estimate(ps.sample_counts(lam, 10**4, 600 + k), cfg, MASS)
+            mle_estimate(ps.sample_counts(lam, 10**4, 600 + k), cfg, MASS)
             for k in range(200)
         ]
         bias = np.mean(estimates) - 66.0
@@ -195,7 +204,7 @@ class TestMleEstimate:
         lam = abs(detector_amplitude(cfg)) ** 2
         counts = ps.sample_counts(lam, 10**4, 1)
         with pytest.raises(BracketError, match="bracket"):
-            ps.mle_estimate(counts, cfg, MASS)
+            mle_estimate(counts, cfg, MASS)
 
 
 class TestClosedFormMle:
@@ -219,7 +228,7 @@ class TestClosedFormMle:
             level = counts.sum() / len(counts)
             if len(ps.mle_candidates(level, cfg, target, bracket)) != 1:
                 continue  # two equally likely roots: no unique maximum
-            est = ps.mle_estimate(counts, cfg, target)
+            est = mle_estimate(counts, cfg, target)
             reference, xatol = oracle_mle(counts, cfg, target)
             assert abs(est - reference) <= xatol
             # the estimate solves lam(estimate) = S/N to round-off
@@ -233,7 +242,7 @@ class TestClosedFormMle:
         cfg = spurious_edge_config()
         lam = abs(detector_amplitude(cfg)) ** 2
         counts = ps.sample_counts(lam, 1000, 373)
-        est = ps.mle_estimate(counts, cfg, PHASE)
+        est = mle_estimate(counts, cfg, PHASE)
         assert est == pytest.approx(5.34832, abs=1e-5)
         reference, xatol = oracle_mle(counts, cfg, PHASE)
         assert abs(est - reference) <= xatol
@@ -247,7 +256,7 @@ class TestClosedFormMle:
         assert len(found) == 2
         assert found[0] == pytest.approx(20.0 - 2.0 * math.sqrt(level), rel=1e-12)
         assert found[1] == pytest.approx(20.0 + 2.0 * math.sqrt(level), rel=1e-12)
-        assert ps.mle_estimate(counts, cfg, MASS) == found[0]
+        assert mle_estimate(counts, cfg, MASS) == found[0]
         report = ps.crb_validation(
             cfg, MASS, samples_per_trial=1000, n_trials=50, seed=11
         )
@@ -391,7 +400,7 @@ class TestCrbValidation:
         messages = []
         for k in range(50):  # the serial reference: fit trial after trial
             try:
-                ps.mle_estimate(ps.sample_counts(lam, 100, 10 + k), cfg, MASS)
+                mle_estimate(ps.sample_counts(lam, 100, 10 + k), cfg, MASS)
             except BracketError as exc:
                 messages.append((k, str(exc)))
         assert messages[0][0] == 1 and len(messages) > 10
@@ -438,7 +447,7 @@ class TestCrbValidation:
         kwargs = dict(samples_per_trial=20, n_trials=240, seed=9)
         lam = abs(detector_amplitude(mc_quarter_cfg)) ** 2
         serial = [  # the serial reference: fit trial after trial
-            ps.mle_estimate(ps.sample_counts(lam, 20, 9 + k), mc_quarter_cfg, PHASE)
+            mle_estimate(ps.sample_counts(lam, 20, 9 + k), mc_quarter_cfg, PHASE)
             for k in range(240)
         ]
         single = ps.crb_validation(mc_quarter_cfg, PHASE, threads=1, **kwargs)
@@ -471,7 +480,7 @@ class TestMeanSensitivityScan:
             alpha0_mag=10.0,
         )
         scan = ps.mean_sensitivity_scan(cfg, [0.0], optimize_reference=False)
-        expected = abs(2.3 + ReferenceArm(1.0, 1.2).amplitude()) ** 2
+        expected = abs(2.3 + reference_amplitude(cfg)) ** 2
         assert scan["detector_mean"][0] == pytest.approx(expected)
 
     def test_iscat_quarter_phase_mean_flat_at_first_order(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import EXTREME_FLOATS, same_bits
 from iscat_metrology import fisher, spectrum
 from iscat_metrology.errors import NotEstimableError, VacuumPhaseError
-from iscat_metrology.field import EstimationTarget
+from iscat_metrology.field import (
+    EstimationTarget,
+    FieldConfig,
+    ParticleModel,
+    ReferenceArm,
+)
 
 PI = math.pi
 MASS = EstimationTarget.MASS
@@ -67,6 +73,43 @@ class TestFlatWhiteSpectrum:
             spectrum.flat_white_spectrum(2.0, 1.0, 5, 10.0, 0.0)
         with pytest.raises(ValueError):
             spectrum.flat_white_spectrum(0.0, 1.0, 5, 10.0, 0.0)
+
+    @pytest.mark.parametrize("target", [MASS, PHASE])
+    def test_single_point_with_both_arms_is_one_mode(self, target):
+        # one mode holds each arm's whole photon number at its own phase
+        total, mass, reflected, reference = 2.0, 66.0, 4.0, 3.0
+        f = spectrum.flat_white_spectrum(
+            1.0, 2.0, 1, total, 0.3, mass_kda=mass,
+            reflected_photons=reflected, reference_photons=reference, phi_i=0.8,
+        )
+        cfg = FieldConfig(
+            alpha_r=complex(math.sqrt(reflected)),
+            particle=ParticleModel(mass, math.sqrt(total) / mass, 0.3),
+            reference=ReferenceArm(math.sqrt(reference), 0.8),
+            alpha0_mag=10.0,
+        )
+        report = fisher.fisher_report(cfg, target)
+        assert spectrum.qfi_multifrequency(f, target) == pytest.approx(
+            report.qfi_coherent, rel=1e-9
+        )
+        assert spectrum.qfi_multifrequency_phase_averaged(f, target) == (
+            pytest.approx(report.cfi_photon_number, rel=1e-9)
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"points": 0}, "points must be >= 1, got 0"),
+            ({"total_scattered_photons": -1.0},
+             "total_scattered_photons must be >= 0"),
+            ({"mass_kda": 0.0}, "mass_kda must be > 0"),
+        ],
+        ids=["no_points", "negative_photons", "zero_mass"],
+    )
+    def test_invalid_argument_named(self, kwargs, message):
+        args = {"points": 5, "total_scattered_photons": 10.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spectrum.flat_white_spectrum(1.0, 2.0, phi_s=0.0, **args)
 
     def test_source_arms_follow_white_envelope(self):
         f = spectrum.flat_white_spectrum(
