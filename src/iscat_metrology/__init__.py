@@ -2,7 +2,7 @@
 scattering photometry, with reference-arm tuning for the two-arm setup.
 
 Each name is imported from the module that defines it: ``field``,
-``fisher``, ``tuner``, ``snr``, ``photonstats``, ``spectrum``, ``textio``,
-``errors`` or ``cli``."""
+``fisher``, ``tuner``, ``snr``, ``photonstats``, ``spectrum``, ``textio``
+or ``cli``."""
 
 __version__ = "0.1.0"

@@ -21,17 +21,18 @@ and is not a regular file, writes every file under a staged name beside its
 own, then moves each into place with ``os.replace``, the manifest last; on
 any exception it removes every file it staged or moved, so a run's files
 appear together or not at all.  It maps errors to exit codes: 0 success, 3
-a ``NotEstimableError`` (vacuum detector field, zero information, a fit at
-the bracket edge), 2 any other input/config error (a failed write or an
-empty ``--out`` included).  Data files contain no timestamps, so identical
-inputs reproduce them byte for byte.
+a ``fisher.NotEstimableError`` (vacuum detector field, vanishing target
+derivative, zero information, a fit at the bracket edge), 2 any other
+input/config error (a failed write or an empty ``--out`` included).  Data
+files contain no timestamps, so identical inputs reproduce them byte for
+byte.
 
 A process runs one subcommand, so this module loads only what every
-subcommand uses (``errors``, ``field``, ``fisher``, ``textio``).  Each
-runner imports ``tuner``, ``snr``, ``photonstats`` or ``spectrum`` itself,
-so a cold process compiles and executes only the modules its subcommand
-runs.  Runners call through the module object (``tuner.scan_ratio_grid``),
-so a function replaced on its module is the one called.
+subcommand uses (``field``, ``fisher``, ``textio``).  Each runner imports
+``tuner``, ``snr``, ``photonstats`` or ``spectrum`` itself, so a cold
+process compiles and executes only the modules its subcommand runs.
+Runners call through the module object (``tuner.scan_ratio_grid``), so a
+function replaced on its module is the one called.
 
 Only ``fisher``, ``scan`` and ``snr`` take ``--format``; the others always
 write JSON.  Every subcommand accepts ``--threads N`` (N >= 1); only
@@ -55,7 +56,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fisher
-from .errors import NotEstimableError
 from .field import (
     EstimationTarget,
     FieldConfig,
@@ -540,7 +540,7 @@ def main(argv=None) -> int:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         _commit({**files, f"{out}.manifest.json": _json(manifest)})
-    except NotEstimableError as exc:
+    except fisher.NotEstimableError as exc:
         print(f"not estimable: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -35,8 +35,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EnergyBudgetError
-
 TAU = 2.0 * math.pi
 
 #: Absolute slack for the arm bounds, in units of alpha0_mag.
@@ -205,16 +203,16 @@ def budget_violations(first_mag, reference_mag, alpha0_mag: float) -> list[str]:
 
 
 def check_budget(first_mag, reference_mag, alpha0_mag: float) -> None:
-    """Raise the :func:`budget_violations`, if any, as one EnergyBudgetError."""
+    """Raise the :func:`budget_violations`, if any, as one ValueError."""
     violations = budget_violations(first_mag, reference_mag, alpha0_mag)
     if violations:
-        raise EnergyBudgetError("; ".join(violations))
+        raise ValueError("; ".join(violations))
 
 
 def detector_amplitude(cfg: FieldConfig) -> complex:
     """Total label at the detector, alpha_r + alpha_s + alpha_i.
 
-    Raises EnergyBudgetError naming the violated bound if the configuration
+    Raises ValueError naming the violated bound if the configuration
     breaks the photon budget.
     """
     check_budget(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag)

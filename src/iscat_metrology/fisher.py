@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotEstimableError, VacuumPhaseError
 from .field import (
     VACUUM_TOL,
     EstimationTarget,
@@ -45,6 +44,13 @@ from .field import (
     target_derivative,
 )
 from .textio import write_csv
+
+
+class NotEstimableError(ValueError):
+    """The configuration carries no information about the requested
+    parameter: a vacuum detector field, a vanishing target derivative, zero
+    information, or a fit at the bracket edge.  The CLI exits 3 on it and 2
+    on any other ValueError."""
 
 
 def real_projection(a, b):
@@ -107,25 +113,31 @@ def information(alpha_d, dalpha, vacuum_tol: float = 0.0) -> FisherReport:
     return FisherReport(qfi, cfi, psi, chi, c * c)
 
 
-def fisher_report(cfg: FieldConfig, target: EstimationTarget) -> FisherReport:
-    """Evaluate all Fisher quantities for a validated configuration, as floats.
-
-    Raises VacuumPhaseError for a vacuum detector field (|alpha_d| below
-    VACUUM_TOL * alpha0_mag), NotEstimableError when the target derivative
-    vanishes (e.g. scattering-phase target at zero mass), and ValueError
-    naming the quantity when F_q or F_pn is not finite (the inputs overflow
-    doubles).
-    """
-    alpha_d = detector_amplitude(cfg)
+def estimable_derivative(cfg: FieldConfig, target: EstimationTarget) -> complex:
+    """``field.target_derivative``, or NotEstimableError where it vanishes
+    (e.g. scattering-phase target at zero mass)."""
     dalpha = target_derivative(cfg, target)
     if dalpha == 0:
         raise NotEstimableError(
             "target derivative vanishes; the parameter leaves no imprint"
         )
+    return dalpha
+
+
+def fisher_report(cfg: FieldConfig, target: EstimationTarget) -> FisherReport:
+    """Evaluate all Fisher quantities for a validated configuration, as floats.
+
+    Raises NotEstimableError for a vacuum detector field (|alpha_d| below
+    VACUUM_TOL * alpha0_mag) or a vanishing target derivative
+    (:func:`estimable_derivative`), and ValueError naming the quantity when
+    F_q or F_pn is not finite (the inputs overflow doubles).
+    """
+    alpha_d = detector_amplitude(cfg)
+    dalpha = estimable_derivative(cfg, target)
     values = information(alpha_d, dalpha, VACUUM_TOL * cfg.alpha0_mag)
     report = FisherReport._make(float(v) for v in values)
     if math.isnan(report.chi):
-        raise VacuumPhaseError(
+        raise NotEstimableError(
             "detector field is vacuum; chi = arg(alpha_d) and the counting "
             "CFI are undefined"
         )

@@ -31,7 +31,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fisher
-from .errors import BracketError, NotEstimableError
 from .field import (
     TAU,
     VACUUM_TOL,
@@ -94,11 +93,12 @@ def default_bracket(
     cfg: FieldConfig, target: EstimationTarget
 ) -> tuple[float, float]:
     """Search window around the configured value mu: [mu/10, 10*mu] for the
-    mass (BracketError at mass 0, where it is empty), mu +- pi/2 for phase."""
+    mass (NotEstimableError at mass 0, where it is empty), mu +- pi/2 for
+    phase."""
     mu = target_value(cfg, target)
     if target is EstimationTarget.MASS:
         if mu == 0.0:
-            raise BracketError("mass 0: the mass search bracket is empty")
+            raise fisher.NotEstimableError("mass 0: the mass search bracket is empty")
         return 0.1 * mu, 10.0 * mu
     return mu - 0.5 * math.pi, mu + 0.5 * math.pi
 
@@ -116,8 +116,8 @@ def mle_candidates(
     lam = |A|^2 + c^2 + 2|A|c*cos(phi - arg A) with c = m*s, and the roots
     are shifted by multiples of 2*pi into the bracket.  Out of reach, the
     maximizer is the mass vertex or the phase extremum.  Values within 1e-6
-    of the bracket width of an edge do not count (BracketError if none is
-    left); the rest come nearest the configured value first.
+    of the bracket width of an edge do not count (NotEstimableError if none
+    is left); the rest come nearest the configured value first.
     """
     lo, hi = bracket
     base = cfg.alpha_r + reference_amplitude(cfg)
@@ -133,7 +133,7 @@ def mle_candidates(
     else:
         c = p.mass_kda * p.scale_per_kda
         if abs(base) * c == 0.0:
-            raise NotEstimableError("the counting mean does not depend on phi_s")
+            raise fisher.NotEstimableError("the counting mean does not depend on phi_s")
         cosine = (mean_count - abs(base) ** 2 - c * c) / (2.0 * abs(base) * c)
         delta = math.acos(max(-1.0, min(1.0, cosine)))
         arg = math.atan2(base.imag, base.real)
@@ -146,7 +146,7 @@ def mle_candidates(
     edge = 1e-6 * (hi - lo)
     inside = [r for r in roots if lo + edge < r < hi - edge]
     if not inside:
-        raise BracketError(
+        raise fisher.NotEstimableError(
             "likelihood maximum at the bracket edge; parameter not identifiable."
             f" bracket=[{lo!r}, {hi!r}], mean count={mean_count!r}"
         )
@@ -218,7 +218,7 @@ def crb_validation(
         raise ValueError(f"threads must be >= 1, got {threads}")
     report = fisher.fisher_report(cfg, target)  # raises if not estimable
     if not (report.cfi_photon_number > 0.0):
-        raise NotEstimableError("counting CFI is zero; the bound is infinite")
+        raise fisher.NotEstimableError("counting CFI is zero; the bound is infinite")
     try:
         lam = abs(detector_amplitude(cfg)) ** 2
     except OverflowError:

@@ -26,7 +26,7 @@ phi_s^2 signal while the two-arm setup keeps a linear one,
 2*E_i*E_s*phi_s*sin(phi_i); the small-phase forms are evaluated as printed.
 
 All functions accept floats or numpy arrays (broadcasting applies) and
-raise DegenerateFieldError when a noise denominator vanishes exactly.
+raise ValueError when a noise denominator vanishes exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateFieldError
 from .field import magnitude
 from .fisher import real_projection
 from .textio import write_csv
@@ -70,7 +69,7 @@ def _maybe_scalar(x):
 
 def _checked_sqrt(intensity, context: str):
     if np.any(np.asarray(intensity) <= 0):
-        raise DegenerateFieldError(
+        raise ValueError(
             f"total destructive interference: zero intensity in {context}"
         )
     if not np.all(np.isfinite(intensity)):
@@ -97,9 +96,7 @@ def snr_mass_miscat(f: RealFieldTriple):
     both E_s-linear terms over sqrt(I2)."""
     arms, alpha_s, noise = _fields(f)
     if np.any(noise == 0):
-        raise DegenerateFieldError(
-            "total destructive interference: zero detector field"
-        )
+        raise ValueError("total destructive interference: zero detector field")
     return _maybe_scalar(2.0 * real_projection(arms, alpha_s) / noise)
 
 

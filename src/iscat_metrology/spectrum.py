@@ -33,7 +33,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fisher
-from .errors import NotEstimableError, VacuumPhaseError
 from .field import EstimationTarget
 from .textio import write_csv
 
@@ -135,8 +134,13 @@ def flat_white_spectrum(
         raise ValueError(f"points must be >= 1, got {points}")
     if not (0.0 < omega_lo < omega_hi):
         raise ValueError(f"invalid band [{omega_lo}, {omega_hi}]")
-    if total_scattered_photons < 0:
-        raise ValueError("total_scattered_photons must be >= 0")
+    for name, photons in (
+        ("total_scattered_photons", total_scattered_photons),
+        ("reflected_photons", reflected_photons),
+        ("reference_photons", reference_photons),
+    ):
+        if not (photons >= 0):  # NaN included
+            raise ValueError(f"{name} must be >= 0")
     if mass_kda <= 0:
         raise ValueError("mass_kda must be > 0")
     if points == 1:
@@ -186,7 +190,7 @@ def qfi_multifrequency_phase_averaged(
 ) -> float:
     """QFI with every frequency phase-averaged independently.
 
-    Equals the broadband photon-counting CFI.  Raises VacuumPhaseError if
+    Equals the broadband photon-counting CFI.  Raises NotEstimableError if
     the detector field vanishes at a frequency whose integrand contributes.
     """
     dal = f.derivative(target)
@@ -195,7 +199,7 @@ def qfi_multifrequency_phase_averaged(
     dead = vacuum & (dal != 0)
     if np.any(dead):
         idx = int(np.argmax(dead))
-        raise VacuumPhaseError(
+        raise fisher.NotEstimableError(
             f"detector field is vacuum at grid point {idx} "
             f"(omega={float(f.omega[idx])!r}); the counting CFI is undefined there"
         )
@@ -207,10 +211,10 @@ def relative_mass_bound_multifrequency(f: SpectralField) -> float:
     """Broadband counting bound on (dm/m)*sqrt(total scattered photons)."""
     qfi = qfi_multifrequency(f, EstimationTarget.MASS)
     if not (qfi > 0.0):
-        raise NotEstimableError("spectrum scatters no photons")
+        raise fisher.NotEstimableError("spectrum scatters no photons")
     cfi = qfi_multifrequency_phase_averaged(f, EstimationTarget.MASS)
     if not (cfi > 0.0):
-        raise NotEstimableError(
+        raise fisher.NotEstimableError(
             "every frequency is orthogonal; the mass cannot be estimated"
         )
     bound = 0.5 * math.sqrt(qfi / cfi)

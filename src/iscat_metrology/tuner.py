@@ -43,7 +43,6 @@ from .field import (
     first_arm_magnitude,
     magnitude,
     phase,
-    target_derivative,
     wrap_angle,
 )
 from .textio import Indexed, write_csv
@@ -97,16 +96,13 @@ def saturating_reference_set(
 ) -> SaturationSolution:
     """Closed-form solution set for saturating the counting measurement.
 
-    Raises EnergyBudgetError naming the arm when ``cfg`` breaks the photon
-    budget, the premise of the feasibility guarantee above.
+    Raises ValueError naming the arm when ``cfg`` breaks the photon
+    budget, the premise of the feasibility guarantee above, and
+    NotEstimableError where the target derivative vanishes.
     """
     alpha_first = first_arm_amplitude(cfg)
     check_budget(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag)
-    dalpha = target_derivative(cfg, target)
-    if dalpha == 0:
-        raise ValueError(
-            "target derivative vanishes; no alignment direction exists"
-        )
+    dalpha = fisher.estimable_derivative(cfg, target)
     psi = float(phase(dalpha))
     min_mag = abs((alpha_first * cmath.exp(-1j * psi)).imag)
     return SaturationSolution(
@@ -247,8 +243,8 @@ def scan_ratio_grid(
     axes set the same one), as one configuration would: a magnitude must be
     >= 0 (ValueError names the first negative value, y axis first), and an
     angle is wrapped.  Each term of a cell is computed once per value of the
-    axis it depends on, the photon budget included (EnergyBudgetError names
-    the bound); only the detector label and the ratio span the grid.
+    axis it depends on, the photon budget included (ValueError names the
+    bound); only the detector label and the ratio span the grid.
     """
     if y is not None and y.name == x.name:
         raise ValueError(f"x and y axes both set {x.name!r}; scan it on one axis")

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import EXTREME_FLOATS, same_bits
 from iscat_metrology import fisher
-from iscat_metrology.errors import NotEstimableError, VacuumPhaseError
 from iscat_metrology.field import (
     EstimationTarget,
     FieldConfig,
@@ -16,6 +15,7 @@ from iscat_metrology.field import (
     ReferenceArm,
     detector_amplitude,
 )
+from iscat_metrology.fisher import NotEstimableError
 
 PI = math.pi
 
@@ -143,6 +143,14 @@ class TestBounds:
         with pytest.raises(ValueError):
             fisher.relative_mass_bound(0.0)
 
+    def test_relative_bound_rejects_saturation_above_one(self):
+        with pytest.raises(
+            ValueError, match=r"^saturation ratio must be <= 1, got 1\.5$"
+        ) as exc:
+            fisher.relative_mass_bound(220.0, 1.5)
+        assert type(exc.value) is ValueError  # exit 2, not 3
+        assert fisher.relative_mass_bound(220.0, 1.0 + 1e-13) > 0  # round-off
+
 
 def random_config(rng) -> FieldConfig:
     mag_r = rng.uniform(0, 3.0)
@@ -238,7 +246,11 @@ class TestReportInvariants:
     def test_vacuum_report_raises(self, fig2_cfg):
         from conftest import vacuum_config
 
-        with pytest.raises(VacuumPhaseError):
+        with pytest.raises(
+            NotEstimableError,
+            match="^detector field is vacuum; chi = arg\\(alpha_d\\) and the counting "
+            "CFI are undefined$",
+        ):
             fisher.fisher_report(vacuum_config(), EstimationTarget.MASS)
 
     def test_zero_derivative_report_raises(self):

@@ -16,7 +16,6 @@ from conftest import (
     saturated_mc_config,
 )
 from iscat_metrology import fisher, photonstats as ps, tuner
-from iscat_metrology.errors import BracketError, EnergyBudgetError, NotEstimableError
 from iscat_metrology.field import (
     EstimationTarget,
     FieldConfig,
@@ -27,6 +26,7 @@ from iscat_metrology.field import (
     reference_amplitude,
     with_target_value,
 )
+from iscat_metrology.fisher import NotEstimableError
 from iscat_metrology.textio import write_csv
 from oracles import poisson_pmf
 
@@ -69,6 +69,11 @@ class TestGaussianApprox:
 class TestSampling:
     def test_zero_mean_all_zero(self):
         assert np.all(ps.sample_counts(0.0, 100, 1) == 0)
+
+    def test_negative_mean_rejected(self):
+        with pytest.raises(ValueError, match=r"^mean must be >= 0, got -1\.0$") as exc:
+            ps.sample_counts(-1.0, 100, 1)
+        assert type(exc.value) is ValueError  # exit 2, not 3
 
     def test_determinism(self):
         a = ps.sample_counts(50.0, 1000, 12345)
@@ -203,7 +208,9 @@ class TestMleEstimate:
         assert rep.saturation_ratio < 1e-3
         lam = abs(detector_amplitude(cfg)) ** 2
         counts = ps.sample_counts(lam, 10**4, 1)
-        with pytest.raises(BracketError, match="bracket"):
+        with pytest.raises(
+            NotEstimableError, match="^likelihood maximum at the bracket edge; "
+        ):
             mle_estimate(counts, cfg, MASS)
 
 
@@ -279,10 +286,24 @@ class TestClosedFormMle:
         cfg = FieldConfig(
             alpha_r=2.3, particle=ParticleModel(0.0, 0.1, 1.0), alpha0_mag=10.0
         )
-        with pytest.raises(BracketError, match="mass 0"):
+        with pytest.raises(
+            NotEstimableError, match="^mass 0: the mass search bracket is empty$"
+        ):
             ps.default_bracket(cfg, MASS)
-        with pytest.raises(BracketError, match="mass 0"):
+        with pytest.raises(
+            NotEstimableError, match="^mass 0: the mass search bracket is empty$"
+        ):
             ps.crb_validation(cfg, MASS, samples_per_trial=10, n_trials=10, seed=0)
+
+    def test_phase_without_mass_independent_arms_not_estimable(self):
+        # alpha_r + alpha_i = 0: the counting mean (m*s)^2 is flat in phi_s
+        cfg = FieldConfig(
+            alpha_r=0j, particle=ParticleModel(10.0, 0.3, 0.7), alpha0_mag=10.0
+        )
+        with pytest.raises(
+            NotEstimableError, match=r"^the counting mean does not depend on phi_s$"
+        ):
+            ps.mle_candidates(9.0, cfg, PHASE, ps.default_bracket(cfg, PHASE))
 
 
 class TestCrbValidation:
@@ -401,7 +422,7 @@ class TestCrbValidation:
         for k in range(50):  # the serial reference: fit trial after trial
             try:
                 mle_estimate(ps.sample_counts(lam, 100, 10 + k), cfg, MASS)
-            except BracketError as exc:
+            except NotEstimableError as exc:
                 messages.append((k, str(exc)))
         assert messages[0][0] == 1 and len(messages) > 10
         monkeypatch.setattr(ps, "available_cores", lambda: 3)
@@ -416,7 +437,7 @@ class TestCrbValidation:
         monkeypatch.setattr(ps, "sample_counts", failing)
         before = threading.active_count()
         for threads in (1, 3):
-            with pytest.raises(BracketError) as exc:
+            with pytest.raises(NotEstimableError) as exc:
                 ps.crb_validation(cfg, MASS, 100, n_trials=50, seed=10, threads=threads)
             assert str(exc.value) == messages[0][1]
             assert threading.active_count() == before
@@ -536,7 +557,11 @@ class TestMeanSensitivityScan:
     def test_over_budget_grid_raises(self, optimize):
         # only the last point puts |alpha_r + alpha_s| = 0.9 over alpha0/2
         cfg = FieldConfig(alpha_r=0.4, particle=ParticleModel(1.0, 0.1, 0.0))
-        with pytest.raises(EnergyBudgetError, match="sample arm"):
+        with pytest.raises(
+            ValueError,
+            match=r"^sample arm \|alpha_r \+ alpha_s\| = 0\.9 exceeds the bound "
+            r"alpha0_mag/2 = 0\.5$",
+        ):
             ps.mean_sensitivity_scan(cfg, [0.0, 0.01, 0.25], optimize)
 
     def test_vacuum_root_takes_other_phase(self, monkeypatch):

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import EXTREME_FLOATS, same_bits
 from iscat_metrology import fisher, spectrum
-from iscat_metrology.errors import NotEstimableError, VacuumPhaseError
 from iscat_metrology.field import (
     EstimationTarget,
     FieldConfig,
     ParticleModel,
     ReferenceArm,
 )
+from iscat_metrology.fisher import NotEstimableError
 
 PI = math.pi
 MASS = EstimationTarget.MASS
@@ -51,6 +51,19 @@ class TestWeights:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             make_field([2.0, 1.0], [1.0, 1.0])
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="^empty frequency grid$") as exc:
+            make_field([], [])
+        assert type(exc.value) is ValueError  # exit 2, not 3
+
+    def test_column_length_must_match_grid(self):
+        with pytest.raises(
+            ValueError, match="^alpha_s length differs from the grid$"
+        ) as exc:
+            make_field([1.0, 2.0], [1.0, 1.0, 1.0], scale_s=[1.0, 1.0],
+                       phi_s=[0.0, 0.0])
+        assert type(exc.value) is ValueError  # exit 2, not 3
 
 
 class TestFlatWhiteSpectrum:
@@ -102,9 +115,24 @@ class TestFlatWhiteSpectrum:
             ({"points": 0}, "points must be >= 1, got 0"),
             ({"total_scattered_photons": -1.0},
              "total_scattered_photons must be >= 0"),
+            ({"total_scattered_photons": math.nan},
+             "total_scattered_photons must be >= 0"),
+            ({"reflected_photons": -1.0}, "reflected_photons must be >= 0"),
+            ({"reflected_photons": -1.0, "points": 1},
+             "reflected_photons must be >= 0"),
+            ({"reflected_photons": math.nan}, "reflected_photons must be >= 0"),
+            ({"reference_photons": -1.0}, "reference_photons must be >= 0"),
+            ({"reference_photons": -1.0, "points": 1},
+             "reference_photons must be >= 0"),
+            ({"reference_photons": math.nan}, "reference_photons must be >= 0"),
             ({"mass_kda": 0.0}, "mass_kda must be > 0"),
         ],
-        ids=["no_points", "negative_photons", "zero_mass"],
+        ids=[
+            "no_points", "negative_photons", "nan_photons",
+            "negative_reflected", "negative_reflected_one_point", "nan_reflected",
+            "negative_reference", "negative_reference_one_point", "nan_reference",
+            "zero_mass",
+        ],
     )
     def test_invalid_argument_named(self, kwargs, message):
         args = {"points": 5, "total_scattered_photons": 10.0, **kwargs}
@@ -186,7 +214,11 @@ class TestQfiPhaseAveraged:
         alpha_s = np.array([1.0, 1.0, 1.0], dtype=complex)
         alpha_r = np.array([0.0, -1.0, 0.0], dtype=complex)
         f = make_field(omega, alpha_s, alpha_r=alpha_r)
-        with pytest.raises(VacuumPhaseError, match="grid point 1"):
+        with pytest.raises(
+            NotEstimableError,
+            match=r"^detector field is vacuum at grid point 1 \(omega=1\.5\); "
+            "the counting CFI is undefined there$",
+        ):
             spectrum.qfi_multifrequency_phase_averaged(f, MASS)
 
     def test_vacuum_at_silent_point_is_fine(self):
