@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Measure what the tier-1 tests catch: apply each one-line mutant of the
+table below to a fresh copy of the tree and run the tests on it.
+
+Each row names a file, a line of it (compared without its indentation; it
+must occur exactly once), the line that replaces it (indented as the old
+one), and either the test expected to kill the mutant or ``equivalent:``
+with the reason no test can.  For every row the script extracts
+``git archive REV`` into a new temporary directory, applies the row, runs
+the expected test with ``pytest -x``, and if that passes, the whole tier-1
+suite with ``-x``.  It prints one line per row:
+
+    killed    <first failing test>   <file>: <old> -> <new>
+    survived  -                      <file>: <old> -> <new>
+
+and exits 1 when a row expected to be killed survives.  A mutant is not
+part of tier-1: one costs 2-40 s.  Run it from the repository root:
+
+    python scripts/mutants.py              # every row, on HEAD
+    python scripts/mutants.py 5 9          # rows 5 and 9 only
+    python scripts/mutants.py --rev $(git stash create)   # uncommitted
+                                           # changes of tracked files
+
+``git stash create`` makes a commit of the working tree without touching
+it or any ref; a new file is included once it is added to the index.
+"""
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+
+
+class Mutant(NamedTuple):
+    path: str
+    old: str
+    new: str
+    expect: str  # the killing test id, or "equivalent: <reason>"
+
+
+SRC = "src/iscat_metrology/"
+MUTANTS = [
+    Mutant(
+        SRC + "fisher.py", "vacuum = mag <= vacuum_tol", "vacuum = mag < vacuum_tol",
+        "tests/test_fisher.py::TestMismatchAngles::test_vacuum_angle_is_nan",
+    ),
+    Mutant(
+        SRC + "spectrum.py", "dead = vacuum & (dal != 0)", "dead = vacuum",
+        "tests/test_spectrum.py::TestQfiPhaseAveraged::"
+        "test_vacuum_at_silent_point_is_fine",
+    ),
+    Mutant(
+        SRC + "photonstats.py", "ambiguous += len(found) > 1",
+        "ambiguous += len(found) > 2",
+        "tests/test_photonstats.py::TestClosedFormMle::"
+        "test_two_roots_return_nearest_and_count_as_ambiguous",
+    ),
+    Mutant(
+        SRC + "photonstats.py", "edge = 1e-6 * (hi - lo)", "edge = 1e-3 * (hi - lo)",
+        "tests/test_photonstats.py::TestClosedFormMle::"
+        "test_agrees_with_golden_section_oracle",
+    ),
+    Mutant(
+        SRC + "photonstats.py", "return sorted(inside, key=lambda r: abs(r - mu))",
+        "return sorted(inside)",
+        "tests/test_photonstats.py::TestClosedFormMle::"
+        "test_two_roots_return_nearest_when_it_is_the_larger",
+    ),
+    Mutant(
+        SRC + "tuner.py",
+        "return tuple(phi for phi, t in points if reached and abs(t) > vacuum)",
+        "return tuple(phi for phi, t in points if reached and abs(t) >= vacuum)",
+        "equivalent: the two differ only where |t| equals VACUUM_TOL * alpha0_mag"
+        " exactly, a single double that no config is built to reach",
+    ),
+    Mutant(  # the reference arm conjugated in the detector field
+        SRC + "field.py", "return first_arm_amplitude(cfg) + reference_amplitude(cfg)",
+        "return first_arm_amplitude(cfg) + reference_amplitude(cfg).conjugate()",
+        "tests/test_acceptance.py::test_cfi_oracle_equivalence",
+    ),
+    Mutant(  # a per-trial seed off by one
+        SRC + "photonstats.py",
+        "total = float(sample_counts(lam, samples_per_trial, seed + k).sum())",
+        "total = float(sample_counts(lam, samples_per_trial, seed + k + 1).sum())",
+        "tests/test_photonstats.py::TestClosedFormMle::"
+        "test_two_roots_return_nearest_and_count_as_ambiguous",
+    ),
+    Mutant(  # an snr manifest that does not say what it swept
+        SRC + "cli.py", '"sweep": args.sweep,', "",
+        "tests/test_cli.py::TestManifestRoundTrip::test_manifest_alone_replays_the_run",
+    ),
+    Mutant(  # a spectrum manifest that does not identify its input
+        SRC + "cli.py", 'manifest["inputs"] = [_input("--spectrum", args.spectrum)]',
+        "pass",
+        "tests/test_cli.py::TestSpectrumCommand::"
+        "test_manifest_identifies_the_spectrum_by_its_bytes",
+    ),
+]
+
+
+def apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.path
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    hits = [k for k, line in enumerate(lines) if line.strip() == mutant.old]
+    if len(hits) != 1:
+        raise SystemExit(f"{mutant.path}: {mutant.old!r} occurs {len(hits)} times")
+    line = lines[hits[0]]
+    lines[hits[0]] = line[: len(line) - len(line.lstrip())] + mutant.new + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def first_failure(tree: Path, *tests: str) -> str | None:
+    """The first failing test of a ``pytest -x`` run in ``tree``, or None."""
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [*PYTEST, *tests], cwd=tree, env=env, capture_output=True, text=True
+    )
+    if done.returncode == 0:
+        return None
+    if done.returncode not in (1, 2):  # a usage error, or no test collected
+        raise SystemExit(f"pytest {' '.join(tests)} exited {done.returncode}:\n"
+                         f"{done.stdout}{done.stderr}")
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
+    return failed.group(1) if failed else "collection"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rows", nargs="*", type=int, help="1-based rows to run")
+    parser.add_argument("--rev", default="HEAD", help="tree to mutate")
+    args = parser.parse_args()
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", args.rev],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout
+    missed = 0
+    for row in args.rows or range(1, len(MUTANTS) + 1):
+        mutant = MUTANTS[row - 1]
+        with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+            tree = Path(tmp)
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            apply(tree, mutant)
+            equivalent = mutant.expect.startswith("equivalent:")
+            killer = None if equivalent else first_failure(tree, mutant.expect)
+            killer = killer or first_failure(tree)
+        missed += killer is None and not equivalent
+        status = "killed" if killer else "survived"
+        print(f"{row:2d} {status:9s} {killer or '-'}   "
+              f"{mutant.path}: {mutant.old} -> {mutant.new or '(deleted)'}")
+        if equivalent:
+            print(f"   {mutant.expect}")
+        sys.stdout.flush()
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -11,12 +11,13 @@ Subcommands map one-to-one onto the library surfaces:
 
 The parser is built once per process from the ``SUBCOMMANDS`` table.  Each
 subcommand is a ``run_<name>(args)`` function that loads, checks and
-computes, and returns ``(arguments, files)``: the resolved inputs, and each
+computes, and returns ``(arguments, files)``: its options as given, and each
 output suffix (``""`` for ``--out`` itself) mapped to a one-argument writer
 of that file.  A runner names no path and writes no file.  :func:`main` owns
 the rest.  It names each file ``<out><suffix>`` and lists them in one
-``<out>.manifest.json`` sidecar (arguments, outputs, the ``--seed`` of a
-sampling run, tool version and timestamp).  It refuses a path that exists
+``<out>.manifest.json`` sidecar (arguments as given, which replay the run,
+outputs, the ``--seed`` of a sampling run, the sha256 of a ``--spectrum``
+input, tool version and timestamp).  It refuses a path that exists
 and is not a regular file, writes every file under a staged name beside its
 own, then moves each into place with ``os.replace``, the manifest last; on
 any exception it removes every file it staged or moved, so a run's files
@@ -231,12 +232,15 @@ def run_scan(args):
     if args.config is None or args.x_axis is None:
         raise ValueError("scan needs either --preset or --config + --x-axis")
     target = EstimationTarget(args.target)
-    if args.preset is not None:  # a preset's values are typed
+    if args.preset is not None:  # typed values, which the manifest leaves null
         base, x, y = args.config, args.x_axis, args.y_axis
+        given = dict.fromkeys(("config", "x_axis", "y_axis"))
     else:
         base = load_config(args.config)
         x = _parse_axis(args.x_axis)
         y = _parse_axis(args.y_axis) if args.y_axis is not None else None
+        given = dict(config=config_to_dict(base), x_axis=args.x_axis,
+                     y_axis=args.y_axis)
     grid = tuner.scan_ratio_grid(base, target, x, y)
     header = grid.header_dict()
     if args.format == "json":
@@ -248,9 +252,7 @@ def run_scan(args):
     else:
         files = {"": grid.to_csv, ".header.json": _json(header)}
     arguments = {
-        "preset": args.preset,
-        **{key: header[key] for key in ("baseline", "target", "x", "y")},
-        "format": args.format,
+        "preset": args.preset, **given, "target": target.value, "format": args.format
     }
     return arguments, files
 
@@ -314,9 +316,7 @@ def run_snr(args):
         "preset": args.preset,
         "mode": mode,
         "triple": dataclasses.asdict(triple),
-        "sweep_var": sweep_var,
-        "sweep_values": axis.values.tolist(),
-        "log_scale": log_scale,
+        "sweep": args.sweep,
         "format": args.format,
     }
     return arguments, {"": write}
@@ -491,6 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input(option: str, path: str) -> dict:
+    """A file a run read, identified by the sha256 and size of its bytes."""
+    import hashlib  # here only, so other subcommands never load it
+
+    data = Path(path).read_bytes()  # a second read, after the runner's
+    sha256 = hashlib.sha256(data).hexdigest()
+    return {"option": option, "path": path, "sha256": sha256, "bytes": len(data)}
+
+
 def _commit(files: dict) -> None:
     """Write each path's file under a staged name beside it, then move each
     into place in order.  On any exception, remove every file staged or
@@ -539,6 +548,8 @@ def main(argv=None) -> int:
             "tool_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
+        if args.subcommand == "spectrum":  # a config is recorded inline instead
+            manifest["inputs"] = [_input("--spectrum", args.spectrum)]
         _commit({**files, f"{out}.manifest.json": _json(manifest)})
     except fisher.NotEstimableError as exc:
         print(f"not estimable: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fisher
-from .field import EstimationTarget
+from .field import EstimationTarget, _require_finite
 from .textio import write_csv
 
 #: CSV column -> (SpectralField attribute, part of a complex arm or None).
@@ -141,6 +141,11 @@ def flat_white_spectrum(
     ):
         if not (photons >= 0):  # NaN included
             raise ValueError(f"{name} must be >= 0")
+    _require_finite({
+        "mass_kda": mass_kda, "phi_s": phi_s, "phi_i": phi_i,
+        "total_scattered_photons": total_scattered_photons,
+        "reflected_photons": reflected_photons, "reference_photons": reference_photons,
+    })
     if mass_kda <= 0:
         raise ValueError("mass_kda must be > 0")
     if points == 1:

@@ -1,18 +1,23 @@
 """Independent oracles for the closed-form information quantities.
 
-Two checks back the claim that counting with a tuned reference arm reaches
+Three checks back the claim that counting with a tuned reference arm reaches
 the quantum limit:
 
 * a truncated Fock-basis sum over the diagonal logarithmic-derivative
   spectrum of the phase-averaged state (acceptance criterion 3);
 * a central finite-difference evaluation of sum_n (dP/dmu)^2 / P for the
-  Poisson counting distribution (acceptance criterion 2).
+  Poisson counting distribution (acceptance criterion 2);
+* the exact law of the Monte Carlo estimator (criterion 7 without a seed):
+  the fit reads a trial's N counts only through their sum S, which is
+  Poisson(N*lam), so the estimator's mean and variance are sums over the
+  pmf of S.
 
-Both weight Fock levels with :func:`poisson_pmf` up to a truncation no lower
-than :func:`min_truncation`.  Nothing here imports the package: the
-finite-difference oracle builds its counting means with ``cmath`` from the
-config's own numbers, so a fault in the package's detector amplitude cannot
-cancel out of the comparison.
+The first two weight Fock levels with :func:`poisson_pmf` up to a
+truncation no lower than :func:`min_truncation`; the third weights S with it
+over its mean +- 10 standard deviations.  Nothing here imports the package:
+the oracles build their counting means from the config's own numbers, so a
+fault in the package's detector amplitude cannot cancel out of the
+comparison.
 """
 
 import cmath
@@ -95,19 +100,15 @@ def qfi_phase_averaged_oracle(
     return float(np.sum(weights * diagonal**2))
 
 
-def _detector_mean(cfg, mass_kda: float, phi_s: float) -> float:
+def _detector_means(cfg, mass_kda, phi_s) -> np.ndarray:
     """|alpha_r + m*s*e^(i*phi_s) + |alpha_i|*e^(i*phi_i)|^2 from the
-    config's numbers, with the given mass and scattering phase."""
+    config's numbers, with the given masses and scattering phases (numbers
+    or arrays, broadcast)."""
     p, arm = cfg.particle, cfg.reference
-    amp = cfg.alpha_r + mass_kda * p.scale_per_kda * cmath.exp(1j * phi_s)
+    amp = cfg.alpha_r + mass_kda * p.scale_per_kda * np.exp(1j * np.asarray(phi_s))
     if arm is not None:
-        amp += arm.mag * cmath.exp(1j * arm.phi_i)
-    if abs(amp) <= VACUUM_TOL * cfg.alpha0_mag:
-        raise ValueError(
-            f"detector field is vacuum at mass {mass_kda!r}, phi_s {phi_s!r}; "
-            "choose a different step"
-        )
-    return abs(amp) ** 2
+        amp = amp + arm.mag * cmath.exp(1j * arm.phi_i)
+    return np.abs(amp) ** 2
 
 
 def cfi_numeric_oracle(
@@ -123,13 +124,17 @@ def cfi_numeric_oracle(
     if step <= 0.0:
         raise ValueError(f"step must be > 0, got {step}")
     p = cfg.particle
+    steps = np.array([-step, 0.0, step])
     if target.value == "mass":
-        means = [_detector_mean(cfg, p.mass_kda + d, p.phi_s)
-                 for d in (-step, 0.0, step)]
+        means = _detector_means(cfg, p.mass_kda + steps, p.phi_s)
     else:
-        means = [_detector_mean(cfg, p.mass_kda, p.phi_s + d)
-                 for d in (-step, 0.0, step)]
-    lam_minus, lam0, lam_plus = means
+        means = _detector_means(cfg, p.mass_kda, p.phi_s + steps)
+    if means.min() <= (VACUUM_TOL * cfg.alpha0_mag) ** 2:
+        raise ValueError(
+            f"detector field is vacuum within {step!r} of the configured "
+            f"{target.value}; choose a different step"
+        )
+    lam_minus, lam0, lam_plus = means.tolist()
     n_max = truncation_n if truncation_n is not None else min_truncation(
         max(means)
     )
@@ -140,3 +145,56 @@ def cfi_numeric_oracle(
     dp = (poisson_pmf(lam_plus, n) - poisson_pmf(lam_minus, n)) / (2.0 * step)
     mask = p0 > 1e-300  # deep-tail terms contribute nothing
     return float(np.sum(dp[mask] ** 2 / p0[mask]))
+
+
+def total_count_law(cfg, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, P(S)) of a trial's count sum, Poisson(samples * lam), over
+    mean +- 10 standard deviations: the tails beyond weigh below 1e-22."""
+    p = cfg.particle
+    mean = samples * float(_detector_means(cfg, p.mass_kda, p.phi_s))
+    half = 10.0 * math.sqrt(mean)
+    totals = np.arange(max(0, math.floor(mean - half)), math.ceil(mean + half) + 1)
+    return totals, poisson_pmf(mean, totals)
+
+
+def exact_estimator_moments(cfg, target, samples: int) -> tuple[float, float]:
+    """(mean, variance) of the maximum-likelihood estimate from ``samples``
+    counts, over the exact law of their sum.
+
+    The estimate solves lam(mu) = S/samples inside the search window
+    ([m/10, 10*m] in mass, phi_s +- pi/2 in phase), at least 1e-6 of its
+    width from either edge, and of two roots the one nearest the configured
+    value is taken.  Each root is found by a sign scan over 40 equal cells
+    and 60 bisections, which reach the double next to it; a sum whose level
+    no root reaches inside the window raises ValueError.
+    """
+    p = cfg.particle
+    if target.value == "mass":
+        mu0, lo, hi = p.mass_kda, 0.1 * p.mass_kda, 10.0 * p.mass_kda
+        lam = lambda mu: _detector_means(cfg, mu, p.phi_s)
+    else:
+        mu0, lo, hi = p.phi_s, p.phi_s - 0.5 * math.pi, p.phi_s + 0.5 * math.pi
+        lam = lambda mu: _detector_means(cfg, p.mass_kda, mu)
+    totals, weights = total_count_law(cfg, samples)
+    levels = totals / samples
+    grid = np.linspace(lo, hi, 41)
+    above = lam(grid)[None, :] >= levels[:, None]
+    rows, cols = np.nonzero(above[:, :-1] != above[:, 1:])
+    a, b = grid[cols], grid[cols + 1]
+    a_above = above[rows, cols]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        same = (lam(mid) >= levels[rows]) == a_above
+        a, b = np.where(same, mid, a), np.where(same, b, mid)
+    edge = 1e-6 * (hi - lo)
+    estimates = np.full(len(totals), np.nan)
+    for row, root in zip(rows, 0.5 * (a + b)):
+        nearer = np.isnan(estimates[row]) or abs(root - mu0) < abs(estimates[row] - mu0)
+        if lo + edge < root < hi - edge and nearer:
+            estimates[row] = root
+    if np.isnan(estimates).any():
+        missed = totals[np.isnan(estimates)]
+        raise ValueError(f"no root inside the window for S = {missed[0]}")
+    mean = float(np.sum(weights * estimates) / np.sum(weights))
+    variance = float(np.sum(weights * (estimates - mean) ** 2) / np.sum(weights))
+    return mean, variance

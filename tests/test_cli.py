@@ -1,15 +1,18 @@
 import csv
 import errno
+import hashlib
 import json
 import math
 import os
 import re
 import socket
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import output_digests
 from conftest import (
     fig2_config,
     run_fresh,
@@ -782,6 +785,20 @@ class TestSpectrumCommand:
         sp.spectrum_to_csv(f, path)
         return path
 
+    def test_manifest_identifies_the_spectrum_by_its_bytes(self, tmp_path):
+        spec_path = self.spectrum_csv_for(tmp_path, worked_example_config())
+        data = spec_path.read_bytes()
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--spectrum", str(spec_path), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "spec.json.manifest.json").read_text())
+        assert manifest["arguments"] == {"spectrum": str(spec_path), "target": "mass"}
+        assert manifest["inputs"] == [{
+            "option": "--spectrum",
+            "path": str(spec_path),
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
+        }]
+
     def test_single_row_matches_fisher(self, tmp_path, config_file):
         cfg = worked_example_config()
         spec_path = self.spectrum_csv_for(tmp_path, cfg)
@@ -1127,6 +1144,81 @@ def test_nul_byte_in_a_path_exits_2_naming_the_option(
     assert list(cwd.iterdir()) == []
 
 
+def replay_argv(manifest: dict, directory: Path) -> list:
+    """The argv of a run, without --out, rebuilt from its manifest alone; an
+    inline config is written to ``directory``.  An snr run replays from its
+    options, a preset run too; a scan preset stands for typed values."""
+    options = dict(manifest["arguments"])
+    if manifest["subcommand"] == "snr":
+        options.pop("preset")
+        triple = dict(options.pop("triple"))
+        del triple[options["sweep"].split(":")[0]]  # the swept one takes no value
+        options.update(triple)
+    elif options.get("preset") is not None:
+        options = {"preset": options["preset"], "format": options["format"]}
+    if options.get("config") is not None:
+        path = directory / "replayed_config.json"
+        path.write_text(json.dumps(options["config"]))
+        options["config"] = str(path)
+    argv = [manifest["subcommand"]]
+    for name, value in {**options, "seed": manifest["seed"]}.items():
+        if value is not None:
+            argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv
+
+
+def replay_and_compare(sidecar: Path, directory: Path) -> dict:
+    """Check a manifest's inputs, rerun it into ``directory`` and require
+    every output byte for byte; return the manifest."""
+    manifest = json.loads(sidecar.read_text())
+    for given in manifest.get("inputs", []):
+        data = Path(given["path"]).read_bytes()
+        assert given["sha256"] == hashlib.sha256(data).hexdigest()
+        assert given["bytes"] == len(data)
+    out = Path(manifest["outputs"][0])
+    replayed = directory / f"replayed_{out.name}"
+    assert main([*replay_argv(manifest, directory), "--out", str(replayed)]) == 0
+    for path in manifest["outputs"]:
+        suffix = path[len(str(out)):]
+        assert Path(f"{replayed}{suffix}").read_bytes() == Path(path).read_bytes()
+    return manifest
+
+
+def holds_a_list(value) -> bool:
+    if isinstance(value, dict):
+        return any(holds_a_list(v) for v in value.values())
+    return isinstance(value, list)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def replayed_runs(band: Path):
+    """(output name, argv before --out) of every run output_digests.py makes,
+    and of an explicit scan over a log x axis and a y axis."""
+    yield from output_digests.runs(band)
+    yield "log_scan.csv", [
+        "scan", "--config", str(CONFIGS / "two_arm_baseline.json"),
+        "--x-axis", "alpha_r_mag:1e-7:1e-1:37:log",
+        "--y-axis", "phi_i:0:6.283185307179586:19",
+    ]
+
+
+REPLAYED = [name for name, _ in replayed_runs(Path("band.csv"))]
+
+
+@pytest.fixture(scope="class")
+def original_runs(tmp_path_factory):
+    """Output name: (exit code, --out path) of each run of ``replayed_runs``."""
+    out_dir = tmp_path_factory.mktemp("originals")
+    band = out_dir / "band.csv"
+    output_digests.write_band(band)
+    return {
+        name: (main([*argv, "--out", str(out_dir / name)]), out_dir / name)
+        for name, argv in replayed_runs(band)
+    }
+
+
 class TestManifestRoundTrip:
     @pytest.mark.parametrize(
         "run",
@@ -1155,6 +1247,21 @@ class TestManifestRoundTrip:
             assert seeds == [str(top + k) for k in range(4)]
         else:
             assert manifest["seed"] is None
+        assert ("inputs" in manifest) == (subcommand == "spectrum")
+        replay_and_compare(sidecar, tmp_path)
+
+    @pytest.mark.parametrize("name", REPLAYED)
+    def test_manifest_alone_replays_the_run(self, tmp_path, original_runs, name):
+        rc, out = original_runs[name]
+        sidecar = Path(f"{out}.manifest.json")
+        if rc == 3:  # not estimable: no file written, nothing to replay
+            assert not sidecar.exists()
+            return
+        assert rc == 0
+        manifest = replay_and_compare(sidecar, tmp_path)
+        if manifest["subcommand"] in ("scan", "snr"):  # axes are given as specs
+            assert not holds_a_list(manifest["arguments"])
+            assert sidecar.stat().st_size < 2048
 
     def test_rerun_reproduces_bytes(self, tmp_path, config_file):
         cfg_path = config_file(fig2_config())
@@ -1166,7 +1273,7 @@ class TestManifestRoundTrip:
         ]
         assert main(argv + ["--out", str(first)]) == 0
         manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
-        assert manifest["arguments"]["x"]["name"] == "phi_s"
+        assert manifest["arguments"]["x_axis"] == "phi_s:0:6.2831853:13"
         second = tmp_path / "second.csv"
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
@@ -1388,7 +1495,7 @@ class TestPresetConflicts:
             "arguments"
         ]
         assert arguments["preset"] is None
-        assert arguments["target"] == "mass" and arguments["y"] is None
+        assert arguments["target"] == "mass" and arguments["y_axis"] is None
 
 
 def _snapshot(directory) -> dict:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from iscat_metrology import fisher
+from conftest import quarter_ratio_mc_config, saturated_mc_config
+from iscat_metrology import fisher, photonstats
 from iscat_metrology.field import (
     EstimationTarget,
     FieldConfig,
@@ -21,10 +22,12 @@ from iscat_metrology.field import (
 from oracles import (
     TruncationError,
     cfi_numeric_oracle,
+    exact_estimator_moments,
     min_truncation,
     poisson_pmf,
     qfi_phase_averaged_oracle,
     sld_diagonal,
+    total_count_law,
 )
 
 PI = math.pi
@@ -191,3 +194,58 @@ class TestCfiNumericOracle:
         )
         faulty = fisher.fisher_report(cfg, target).cfi_photon_number
         assert abs(cfi_numeric_oracle(cfg, target) - faulty) > 0.1 * faulty
+
+
+MC_CASES = [
+    (saturated_mc_config, EstimationTarget.MASS),
+    (quarter_ratio_mc_config, EstimationTarget.MASS),
+    (quarter_ratio_mc_config, EstimationTarget.SCATTER_PHASE),
+]
+MC_IDS = ["saturated-mass", "quarter-mass", "quarter-phase"]
+
+
+def counting_crb(cfg, target, samples):
+    return 1.0 / (samples * fisher.fisher_report(cfg, target).cfi_photon_number)
+
+
+class TestExactEstimatorLaw:
+    """Criterion 7 without sampling: the Monte Carlo estimator's exact mean
+    and variance at N = 1000 counts per trial."""
+
+    @pytest.mark.parametrize("make_cfg, target", MC_CASES, ids=MC_IDS)
+    def test_counting_reaches_the_bound(self, make_cfg, target):
+        cfg = make_cfg()
+        _, variance = exact_estimator_moments(cfg, target, 1000)
+        assert abs(variance / counting_crb(cfg, target, 1000) - 1.0) <= 1e-3
+
+    @pytest.mark.parametrize("make_cfg, target", MC_CASES, ids=MC_IDS)
+    def test_package_fit_has_the_exact_law(self, make_cfg, target):
+        cfg = make_cfg()
+        totals, weights = total_count_law(cfg, 1000)
+        bracket = photonstats.default_bracket(cfg, target)
+        estimates = np.array([
+            photonstats.mle_candidates(s / 1000, cfg, target, bracket)[0]
+            for s in totals
+        ])
+        mean = np.sum(weights * estimates) / np.sum(weights)
+        variance = np.sum(weights * (estimates - mean) ** 2) / np.sum(weights)
+        exact_mean, exact_variance = exact_estimator_moments(cfg, target, 1000)
+        assert mean == pytest.approx(exact_mean, rel=1e-9)
+        assert variance == pytest.approx(exact_variance, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "make_cfg, seed",
+        [(saturated_mc_config, 42), (quarter_ratio_mc_config, 500042)],
+        ids=["saturated", "quarter"],
+    )
+    def test_criterion_7_runs_lie_within_4_se(self, make_cfg, seed):
+        cfg, target = make_cfg(), EstimationTarget.MASS
+        report = photonstats.crb_validation(
+            cfg, target, samples_per_trial=1000, n_trials=1000, seed=seed
+        )
+        mean, variance = exact_estimator_moments(cfg, target, 1000)
+        ratio = variance / report.crb
+        se = report.ratio_standard_error
+        assert abs(report.ratio_var_over_crb - ratio) <= 4.0 * se
+        bias_se = math.sqrt(variance / report.n_trials)
+        assert abs(report.bias - (mean - report.true_value)) <= 4.0 * bias_se

@@ -272,6 +272,23 @@ class TestClosedFormMle:
         assert np.all(report.estimates < 20.0)
         assert report.to_dict()["ambiguous_trials"] == 50
 
+    def test_two_roots_return_nearest_when_it_is_the_larger(self):
+        # the mirror of vertex_inside_config: configured at m = 30, whose
+        # root is the larger one, so ascending order would fit the other
+        cfg = FieldConfig(
+            alpha_r=-10.0, particle=ParticleModel(30.0, 0.5, 0.0), alpha0_mag=20.0
+        )
+        lam = abs(detector_amplitude(cfg)) ** 2
+        level = ps.sample_counts(lam, 1000, 11).mean()
+        found = ps.mle_candidates(level, cfg, MASS, ps.default_bracket(cfg, MASS))
+        assert found[0] == pytest.approx(20.0 + 2.0 * math.sqrt(level), rel=1e-12)
+        assert found[1] == pytest.approx(20.0 - 2.0 * math.sqrt(level), rel=1e-12)
+        report = ps.crb_validation(
+            cfg, MASS, samples_per_trial=1000, n_trials=50, seed=11
+        )
+        assert report.ambiguous_trials == 50
+        assert np.all(report.estimates > 20.0)
+
     def test_out_of_reach_mean_gives_the_vertex(self):
         # a mean count below the vertex value of lam: the likelihood peaks
         # where lam is smallest

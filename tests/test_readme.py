@@ -88,6 +88,7 @@ def test_readme_snr_forms_write_the_preset_bytes(tmp_path, monkeypatch, preset):
     )
     assert form.pop("preset") is None and by_name.pop("preset") == preset
     assert form == by_name
+    assert form["sweep"] == option(argv, "--sweep")
 
 
 def test_readme_config_example_loads():

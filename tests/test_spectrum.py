@@ -139,6 +139,22 @@ class TestFlatWhiteSpectrum:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             spectrum.flat_white_spectrum(1.0, 2.0, phi_s=0.0, **args)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("mass_kda", math.nan), ("phi_s", math.nan), ("phi_i", math.nan),
+            ("total_scattered_photons", math.inf), ("reflected_photons", math.inf),
+            ("reference_photons", math.inf),
+        ],
+    )
+    def test_non_finite_argument_named(self, name, value):
+        # checked before any arithmetic: no column message, no numpy warning
+        args = {"points": 5, "total_scattered_photons": 10.0, "phi_s": 0.0,
+                "reflected_photons": 1.0, "reference_photons": 1.0, name: value}
+        message = f"{name} must be finite, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spectrum.flat_white_spectrum(1.0, 2.0, **args)
+
     def test_source_arms_follow_white_envelope(self):
         f = spectrum.flat_white_spectrum(
             1.0, 2.0, 201, 10.0, 0.0, reflected_photons=7.0,
