@@ -102,6 +102,25 @@ MUTANTS = [
         "tests/test_cli.py::TestSpectrumCommand::"
         "test_manifest_identifies_the_spectrum_by_its_bytes",
     ),
+    Mutant(  # a Monte Carlo chunk that drops its last trial
+        SRC + "photonstats.py",
+        "for k in range(n_trials * w // workers, n_trials * (w + 1) // workers):",
+        "for k in range(n_trials * w // workers, n_trials * (w + 1) // workers - 1):",
+        "tests/test_photonstats.py::TestCrbValidation::"
+        "test_same_report_for_any_worker_count",
+    ),
+    Mutant(  # the ambiguous trials of one chunk, not of all
+        SRC + "photonstats.py",
+        "ambiguous = sum(pool.map(fit_chunk, range(workers)))",
+        "ambiguous = max(pool.map(fit_chunk, range(workers)))",
+        "tests/test_photonstats.py::TestCrbValidation::"
+        "test_ambiguous_trials_summed_over_chunks",
+    ),
+    Mutant(  # the photon budget without its round-off slack
+        SRC + "field.py", "if worst > bound + BUDGET_TOL * alpha0_mag:",
+        "if worst > bound:",
+        "tests/test_field.py::TestValidateEnergy::test_boundary_tolerance",
+    ),
 ]
 
 

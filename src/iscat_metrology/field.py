@@ -179,8 +179,8 @@ def first_arm_magnitude(cfg: FieldConfig) -> float:
         return float(magnitude(first_arm_amplitude(cfg)))
 
 
-def budget_violations(first_mag, reference_mag, alpha0_mag: float) -> list[str]:
-    """Photon-budget rule; return one message per violated arm bound.
+def check_budget(first_mag, reference_mag, alpha0_mag: float) -> None:
+    """Photon-budget rule; raise one ValueError naming each violated arm bound.
 
     ``first_mag`` is |alpha_r + alpha_s| and ``reference_mag`` is |alpha_i|
     (0 without a reference arm), each a scalar or an array of scan cells;
@@ -199,12 +199,6 @@ def budget_violations(first_mag, reference_mag, alpha0_mag: float) -> list[str]:
             violations.append(
                 f"{arm} = {worst!r} exceeds the bound alpha0_mag/2 = {bound!r}"
             )
-    return violations
-
-
-def check_budget(first_mag, reference_mag, alpha0_mag: float) -> None:
-    """Raise the :func:`budget_violations`, if any, as one ValueError."""
-    violations = budget_violations(first_mag, reference_mag, alpha0_mag)
     if violations:
         raise ValueError("; ".join(violations))
 

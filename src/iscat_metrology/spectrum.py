@@ -142,6 +142,7 @@ def flat_white_spectrum(
         if not (photons >= 0):  # NaN included
             raise ValueError(f"{name} must be >= 0")
     _require_finite({
+        "omega_lo": omega_lo, "omega_hi": omega_hi,
         "mass_kda": mass_kda, "phi_s": phi_s, "phi_i": phi_i,
         "total_scattered_photons": total_scattered_photons,
         "reflected_photons": reflected_photons, "reference_photons": reference_photons,

@@ -36,7 +36,6 @@ from .field import (
     VACUUM_TOL,
     EstimationTarget,
     FieldConfig,
-    budget_violations,
     check_budget,
     config_to_dict,
     first_arm_amplitude,
@@ -57,7 +56,6 @@ class SaturationSolution:
 
     min_mag_i: float
     psi: float
-    feasible: bool
     alpha_first: complex
     alpha0_mag: float
 
@@ -108,7 +106,6 @@ def saturating_reference_set(
     return SaturationSolution(
         min_mag_i=min_mag,
         psi=psi,
-        feasible=not budget_violations(0.0, min_mag, cfg.alpha0_mag),
         alpha_first=alpha_first,
         alpha0_mag=cfg.alpha0_mag,
     )

@@ -515,6 +515,8 @@ class TestSnrCommand:
         assert preset_data == explicit_data
         assert (preset_args.pop("preset"), explicit_args.pop("preset")) == (preset, None)
         assert preset_args == explicit_args
+        swept = options[-1].split(":")[0]
+        assert preset_args["triple"][swept] is None
 
     @pytest.mark.parametrize(
         "mode, flag, sweep",
@@ -1147,13 +1149,12 @@ def test_nul_byte_in_a_path_exits_2_naming_the_option(
 def replay_argv(manifest: dict, directory: Path) -> list:
     """The argv of a run, without --out, rebuilt from its manifest alone; an
     inline config is written to ``directory``.  An snr run replays from its
-    options, a preset run too; a scan preset stands for typed values."""
+    options, a preset run too, and a null option (an snr's swept phase) is
+    left out; a scan preset stands for typed values."""
     options = dict(manifest["arguments"])
     if manifest["subcommand"] == "snr":
         options.pop("preset")
-        triple = dict(options.pop("triple"))
-        del triple[options["sweep"].split(":")[0]]  # the swept one takes no value
-        options.update(triple)
+        options.update(options.pop("triple"))
     elif options.get("preset") is not None:
         options = {"preset": options["preset"], "format": options["format"]}
     if options.get("config") is not None:
@@ -1485,7 +1486,7 @@ class TestPresetConflicts:
         ]
         assert arguments["mode"] == "mass"
         assert arguments["triple"] == {
-            "e_r": 1.0, "e_s": 0.01, "e_i": 1.0, "phi_s": 0.0, "phi_i": 0.0
+            "e_r": 1.0, "e_s": 0.01, "e_i": 1.0, "phi_s": 0.0, "phi_i": None
         }
         out = tmp_path / "scan.csv"
         cfg = str(config_file(fig2_config()))

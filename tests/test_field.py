@@ -12,7 +12,6 @@ from iscat_metrology.field import (
     FieldConfig,
     ParticleModel,
     ReferenceArm,
-    budget_violations,
     check_budget,
     config_from_dict,
     config_to_dict,
@@ -85,34 +84,27 @@ class TestValidateEnergy:
             alpha_r=0.3, particle=ParticleModel(1.0, 0.1, 0.0),
             reference=ReferenceArm(0.1, 0.0),
         )
-        assert budget_violations(
-            first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag
-        ) == []
+        check_budget(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag)
 
     def test_reference_arm_violation(self):
         cfg = FieldConfig(
             alpha_r=0.0001, particle=ParticleModel(1.0, 0.0001, 0.0),
             reference=ReferenceArm(0.6, 0.0),
         )
-        findings = budget_violations(
-            first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag
+        message = (
+            r"^reference arm \|alpha_i\| = 0\.6 exceeds the bound "
+            r"alpha0_mag/2 = 0\.5$"
         )
-        assert len(findings) == 1
-        assert "reference arm" in findings[0]
-        with pytest.raises(
-            ValueError,
-            match=r"^reference arm \|alpha_i\| = 0\.6 exceeds the bound "
-            r"alpha0_mag/2 = 0\.5$",
-        ):
+        with pytest.raises(ValueError, match=message):
+            check_budget(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag)
+        with pytest.raises(ValueError, match=message):
             detector_amplitude(cfg)
 
     def test_boundary_tolerance(self):
         cfg = FieldConfig(
             alpha_r=0.5 + 1e-15, particle=ParticleModel(0.0, 1.0, 0.0)
         )
-        assert budget_violations(
-            first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag
-        ) == []
+        check_budget(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag)
 
     def test_sample_arm_violation_named(self):
         cfg = FieldConfig(alpha_r=0.7, particle=ParticleModel(0.0, 1.0, 0.0))
@@ -200,7 +192,9 @@ def test_detector_bounded_by_input(mag_r, ms, phi_s, mag_i, phi_i):
         particle=ParticleModel(1.0, ms, phi_s) if ms > 0 else ParticleModel(0.0, 1.0, phi_s),
         reference=ReferenceArm(mag_i, phi_i),
     )
-    if budget_violations(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag):
+    try:
+        check_budget(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag)
+    except ValueError:
         return
     assert abs(detector_amplitude(cfg)) <= cfg.alpha0_mag * (1 + 1e-11)
 

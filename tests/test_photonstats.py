@@ -459,6 +459,14 @@ class TestCrbValidation:
             assert str(exc.value) == messages[0][1]
             assert threading.active_count() == before
 
+    def test_ambiguous_trials_summed_over_chunks(self, monkeypatch):
+        # every trial has two roots; three chunks count 16, 17 and 17 of them
+        monkeypatch.setattr(ps, "available_cores", lambda: 3)
+        report = ps.crb_validation(
+            vertex_inside_config(), MASS, samples_per_trial=1000, n_trials=50, seed=11
+        )
+        assert report.ambiguous_trials == 50
+
     def test_stress_more_workers_than_cores(self, mc_quarter_cfg, monkeypatch):
         kwargs = dict(samples_per_trial=20, n_trials=240, seed=9)
         serial = ps.crb_validation(mc_quarter_cfg, PHASE, threads=1, **kwargs)

@@ -30,12 +30,13 @@ def readme_commands():
     return commands
 
 
-COMMANDS = readme_commands()
-IDS = [f"{k}-{argv[0]}" for k, argv in enumerate(COMMANDS)]
-
-
 def option(argv, name):
     return argv[argv.index(name) + 1] if name in argv else None
+
+
+COMMANDS = readme_commands()
+# named by what a line writes, so a line added above others renames none
+IDS = [f"{argv[0]}-{option(argv, '--out')}" for argv in COMMANDS]
 
 
 def runnable(argv):
@@ -54,6 +55,10 @@ def runnable(argv):
 
 def test_readme_shows_every_subcommand():
     assert {argv[0] for argv in COMMANDS} == set(cli.SUBCOMMANDS)
+
+
+def test_readme_command_ids_are_unique():
+    assert len(set(IDS)) == len(IDS)
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)

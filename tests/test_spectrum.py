@@ -126,34 +126,46 @@ class TestFlatWhiteSpectrum:
              "reference_photons must be >= 0"),
             ({"reference_photons": math.nan}, "reference_photons must be >= 0"),
             ({"mass_kda": 0.0}, "mass_kda must be > 0"),
+            ({"omega_lo": math.nan}, "invalid band [nan, 2.0]"),
+            ({"omega_lo": math.inf}, "invalid band [inf, 2.0]"),
+            ({"omega_lo": 2.0, "omega_hi": 1.0}, "invalid band [2.0, 1.0]"),
         ],
         ids=[
             "no_points", "negative_photons", "nan_photons",
             "negative_reflected", "negative_reflected_one_point", "nan_reflected",
             "negative_reference", "negative_reference_one_point", "nan_reference",
-            "zero_mass",
+            "zero_mass", "nan_band_edge", "infinite_lower_edge", "reversed_band",
         ],
     )
     def test_invalid_argument_named(self, kwargs, message):
-        args = {"points": 5, "total_scattered_photons": 10.0, **kwargs}
+        args = {"omega_lo": 1.0, "omega_hi": 2.0, "points": 5,
+                "total_scattered_photons": 10.0, **kwargs}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            spectrum.flat_white_spectrum(1.0, 2.0, phi_s=0.0, **args)
+            spectrum.flat_white_spectrum(phi_s=0.0, **args)
 
     @pytest.mark.parametrize(
-        "name, value",
+        "name, value, points",
         [
-            ("mass_kda", math.nan), ("phi_s", math.nan), ("phi_i", math.nan),
-            ("total_scattered_photons", math.inf), ("reflected_photons", math.inf),
-            ("reference_photons", math.inf),
+            ("mass_kda", math.nan, 5), ("phi_s", math.nan, 5), ("phi_i", math.nan, 5),
+            ("total_scattered_photons", math.inf, 5), ("reflected_photons", math.inf, 5),
+            ("reference_photons", math.inf, 5),
+            # an infinite upper band edge passes 0 < omega_lo < omega_hi
+            ("omega_hi", math.inf, 5), ("omega_hi", math.inf, 1),
+        ],
+        ids=[
+            "mass_kda-nan", "phi_s-nan", "phi_i-nan", "total_scattered_photons-inf",
+            "reflected_photons-inf", "reference_photons-inf", "omega_hi-inf",
+            "omega_hi-inf-one_point",
         ],
     )
-    def test_non_finite_argument_named(self, name, value):
+    def test_non_finite_argument_named(self, name, value, points):
         # checked before any arithmetic: no column message, no numpy warning
-        args = {"points": 5, "total_scattered_photons": 10.0, "phi_s": 0.0,
+        args = {"omega_lo": 1.0, "omega_hi": 2.0, "points": points,
+                "total_scattered_photons": 10.0, "phi_s": 0.0,
                 "reflected_photons": 1.0, "reference_photons": 1.0, name: value}
         message = f"{name} must be finite, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            spectrum.flat_white_spectrum(1.0, 2.0, **args)
+            spectrum.flat_white_spectrum(**args)
 
     def test_source_arms_follow_white_envelope(self):
         f = spectrum.flat_white_spectrum(

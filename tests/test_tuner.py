@@ -106,7 +106,6 @@ class TestSaturatingReferenceSet:
         sol = tuner.saturating_reference_set(fig2_cfg, MASS)
         assert sol.min_mag_i == pytest.approx(1.15e-5, abs=1e-8)
         assert sol.psi == pytest.approx(5 * PI / 6)
-        assert sol.feasible
 
     def test_orthogonal_targets_give_orthogonal_distances(self, fig2_cfg):
         mass_sol = tuner.saturating_reference_set(fig2_cfg, MASS)
@@ -141,7 +140,6 @@ class TestSaturatingReferenceSet:
             if abs(first_arm_amplitude(cfg)) > 0.5:
                 continue
             sol = tuner.saturating_reference_set(cfg, MASS)
-            assert sol.feasible
             assert sol.min_mag_i <= abs(first_arm_amplitude(cfg)) + 1e-15
 
     @pytest.mark.parametrize("target", [MASS, PHASE], ids=["mass", "phase"])
