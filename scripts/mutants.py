@@ -92,12 +92,14 @@ MUTANTS = [
         "tests/test_photonstats.py::TestClosedFormMle::"
         "test_two_roots_return_nearest_and_count_as_ambiguous",
     ),
-    Mutant(  # an snr manifest that does not say what it swept
-        SRC + "cli.py", '"sweep": args.sweep,', "",
-        "tests/test_cli.py::TestManifestRoundTrip::test_manifest_alone_replays_the_run",
+    Mutant(  # an snr manifest that records a value for its swept phase
+        SRC + "cli.py",
+        "setattr(args, sweep_var, None)  # no single value: the sweep gives its values",
+        "pass",
+        "tests/test_cli.py::TestSnrCommand::test_preset_is_the_command_line_it_stands_for",
     ),
     Mutant(  # a spectrum manifest that does not identify its input
-        SRC + "cli.py", 'manifest["inputs"] = [_input("--spectrum", args.spectrum)]',
+        SRC + "cli.py", 'manifest["inputs"] = [_input("--spectrum", spectrum)]',
         "pass",
         "tests/test_cli.py::TestSpectrumCommand::"
         "test_manifest_identifies_the_spectrum_by_its_bytes",
@@ -120,6 +122,27 @@ MUTANTS = [
         SRC + "field.py", "if worst > bound + BUDGET_TOL * alpha0_mag:",
         "if worst > bound:",
         "tests/test_field.py::TestValidateEnergy::test_boundary_tolerance",
+    ),
+    Mutant(  # a scan preset's typed axes handed to the manifest
+        SRC + "cli.py", "args.x_axis = args.y_axis = None", "pass",
+        "tests/test_cli.py::TestManifestRoundTrip::"
+        "test_scan_preset_records_its_config_inline",
+    ),
+    Mutant(  # a config recorded as the FieldConfig, not its JSON schema
+        SRC + "cli.py", "return config_to_dict(value)", "return value",
+        "tests/test_cli.py::TestFisherCommand::test_manifest_sidecar",
+    ),
+    Mutant(  # a run that may write over its own input
+        SRC + "cli.py",
+        "if os.path.exists(path) and os.path.samefile(path, source):",
+        "if False:",
+        "tests/test_cli.py::test_output_that_is_the_input_exits_2",
+    ),
+    Mutant(  # a spectrum read from a pipe, which hashes empty
+        SRC + "cli.py",
+        "if spectrum and os.path.exists(spectrum) and not os.path.isfile(spectrum):",
+        "if False:",
+        "tests/test_cli.py::TestSpectrumCommand::test_spectrum_from_a_pipe_exits_2",
     ),
 ]
 

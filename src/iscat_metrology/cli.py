@@ -11,22 +11,23 @@ Subcommands map one-to-one onto the library surfaces:
 
 The parser is built once per process from the ``SUBCOMMANDS`` table.  Each
 subcommand is a ``run_<name>(args)`` function that loads, checks and
-computes, and returns ``(arguments, files)``: its options as given, and each
-output suffix (``""`` for ``--out`` itself) mapped to a one-argument writer
-of that file.  A runner names no path and writes no file.  :func:`main` owns
-the rest.  It names each file ``<out><suffix>`` and lists them in one
-``<out>.manifest.json`` sidecar (arguments as given, which replay the run,
-outputs, the ``--seed`` of a sampling run, the sha256 of a ``--spectrum``
-input, tool version and timestamp).  It refuses a path that exists
-and is not a regular file, writes every file under a staged name beside its
-own, then moves each into place with ``os.replace``, the manifest last; on
-any exception it removes every file it staged or moved, so a run's files
-appear together or not at all.  It maps errors to exit codes: 0 success, 3
-a ``fisher.NotEstimableError`` (vacuum detector field, vanishing target
-derivative, zero information, a fit at the bracket edge), 2 any other
-input/config error (a failed write or an empty ``--out`` included).  Data
-files contain no timestamps, so identical inputs reproduce them byte for
-byte.
+computes, and returns only its files: each output suffix (``""`` for
+``--out`` itself) mapped to a one-argument writer of that file.  A runner
+names no path and writes no file, and leaves each option on ``args`` at the
+value it resolved.  :func:`main` owns the rest.  It names each file
+``<out><suffix>`` and lists them in one ``<out>.manifest.json`` sidecar
+(the subcommand's own table options as resolved, which replay the run,
+outputs, the sha256 of a ``--spectrum`` input, tool version and timestamp).
+It refuses a ``--spectrum`` that is not a regular file, and an output that
+exists and is not a regular file or is the run's input.  It writes every
+file under a staged name beside its own, then moves each into place with
+``os.replace``, the manifest last; on any exception it removes every file
+it staged or moved, so a run's files appear together or not at all.  It
+maps errors to exit codes: 0 success, 3 a ``fisher.NotEstimableError``
+(vacuum detector field, vanishing target derivative, zero information, a
+fit at the bracket edge), 2 any other input/config error (a failed write or
+an empty ``--out`` included).  Data files contain no timestamps, so
+identical inputs reproduce them byte for byte.
 
 A process runs one subcommand, so this module loads only what every
 subcommand uses (``field``, ``fisher``, ``textio``).  Each runner imports
@@ -45,7 +46,6 @@ as ``-1e-3``, ``-inf`` or ``-nan`` are read as numbers, not as flags.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -191,7 +191,7 @@ def _parse_axis(spec: str):
     return tuner.AxisSpec.linspace(name, lo, hi, steps)
 
 
-# --- subcommands: each returns (arguments, files) ------------------------------
+# --- subcommands: each returns its files ------------------------------------
 
 
 def _json(obj):
@@ -200,7 +200,7 @@ def _json(obj):
 
 
 def run_fisher(args):
-    cfg = load_config(args.config)
+    cfg = args.config = load_config(args.config)
     target = EstimationTarget(args.target)
     report = fisher.fisher_report(cfg, target)
     # both bounds first: zero information exits 3 whatever the format
@@ -216,12 +216,7 @@ def run_fisher(args):
             "qcrb_coherent": qcrb_coherent,
             "qcrb_photon_counting": qcrb_counting,
         })
-    arguments = {
-        "config": config_to_dict(cfg),
-        "target": target.value,
-        "format": args.format,
-    }
-    return arguments, {"": write}
+    return {"": write}
 
 
 def run_scan(args):
@@ -232,15 +227,14 @@ def run_scan(args):
     if args.config is None or args.x_axis is None:
         raise ValueError("scan needs either --preset or --config + --x-axis")
     target = EstimationTarget(args.target)
-    if args.preset is not None:  # typed values, which the manifest leaves null
+    if args.preset is not None:
         base, x, y = args.config, args.x_axis, args.y_axis
-        given = dict.fromkeys(("config", "x_axis", "y_axis"))
+        # typed axes, which no option string holds: the manifest records null
+        args.x_axis = args.y_axis = None
     else:
-        base = load_config(args.config)
+        base = args.config = load_config(args.config)
         x = _parse_axis(args.x_axis)
         y = _parse_axis(args.y_axis) if args.y_axis is not None else None
-        given = dict(config=config_to_dict(base), x_axis=args.x_axis,
-                     y_axis=args.y_axis)
     grid = tuner.scan_ratio_grid(base, target, x, y)
     header = grid.header_dict()
     if args.format == "json":
@@ -251,16 +245,13 @@ def run_scan(args):
         files = {"": _json({"header": header, "ratio": ratio})}
     else:
         files = {"": grid.to_csv, ".header.json": _json(header)}
-    arguments = {
-        "preset": args.preset, **given, "target": target.value, "format": args.format
-    }
-    return arguments, files
+    return files
 
 
 def run_optimize(args):
     from . import tuner
 
-    cfg = load_config(args.config)
+    cfg = args.config = load_config(args.config)
     target = EstimationTarget(args.target)
     sol = tuner.saturating_reference_set(cfg, target)
     ref = cfg.reference
@@ -277,8 +268,7 @@ def run_optimize(args):
             list(sol.solutions_at(ref.mag)) if ref is not None else None
         ),
     }
-    arguments = {"config": config_to_dict(cfg), "target": target.value}
-    return arguments, {"": _json(result)}
+    return {"": _json(result)}
 
 
 def run_snr(args):
@@ -301,6 +291,7 @@ def run_snr(args):
     if sweep_var in given:
         flag = "--" + sweep_var.replace("_", "-")
         raise ValueError(f"--sweep over {sweep_var} conflicts with {flag}")
+    setattr(args, sweep_var, None)  # no single value: the sweep gives its values
     axis = _parse_axis(args.sweep)  # reuse NAME:LO:HI:STEPS[:log]
     log_scale = axis.scale == "log"
     sweep_fn = snr.mass_snr_sweep if mode == "mass" else snr.phase_snr_sweep
@@ -314,21 +305,13 @@ def run_snr(args):
     else:
         meta = [f"mode: {mode}", f"log_scale: {str(log_scale).lower()}"]
         write = lambda path: snr.write_sweep_csv(path, sweep, meta)
-    arguments = {
-        "preset": args.preset,
-        "mode": mode,
-        # the swept phase has no single value: the sweep gives its values
-        "triple": {**dataclasses.asdict(triple), sweep_var: None},
-        "sweep": args.sweep,
-        "format": args.format,
-    }
-    return arguments, {"": write}
+    return {"": write}
 
 
 def run_montecarlo(args):
     from . import photonstats
 
-    cfg = load_config(args.config)
+    cfg = args.config = load_config(args.config)
     target = EstimationTarget(args.target)
     report = photonstats.crb_validation(
         cfg,
@@ -338,13 +321,7 @@ def run_montecarlo(args):
         seed=args.seed,
         threads=args.threads,
     )
-    arguments = {
-        "config": config_to_dict(cfg),
-        "target": target.value,
-        "samples": args.samples,
-        "trials": args.trials,
-    }
-    return arguments, {
+    return {
         "": _json({"setup": cfg.setup, **report.to_dict()}),
         ".trials.csv": lambda path: photonstats.write_trials_csv(path, report),
     }
@@ -376,7 +353,7 @@ def run_spectrum(args):
         result["relative_mass_bound_sqrt_n"] = (
             spectrum.relative_mass_bound_multifrequency(f)
         )
-    return {"spectrum": args.spectrum, "target": target.value}, {"": _json(result)}
+    return {"": _json(result)}
 
 
 # --- parser -------------------------------------------------------------------
@@ -494,6 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _recorded(value):
+    """An option's resolved value as its manifest records it."""
+    if isinstance(value, FieldConfig):
+        return config_to_dict(value)
+    if isinstance(value, EstimationTarget):
+        return value.value
+    return value
+
+
 def _input(option: str, path: str) -> dict:
     """A file a run read, identified by the sha256 and size of its bytes."""
     import hashlib  # here only, so other subcommands never load it
@@ -503,13 +489,17 @@ def _input(option: str, path: str) -> dict:
     return {"option": option, "path": path, "sha256": sha256, "bytes": len(data)}
 
 
-def _commit(files: dict) -> None:
+def _commit(files: dict, inputs: dict) -> None:
     """Write each path's file under a staged name beside it, then move each
-    into place in order.  On any exception, remove every file staged or
-    moved and re-raise; an OSError names the path, not its staged name."""
+    into place in order; refuse first a path that is one of ``inputs``
+    (option: path).  On any exception, remove every file staged or moved
+    and re-raise; an OSError names the path, not its staged name."""
     for path in files:  # os.replace would replace a device node too
         if os.path.exists(path) and not os.path.isfile(path):
             raise ValueError(f"{path} exists and is not a regular file")
+        for option, source in inputs.items():
+            if os.path.exists(path) and os.path.samefile(path, source):
+                raise ValueError(f"{path} would overwrite the {option} input")
     staged = {f"{path}.{os.getpid()}.staged": path for path in files}
     placed = 0
     try:
@@ -534,26 +524,33 @@ def main(argv=None) -> int:
     try:
         if not args.out:  # Path("") would be the working directory
             raise ValueError(f"--out needs a file name, got {args.out!r}")
-        for option in ("out", "config", "spectrum"):  # the path options
-            path = getattr(args, option, None)
-            if path is not None and "\0" in path:
-                raise ValueError(f"--{option} holds a NUL byte: {path!r}")
+        # the input paths as given, before a runner loads --config in place
+        inputs = {o: getattr(args, o[2:], None) for o in ("--config", "--spectrum")}
+        inputs = {option: path for option, path in inputs.items() if path is not None}
+        for option, path in {"--out": args.out, **inputs}.items():
+            if "\0" in path:
+                raise ValueError(f"{option} holds a NUL byte: {path!r}")
         if args.threads is not None and args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        arguments, files = SUBCOMMANDS[args.subcommand][0](args)
+        spectrum = inputs.get("--spectrum")
+        # read twice, to parse and to hash, where a pipe would hash empty
+        if spectrum and os.path.exists(spectrum) and not os.path.isfile(spectrum):
+            raise ValueError(f"--spectrum {spectrum} is not a regular file")
+        runner, _, options = SUBCOMMANDS[args.subcommand]
+        files = runner(args)
         out = Path(args.out)
         files = {f"{out}{suffix}": write for suffix, write in files.items()}
+        names = (flag[2:].replace("-", "_") for flag in options)
         manifest = {
             "subcommand": args.subcommand,
-            "arguments": arguments,
+            "arguments": {name: _recorded(getattr(args, name)) for name in names},
             "outputs": list(files),
-            "seed": getattr(args, "seed", None),
             "tool_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
-        if args.subcommand == "spectrum":  # a config is recorded inline instead
-            manifest["inputs"] = [_input("--spectrum", args.spectrum)]
-        _commit({**files, f"{out}.manifest.json": _json(manifest)})
+        if spectrum is not None:  # a config is recorded inline instead
+            manifest["inputs"] = [_input("--spectrum", spectrum)]
+        _commit({**files, f"{out}.manifest.json": _json(manifest)}, inputs)
     except fisher.NotEstimableError as exc:
         print(f"not estimable: {exc}", file=sys.stderr)
         return 3

@@ -99,10 +99,10 @@ class ParticleModel:
             }
         )
         if not (self.mass_kda >= 0.0):
-            raise ValueError(f"mass_kda must be >= 0, got {self.mass_kda}")
+            raise ValueError(f"particle.mass_kda must be >= 0, got {self.mass_kda}")
         if not (self.scale_per_kda > 0.0):
             raise ValueError(
-                f"scale_per_kda must be > 0, got {self.scale_per_kda}"
+                f"particle.scale_per_kda must be > 0, got {self.scale_per_kda}"
             )
         object.__setattr__(self, "phi_s", wrap_angle(self.phi_s))
 
@@ -119,7 +119,7 @@ class ReferenceArm:
             {"reference.mag": self.mag, "reference.phi_i": self.phi_i}
         )
         if not (self.mag >= 0.0):
-            raise ValueError(f"reference magnitude must be >= 0, got {self.mag}")
+            raise ValueError(f"reference.mag must be >= 0, got {self.mag}")
         object.__setattr__(self, "phi_i", wrap_angle(self.phi_i))
 
 

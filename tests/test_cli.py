@@ -20,7 +20,7 @@ from conftest import (
     vacuum_config,
     worked_example_config,
 )
-from iscat_metrology import spectrum as sp, tuner
+from iscat_metrology import cli, spectrum as sp, tuner
 from iscat_metrology.cli import main, scan_presets
 from iscat_metrology.field import (
     FieldConfig,
@@ -86,6 +86,28 @@ class TestFisherCommand:
         assert main(["fisher", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("particle", "mass_kda", -1.0, "particle.mass_kda must be >= 0, got -1.0"),
+            ("particle", "scale_per_kda", 0,
+             "particle.scale_per_kda must be > 0, got 0.0"),
+            ("reference", "mag", -1.0, "reference.mag must be >= 0, got -1.0"),
+        ],
+    )
+    def test_out_of_range_field_exits_2_naming_it(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        d = config_to_dict(fig2_config())
+        d["reference"] = {"mag": 4.5e-5, "phi_i": 0.0}
+        d[section][key] = value
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(d))
+        out = tmp_path / "report.json"
+        assert main(["fisher", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_zero_information_exits_3_in_both_formats(
@@ -516,7 +538,7 @@ class TestSnrCommand:
         assert (preset_args.pop("preset"), explicit_args.pop("preset")) == (preset, None)
         assert preset_args == explicit_args
         swept = options[-1].split(":")[0]
-        assert preset_args["triple"][swept] is None
+        assert preset_args[swept] is None
 
     @pytest.mark.parametrize(
         "mode, flag, sweep",
@@ -564,7 +586,7 @@ class TestSnrCommand:
         assert main(argv + ["--out", str(out)]) == rc
         if rc == 0:
             manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
-            assert manifest["arguments"]["triple"]["phi_s"] == -0.001
+            assert manifest["arguments"]["phi_s"] == -0.001
         else:
             assert "phi_s must be finite" in capsys.readouterr().err
             assert not out.exists()
@@ -800,6 +822,22 @@ class TestSpectrumCommand:
             "sha256": hashlib.sha256(data).hexdigest(),
             "bytes": len(data),
         }]
+
+    def test_spectrum_from_a_pipe_exits_2(self, tmp_path, capsys):
+        # a pipe reads empty the second time, when the manifest hashes it
+        data = self.spectrum_csv_for(tmp_path, worked_example_config()).read_bytes()
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            out = tmp_path / "spec.json"
+            assert main(["spectrum", "--spectrum", path, "--out", str(out)]) == 2
+        finally:
+            os.close(read_end)
+        err = capsys.readouterr().err
+        assert err == f"error: --spectrum {path} is not a regular file\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "single.csv"]
 
     def test_single_row_matches_fisher(self, tmp_path, config_file):
         cfg = worked_example_config()
@@ -1146,23 +1184,53 @@ def test_nul_byte_in_a_path_exits_2_naming_the_option(
     assert list(cwd.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "subcommand, input_name, out_name",
+    [
+        ("spectrum", "band.csv", "band.csv"),
+        ("fisher", "config.json", "config.json"),
+        ("fisher", "r.json.manifest.json", "r.json"),
+        ("scan", "r.csv.header.json", "r.csv"),
+        ("montecarlo", "r.json.trials.csv", "r.json"),
+        ("optimize", "config.json", "link.json"),
+    ],
+    ids=["spectrum-out", "fisher-out", "fisher-manifest", "scan-header",
+         "montecarlo-trials", "optimize-hard-link"],
+)
+def test_output_that_is_the_input_exits_2(
+    tmp_path, capsys, subcommand_argv, subcommand, input_name, out_name
+):
+    # the input keeps its bytes, which the manifest would otherwise describe
+    argv = list(subcommand_argv[subcommand])
+    option = "--spectrum" if subcommand == "spectrum" else "--config"
+    given = Path(argv[argv.index(option) + 1])
+    source = given.rename(tmp_path / input_name)
+    argv[argv.index(option) + 1] = str(source)
+    if out_name == "link.json":
+        os.link(source, tmp_path / out_name)
+    before = _snapshot(tmp_path)
+    out = tmp_path / out_name
+    assert main([*argv, "--out", str(out)]) == 2
+    path = source if out_name != "link.json" else out
+    assert capsys.readouterr().err == (
+        f"error: {path} would overwrite the {option} input\n"
+    )
+    assert _snapshot(tmp_path) == before
+
+
 def replay_argv(manifest: dict, directory: Path) -> list:
-    """The argv of a run, without --out, rebuilt from its manifest alone; an
-    inline config is written to ``directory``.  An snr run replays from its
-    options, a preset run too, and a null option (an snr's swept phase) is
-    left out; a scan preset stands for typed values."""
+    """The argv of a run, without --out, rebuilt from its manifest alone: a
+    preset run from its preset and format, any other run from its non-null
+    arguments, with an inline config written to ``directory``."""
     options = dict(manifest["arguments"])
-    if manifest["subcommand"] == "snr":
-        options.pop("preset")
-        options.update(options.pop("triple"))
-    elif options.get("preset") is not None:
+    if options.get("preset") is not None:
         options = {"preset": options["preset"], "format": options["format"]}
-    if options.get("config") is not None:
+    elif options.get("config") is not None:
         path = directory / "replayed_config.json"
         path.write_text(json.dumps(options["config"]))
         options["config"] = str(path)
     argv = [manifest["subcommand"]]
-    for name, value in {**options, "seed": manifest["seed"]}.items():
+    for name, value in options.items():
         if value is not None:
             argv += ["--" + name.replace("_", "-"), str(value)]
     return argv
@@ -1241,15 +1309,44 @@ class TestManifestRoundTrip:
         assert manifest["outputs"][0] == str(out)
         written = {str(p) for p in out_dir.iterdir()} - {str(sidecar)}
         assert sorted(manifest["outputs"]) == sorted(written)
+        assert "seed" not in manifest
         if subcommand == "montecarlo":
             top = 2**64 - 1
-            assert manifest["seed"] == top
+            assert manifest["arguments"]["seed"] == top
             seeds = [row["seed"] for row in read_csv(manifest["outputs"][1])]
             assert seeds == [str(top + k) for k in range(4)]
         else:
-            assert manifest["seed"] is None
+            assert "seed" not in manifest["arguments"]
         assert ("inputs" in manifest) == (subcommand == "spectrum")
         replay_and_compare(sidecar, tmp_path)
+
+    @pytest.mark.parametrize(
+        "run",
+        ["fisher", "scan", "optimize", "snr", "montecarlo", "spectrum",
+         "scan --preset fig2a", "snr --preset figsnr2"],
+    )
+    def test_arguments_are_the_subcommand_options(self, tmp_path, subcommand_argv, run):
+        subcommand, *preset = run.split()
+        argv = [subcommand, *preset] if preset else subcommand_argv[subcommand]
+        out = tmp_path / "result.dat"
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "result.dat.manifest.json").read_text())
+        options = cli.SUBCOMMANDS[subcommand][2]
+        names = [flag[2:].replace("-", "_") for flag in options]
+        assert set(manifest["arguments"]) == set(names)
+
+    def test_scan_preset_records_its_config_inline(self, tmp_path):
+        out = tmp_path / "fig2a.csv"
+        assert main(["scan", "--preset", "fig2a", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "fig2a.csv.manifest.json").read_text())
+        assert manifest["arguments"] == {
+            "config": config_to_dict(scan_presets()["fig2a"]["config"]),
+            "target": "mass",
+            "preset": "fig2a",
+            "x_axis": None,
+            "y_axis": None,
+            "format": "csv",
+        }
 
     @pytest.mark.parametrize("name", REPLAYED)
     def test_manifest_alone_replays_the_run(self, tmp_path, original_runs, name):
@@ -1485,9 +1582,9 @@ class TestPresetConflicts:
             "arguments"
         ]
         assert arguments["mode"] == "mass"
-        assert arguments["triple"] == {
-            "e_r": 1.0, "e_s": 0.01, "e_i": 1.0, "phi_s": 0.0, "phi_i": None
-        }
+        assert [arguments[n] for n in ("e_r", "e_s", "e_i", "phi_s", "phi_i")] == [
+            1.0, 0.01, 1.0, 0.0, None
+        ]
         out = tmp_path / "scan.csv"
         cfg = str(config_file(fig2_config()))
         argv = ["scan", "--config", cfg, "--x-axis", "phi_s:0:1:3"]
@@ -1515,8 +1612,6 @@ def test_one_parser_serves_calls_as_fresh_processes(
 ):
     # one process, one parser: nothing a call sets on its namespace, such as
     # a preset's options or a montecarlo seed, reaches the next call
-    from iscat_metrology import cli
-
     cfg = str(config_file(fig2_config()))
     mc = ["--config", str(config_file(mc_saturated_cfg, "mc.json")), "--seed", "5"]
     calls = [

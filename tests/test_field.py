@@ -201,15 +201,17 @@ def test_detector_bounded_by_input(mag_r, ms, phi_s, mag_i, phi_i):
 
 class TestValidation:
     def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
+        message = r"^particle\.mass_kda must be >= 0, got -1\.0$"
+        with pytest.raises(ValueError, match=message):
             ParticleModel(-1.0, 0.2, 0.0)
 
     def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
+        message = r"^particle\.scale_per_kda must be > 0, got 0\.0$"
+        with pytest.raises(ValueError, match=message):
             ParticleModel(1.0, 0.0, 0.0)
 
     def test_negative_reference_mag_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^reference\.mag must be >= 0, got -0\.1$"):
             ReferenceArm(-0.1, 0.0)
 
     def test_phases_wrapped(self):
