@@ -144,6 +144,16 @@ MUTANTS = [
         "if False:",
         "tests/test_cli.py::TestSpectrumCommand::test_spectrum_from_a_pipe_exits_2",
     ),
+    Mutant(  # a sweep over phi_i that computes the small-phase SNR
+        SRC + "cli.py", '"phi_i": ("mass", snr.mass_snr_sweep),',
+        '"phi_i": ("phase", snr.phase_snr_sweep),',
+        "tests/test_snr.py::test_preset_csv_matches_cell_by_cell_oracle[figsnr1]",
+    ),
+    Mutant(  # an --out of newdir/ written as the file newdir
+        SRC + "cli.py", 'if not args.out or args.out.endswith(("/", os.sep)):',
+        "if not args.out:",
+        "tests/test_cli.py::test_out_without_a_file_name_exits_2",
+    ),
 ]
 
 

@@ -26,7 +26,7 @@ it staged or moved, so a run's files appear together or not at all.  It
 maps errors to exit codes: 0 success, 3 a ``fisher.NotEstimableError``
 (vacuum detector field, vanishing target derivative, zero information, a
 fit at the bracket edge), 2 any other input/config error (a failed write or
-an empty ``--out`` included).  Data files contain no timestamps, so
+an ``--out`` with no file name included).  Data files contain no timestamps, so
 identical inputs reproduce them byte for byte.
 
 A process runs one subcommand, so this module loads only what every
@@ -89,8 +89,8 @@ SCAN_PRESET_NAMES = ("fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b")
 def scan_presets() -> dict:
     """name: option values (``config``, ``target``, ``x_axis``, ``y_axis``).
 
-    The values are typed: no option string expresses these configs or the
-    three-phase ``phi_s`` axis.
+    ``target`` is its option string; no option string expresses these configs
+    or the three-phase ``phi_s`` axis, so the config and axes are typed.
     """
     from . import tuner
 
@@ -112,7 +112,6 @@ def scan_presets() -> dict:
         particle=_particle(2e-5, 5.0 * PI / 6.0),
         reference=ReferenceArm(0.045, 0.0),
     )
-    mass, phase = EstimationTarget.MASS, EstimationTarget.SCATTER_PHASE
     linspace, logspace = tuner.AxisSpec.linspace, tuner.AxisSpec.logspace
     phases = tuner.AxisSpec("phi_s", np.array(_PHASE_TRIPLE))
     phi_s = linspace("phi_s", 0.0, 2.0 * PI, 73)
@@ -121,20 +120,20 @@ def scan_presets() -> dict:
     mag_i_2c = linspace("mag_i", 0.0, 9e-5, 181)
     mag_i_2d = linspace("mag_i", 0.0, 2e-2, 201)
     options = [  # in SCAN_PRESET_NAMES order
-        dict(config=iscat_base, target=mass, x_axis=r_mag, y_axis=phases),
-        dict(config=fig2bc_base, target=mass, x_axis=phi_s, y_axis=phi_i),
-        dict(config=fig2bc_base, target=mass, x_axis=mag_i_2c, y_axis=phi_i),
-        dict(config=fig2d_base, target=mass, x_axis=mag_i_2d, y_axis=phi_i),
-        dict(config=iscat_base, target=phase, x_axis=r_mag, y_axis=phases),
-        dict(config=fig3b_base, target=phase, x_axis=phi_s, y_axis=phi_i),
+        dict(config=iscat_base, target="mass", x_axis=r_mag, y_axis=phases),
+        dict(config=fig2bc_base, target="mass", x_axis=phi_s, y_axis=phi_i),
+        dict(config=fig2bc_base, target="mass", x_axis=mag_i_2c, y_axis=phi_i),
+        dict(config=fig2d_base, target="mass", x_axis=mag_i_2d, y_axis=phi_i),
+        dict(config=iscat_base, target="phase", x_axis=r_mag, y_axis=phases),
+        dict(config=fig3b_base, target="phase", x_axis=phi_s, y_axis=phi_i),
     ]
     return dict(zip(SCAN_PRESET_NAMES, options, strict=True))
 
 
 #: name: the snr options a preset stands for; the others keep their defaults.
 SNR_PRESETS = {
-    "figsnr1": dict(mode="mass", phi_s=PI / 2.0, sweep="phi_i:0:6.283185307179586:721"),
-    "figsnr2": dict(mode="phase", phi_i=PI / 2.0, sweep="phi_s:1e-4:1e-2:101:log"),
+    "figsnr1": dict(phi_s=PI / 2.0, sweep="phi_i:0:6.283185307179586:721"),
+    "figsnr2": dict(phi_i=PI / 2.0, sweep="phi_s:1e-4:1e-2:101:log"),
 }
 
 
@@ -274,27 +273,26 @@ def run_optimize(args):
 def run_snr(args):
     from . import snr
 
-    defaults = {
-        "mode": "mass", "e_r": 1.0, "e_s": 0.01, "e_i": 1.0,
-        "phi_s": 0.0, "phi_i": 0.0, "sweep": None,
-    }
+    defaults = dict(e_r=1.0, e_s=0.01, e_i=1.0, phi_s=0.0, phi_i=0.0, sweep=None)
     given = _apply_preset(args, SNR_PRESETS, defaults)
-    mode = args.mode
     triple = snr.RealFieldTriple(args.e_r, args.e_s, args.e_i, args.phi_s, args.phi_i)
     if args.sweep is None:
         raise ValueError("snr needs either --preset or --sweep")
-    sweep_var = {"mass": "phi_i", "phase": "phi_s"}[mode]
+    sweeps = {  # the swept phase picks the SNR
+        "phi_i": ("mass", snr.mass_snr_sweep),
+        "phi_s": ("phase", snr.phase_snr_sweep),
+    }
     # checked before _parse_axis, whose message lists the scan axes
-    name = args.sweep.split(":")[0]
-    if name != sweep_var:
-        raise ValueError(f"{mode}-mode sweeps run over {sweep_var}, not {name!r}")
+    sweep_var = args.sweep.split(":")[0]
+    if sweep_var not in sweeps:
+        raise ValueError(f"--sweep runs over phi_i or phi_s, not {sweep_var!r}")
+    mode, sweep_fn = sweeps[sweep_var]
     if sweep_var in given:
         flag = "--" + sweep_var.replace("_", "-")
         raise ValueError(f"--sweep over {sweep_var} conflicts with {flag}")
     setattr(args, sweep_var, None)  # no single value: the sweep gives its values
     axis = _parse_axis(args.sweep)  # reuse NAME:LO:HI:STEPS[:log]
     log_scale = axis.scale == "log"
-    sweep_fn = snr.mass_snr_sweep if mode == "mass" else snr.phase_snr_sweep
     sweep = sweep_fn(triple, axis.values)
     for name, values in sweep.items():
         if not np.all(np.isfinite(values)):
@@ -396,13 +394,13 @@ SUBCOMMANDS = {
         "signal-to-noise sweeps",
         {
             "--preset": {"help": _preset_help(SNR_PRESETS)},
-            "--mode": {"choices": ["mass", "phase"]},
             "--e-r": {"type": float},
             "--e-s": {"type": float},
             "--e-i": {"type": float},
             "--phi-s": {"type": float},
             "--phi-i": {"type": float},
-            "--sweep": {"help": "VAR:LO:HI:STEPS[:log] over phi_i or phi_s"},
+            "--sweep": {"help": "VAR:LO:HI:STEPS[:log] over phi_i (mass SNR) "
+                                "or phi_s (small-phase SNR)"},
             "--format": {"default": "csv"},
         },
     ),
@@ -475,8 +473,6 @@ def _recorded(value):
     """An option's resolved value as its manifest records it."""
     if isinstance(value, FieldConfig):
         return config_to_dict(value)
-    if isinstance(value, EstimationTarget):
-        return value.value
     return value
 
 
@@ -522,7 +518,8 @@ def _commit(files: dict, inputs: dict) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not args.out:  # Path("") would be the working directory
+        # Path("") is the working directory, and Path("d/") drops the slash
+        if not args.out or args.out.endswith(("/", os.sep)):
             raise ValueError(f"--out needs a file name, got {args.out!r}")
         # the input paths as given, before a runner loads --config in place
         inputs = {o: getattr(args, o[2:], None) for o in ("--config", "--spectrum")}

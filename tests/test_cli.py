@@ -422,7 +422,7 @@ class TestSnrCommand:
     def test_zero_reference_matches_one_arm(self, tmp_path):
         out = tmp_path / "snr.csv"
         rc = main([
-            "snr", "--mode", "mass", "--e-r", "1.0", "--e-s", "0.01",
+            "snr", "--e-r", "1.0", "--e-s", "0.01",
             "--e-i", "0.0", "--phi-s", "0.7",
             "--sweep", "phi_i:0:6.2831853:33", "--out", str(out),
         ])
@@ -435,7 +435,7 @@ class TestSnrCommand:
         # no scattered signal; the six-term I2 rounded it to 0 (exit 2)
         out = tmp_path / "snr.csv"
         rc = main([
-            "snr", "--mode", "mass", "--e-r", "1", "--e-s", "0", "--e-i", "1",
+            "snr", "--e-r", "1", "--e-s", "0", "--e-i", "1",
             "--phi-s", "0", "--sweep", "phi_i:0:6.283185307179586:3",
             "--out", str(out),
         ])
@@ -445,7 +445,7 @@ class TestSnrCommand:
     def test_zero_field_exits_2(self, tmp_path, capsys):
         out = tmp_path / "snr.csv"
         rc = main([
-            "snr", "--mode", "mass", "--e-r", "0", "--e-s", "0", "--e-i", "0",
+            "snr", "--e-r", "0", "--e-s", "0", "--e-i", "0",
             "--sweep", "phi_i:0:1:3", "--out", str(out),
         ])
         assert rc == 2
@@ -456,7 +456,7 @@ class TestSnrCommand:
     def test_overflowing_sweep_exits_2(self, tmp_path, capsys):
         # phi_s^2 of the one-arm small-phase SNR overflows a double
         out = tmp_path / "snr.csv"
-        rc = main(["snr", "--mode", "phase", "--sweep", "phi_s:0:1e200:3",
+        rc = main(["snr", "--sweep", "phi_s:0:1e200:3",
                    "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -479,7 +479,7 @@ class TestSnrCommand:
     )
     def test_overflowing_noise_exits_2(self, tmp_path, capsys, fields, sweep, form):
         out = tmp_path / "snr.csv"
-        rc = main(["snr", "--mode", "phase", *fields, "--sweep", sweep,
+        rc = main(["snr", *fields, "--sweep", sweep,
                    "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -496,31 +496,34 @@ class TestSnrCommand:
         assert "axis 'phi_i': STEPS '2.5' is not a valid int" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "mode, sweep, swept",
-        [("mass", "e_r:0:1:3", "phi_i"), ("mass", "alpha_r_mag:0:1:3", "phi_i"),
-         ("phase", "phi_i:0:1:3", "phi_s")],
-    )
-    def test_sweep_over_another_variable_names_its_own(
-        self, tmp_path, capsys, mode, sweep, swept
-    ):
-        # the message names the mode's variable, not the scan axes
+    @pytest.mark.parametrize("sweep", ["e_r:0:1:3", "alpha_r_mag:0:1:3"])
+    def test_sweep_over_another_variable_names_its_own(self, tmp_path, capsys, sweep):
+        # the message names the two swept phases, not the scan axes
         out = tmp_path / "snr.csv"
-        rc = main(["snr", "--mode", mode, "--sweep", sweep, "--out", str(out)])
+        rc = main(["snr", "--sweep", sweep, "--out", str(out)])
         assert rc == 2
         name = sweep.split(":")[0]
         assert capsys.readouterr().err == (
-            f"error: {mode}-mode sweeps run over {swept}, not {name!r}\n"
+            f"error: --sweep runs over phi_i or phi_s, not {name!r}\n"
         )
+        assert not out.exists()
+
+    def test_mode_option_is_gone(self, tmp_path, capsys):
+        # the swept phase picks the SNR, so no flag restates it
+        out = tmp_path / "snr.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["snr", "--mode", "mass", "--sweep", "phi_i:0:1:3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode mass" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "preset, options",
         [
-            ("figsnr1", ["--mode", "mass", "--phi-s", "1.5707963267948966",
+            ("figsnr1", ["--phi-s", "1.5707963267948966",
                          "--sweep", "phi_i:0:6.283185307179586:721"]),
-            ("figsnr2", ["--mode", "phase", "--phi-i", "1.5707963267948966",
+            ("figsnr2", ["--phi-i", "1.5707963267948966",
                          "--sweep", "phi_s:1e-4:1e-2:101:log"]),
         ],
     )
@@ -541,16 +544,12 @@ class TestSnrCommand:
         assert preset_args[swept] is None
 
     @pytest.mark.parametrize(
-        "mode, flag, sweep",
-        [("mass", "--phi-i", "phi_i:0:1:3"), ("phase", "--phi-s", "phi_s:0:1:3")],
+        "flag, sweep", [("--phi-i", "phi_i:0:1:3"), ("--phi-s", "phi_s:0:1:3")]
     )
-    def test_swept_variable_given_a_value_exits_2(
-        self, tmp_path, capsys, mode, flag, sweep
-    ):
+    def test_swept_variable_given_a_value_exits_2(self, tmp_path, capsys, flag, sweep):
         # no cell would use the fixed value
         out = tmp_path / "snr.csv"
-        rc = main(["snr", "--mode", mode, flag, "1", "--sweep", sweep,
-                   "--out", str(out)])
+        rc = main(["snr", flag, "1", "--sweep", sweep, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: --sweep over {sweep[:5]} conflicts with {flag}\n"
@@ -559,7 +558,7 @@ class TestSnrCommand:
 
     def test_negative_amplitude_exits_2(self, tmp_path):
         rc = main([
-            "snr", "--mode", "mass", "--e-r", "-1.0",
+            "snr", "--e-r", "-1.0",
             "--sweep", "phi_i:0:6.28:5", "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == 2
@@ -572,7 +571,7 @@ class TestSnrCommand:
     def test_non_finite_field_exits_2(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "x.csv"
         rc = main([
-            "snr", "--mode", "mass", f"{flag}={value}",
+            "snr", f"{flag}={value}",
             "--sweep", "phi_i:0:1:3", "--out", str(out),
         ])
         assert rc == 2
@@ -582,7 +581,7 @@ class TestSnrCommand:
     @pytest.mark.parametrize("value, rc", [("-1e-3", 0), ("-inf", 2), ("-nan", 2)])
     def test_negative_value_forms_are_values(self, tmp_path, capsys, value, rc):
         out = tmp_path / "x.csv"
-        argv = ["snr", "--mode", "mass", "--phi-s", value, "--sweep", "phi_i:0:1:3"]
+        argv = ["snr", "--phi-s", value, "--sweep", "phi_i:0:1:3"]
         assert main(argv + ["--out", str(out)]) == rc
         if rc == 0:
             manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
@@ -1144,19 +1143,21 @@ def test_format_only_where_honoured(tmp_path, subcommand_argv, subcommand):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["", "newdir/"], ids=["empty", "newdir/"])
 @pytest.mark.parametrize(
     "subcommand", ["fisher", "scan", "optimize", "snr", "montecarlo", "spectrum"]
 )
-def test_empty_out_exits_2_naming_the_option(
-    tmp_path, monkeypatch, capsys, subcommand_argv, subcommand
+def test_out_without_a_file_name_exits_2(
+    tmp_path, monkeypatch, capsys, subcommand_argv, subcommand, out
 ):
-    # Path("") is the working directory, which no run may write to
+    # Path("") is the working directory, which no run may write to, and
+    # Path("newdir/") drops the slash: the run would write the file newdir
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
     inputs = sorted(tmp_path.iterdir())
-    assert main(subcommand_argv[subcommand] + ["--out", ""]) == 2
-    assert capsys.readouterr().err == "error: --out needs a file name, got ''\n"
+    assert main(subcommand_argv[subcommand] + ["--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --out needs a file name, got {out!r}\n"
     assert sorted(tmp_path.iterdir()) == inputs
     assert list(cwd.iterdir()) == []
 
@@ -1557,8 +1558,8 @@ class TestPresetConflicts:
     @pytest.mark.parametrize(
         "argv, flags",
         [
-            (["snr", "--preset", "figsnr1", "--e-r", "5", "--mode", "phase"],
-             "--mode, --e-r"),
+            (["snr", "--preset", "figsnr1", "--e-i", "2", "--e-r", "5"],
+             "--e-r, --e-i"),
             (["snr", "--preset", "figsnr2", "--sweep", "phi_s:0:1:3"], "--sweep"),
             (["snr", "--preset", "figsnr1", "--phi-i", "0", "--e-s", "0.01",
               "--e-i", "1", "--phi-s", "0"], "--e-s, --e-i, --phi-s, --phi-i"),
@@ -1581,7 +1582,7 @@ class TestPresetConflicts:
         arguments = json.loads((tmp_path / "snr.csv.manifest.json").read_text())[
             "arguments"
         ]
-        assert arguments["mode"] == "mass"
+        assert "mode" not in arguments  # the sweep over phi_i picks the mass SNR
         assert [arguments[n] for n in ("e_r", "e_s", "e_i", "phi_s", "phi_i")] == [
             1.0, 0.01, 1.0, 0.0, None
         ]
@@ -1666,7 +1667,7 @@ def test_axis_scale_errors_name_the_axis(
     if subcommand == "scan":
         given = ["scan", "--config", str(config_file(fig2_config())), "--x-axis"]
     else:
-        given = ["snr", "--mode", "phase", "--sweep"]
+        given = ["snr", "--sweep"]
     out = tmp_path / "o.csv"
     assert main([*given, f"phi_s:0:1:3:{scale}", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

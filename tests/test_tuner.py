@@ -508,7 +508,8 @@ def test_preset_csv_matches_cell_by_cell_oracle(tmp_path, preset):
     assert main(["scan", "--preset", preset, "--out", str(out)]) == 0
     options = scan_presets()[preset]
     grid = tuner.scan_ratio_grid(
-        options["config"], options["target"], options["x_axis"], options["y_axis"]
+        options["config"], EstimationTarget(options["target"]), options["x_axis"],
+        options["y_axis"],
     )
     assert out.read_bytes() == oracle_scan_csv(grid)
 
