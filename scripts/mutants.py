@@ -154,6 +154,44 @@ MUTANTS = [
         "if not args.out:",
         "tests/test_cli.py::test_out_without_a_file_name_exits_2",
     ),
+    Mutant(  # a config phase of -0.0 kept, and recorded, as -0.0
+        SRC + "field.py", "return r + 0.0  # -0.0 becomes 0.0", "return r",
+        "tests/test_cli.py::TestFisherCommand::test_negative_zero_phase_writes_zero",
+    ),
+    Mutant(  # arg(1 - 0j) reported as -0.0
+        SRC + "field.py",
+        "return np.where(theta >= TAU, 0.0, theta) + 0.0  # -0.0 becomes 0.0",
+        "return np.where(theta >= TAU, 0.0, theta)",
+        "tests/test_field.py::"
+        "test_phase_of_a_negative_zero_imaginary_part_is_positive_zero",
+    ),
+    Mutant(  # a reference arm of magnitude 0 refused by optimize
+        SRC + "tuner.py", "if not (mag_i >= 0.0):", "if not (mag_i > 0.0):",
+        "tests/test_cli.py::TestOptimizeCommand::"
+        "test_zero_reference_magnitude_has_no_solutions",
+    ),
+    Mutant(  # a log axis of one value, LO == HI, accepted
+        SRC + "tuner.py", "if not (0.0 < lo < hi):", "if not (0.0 < lo <= hi):",
+        "tests/test_cli.py::TestScanCommand::"
+        "test_ill_posed_axis_exits_2[log_axis_of_one_value]",
+    ),
+    Mutant(  # a repeated frequency accepted
+        SRC + "spectrum.py",
+        "if len(self.omega) > 1 and not np.all(np.diff(self.omega) > 0):",
+        "if len(self.omega) > 1 and not np.all(np.diff(self.omega) >= 0):",
+        "tests/test_cli.py::TestSpectrumCommand::"
+        "test_ill_formed_grid_exits_2[repeated_omega]",
+    ),
+    Mutant(  # a zero quadrature weight accepted
+        SRC + "spectrum.py", "elif not np.all(self.weights > 0):",
+        "elif not np.all(self.weights >= 0):",
+        "tests/test_cli.py::TestSpectrumCommand::"
+        "test_ill_formed_grid_exits_2[zero_weight]",
+    ),
+    Mutant(  # a band that scatters nothing called orthogonal instead
+        SRC + "spectrum.py", "if not (qfi > 0.0):", "if not (qfi >= 0.0):",
+        "tests/test_spectrum.py::TestRelativeMassBound::test_empty_scattering_errors",
+    ),
 ]
 
 

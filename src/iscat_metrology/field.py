@@ -51,7 +51,7 @@ def wrap_angle(theta: float) -> float:
         r += TAU
     if r >= TAU:  # fmod of a tiny negative can round up to TAU exactly
         r = 0.0
-    return r
+    return r + 0.0  # -0.0 becomes 0.0
 
 
 def _require_finite(fields: dict) -> None:
@@ -71,7 +71,7 @@ def phase(z):
     the one rule for every reported angle (psi, chi, phi_i)."""
     theta = np.arctan2(z.imag, z.real)
     theta = np.where(theta < 0.0, theta + TAU, theta)
-    return np.where(theta >= TAU, 0.0, theta)
+    return np.where(theta >= TAU, 0.0, theta) + 0.0  # -0.0 becomes 0.0
 
 
 class EstimationTarget(Enum):

@@ -160,28 +160,6 @@ def qcrb(fisher_value: float) -> float:
     return 1.0 / math.sqrt(fisher_value)
 
 
-def relative_mass_bound(
-    n_scattered: float, saturation: float = 1.0
-) -> float:
-    """Lower bound on delta_m/m: 1/(2*sqrt(n_scattered * saturation)).
-
-    ``n_scattered`` is the mean scattered photon number |alpha_s|^2 and
-    ``saturation`` the cos^2(psi-chi) ratio of the measurement in use.
-    """
-    if not (n_scattered > 0.0):
-        raise ValueError(
-            f"scattered photon number must be > 0, got {n_scattered}"
-        )
-    if saturation > 1.0 + 1e-12:
-        raise ValueError(f"saturation ratio must be <= 1, got {saturation}")
-    if not (saturation > 0.0):
-        raise NotEstimableError(
-            "zero saturation ratio: the mass cannot be estimated from "
-            "photon counting in this configuration"
-        )
-    return 1.0 / (2.0 * math.sqrt(n_scattered * saturation))
-
-
 # --- CSV emission -------------------------------------------------------------
 
 REPORT_CSV_COLUMNS = (

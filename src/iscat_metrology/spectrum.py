@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fisher
-from .field import EstimationTarget, _require_finite
+from .field import EstimationTarget
 from .textio import write_csv
 
 #: CSV column -> (SpectralField attribute, part of a complex arm or None).
@@ -109,73 +109,6 @@ class SpectralField:
     def integrate(self, values: np.ndarray) -> float:
         with np.errstate(over="ignore"):  # inf, with no warning, on overflow
             return float(np.sum(self.weights * values))
-
-
-def flat_white_spectrum(
-    omega_lo: float,
-    omega_hi: float,
-    points: int,
-    total_scattered_photons: float,
-    phi_s: float,
-    mass_kda: float = 1.0,
-    reflected_photons: float = 0.0,
-    reference_photons: float = 0.0,
-    phi_i: float = 0.0,
-) -> SpectralField:
-    """Broadband field with a flat scattered photon density.
-
-    |alpha_s(omega)|^2 is constant over [omega_lo, omega_hi] and integrates
-    to ``total_scattered_photons``.  Arms proportional to the source (the
-    reflected and reference arms, populated via their photon numbers) follow
-    the white-light envelope alpha ~ sqrt(1/omega).  ``mass_kda`` fixes the
-    split alpha_s = m * s(omega) * exp(i*phi_s).
-    """
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
-    if not (0.0 < omega_lo < omega_hi):
-        raise ValueError(f"invalid band [{omega_lo}, {omega_hi}]")
-    for name, photons in (
-        ("total_scattered_photons", total_scattered_photons),
-        ("reflected_photons", reflected_photons),
-        ("reference_photons", reference_photons),
-    ):
-        if not (photons >= 0):  # NaN included
-            raise ValueError(f"{name} must be >= 0")
-    _require_finite({
-        "omega_lo": omega_lo, "omega_hi": omega_hi,
-        "mass_kda": mass_kda, "phi_s": phi_s, "phi_i": phi_i,
-        "total_scattered_photons": total_scattered_photons,
-        "reflected_photons": reflected_photons, "reference_photons": reference_photons,
-    })
-    if mass_kda <= 0:
-        raise ValueError("mass_kda must be > 0")
-    if points == 1:
-        omega = np.array([0.5 * (omega_lo + omega_hi)])
-        span = 1.0  # single mode carries all photons (weight-1 convention)
-    else:
-        omega = np.linspace(omega_lo, omega_hi, points)
-        span = omega_hi - omega_lo
-    density = total_scattered_photons / span
-    alpha_s = np.full(points, math.sqrt(density)) * np.exp(1j * phi_s)
-    log_ratio = math.log(omega_hi / omega_lo)
-
-    def source_arm(photons: float, phase: float) -> np.ndarray:
-        if photons == 0.0:
-            return np.zeros(points, dtype=complex)
-        if points == 1:
-            return np.array([math.sqrt(photons) * np.exp(1j * phase)])
-        # |alpha|^2 = c/omega with integral c*log(hi/lo) = photons
-        c = photons / log_ratio
-        return np.sqrt(c / omega) * np.exp(1j * phase)
-
-    return SpectralField(
-        omega=omega,
-        alpha_r=source_arm(reflected_photons, 0.0),
-        alpha_s=alpha_s,
-        alpha_i=source_arm(reference_photons, phi_i),
-        scale_s=np.abs(alpha_s) / mass_kda,
-        phi_s=np.full(points, phi_s),
-    )
 
 
 def scattered_photons(f: SpectralField) -> float:

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from builders import flat_white_spectrum, relative_mass_bound
 from conftest import (
     fig2_config,
     quarter_ratio_mc_config,
@@ -77,7 +78,7 @@ def random_configs(seed, count, alpha0=10.0, min_detector=0.05):
 
 @criterion(1, "worked-example mass bound 2.2249 kDa (0.5% of 2.22)")
 def test_worked_example_bound():
-    rel = fisher.relative_mass_bound(220.0, 1.0)
+    rel = relative_mass_bound(220.0, 1.0)
     delta_m = 66.0 * rel
     assert delta_m == pytest.approx(2.2249, abs=1e-4)
     assert abs(delta_m - 2.22) / 2.22 < 0.005
@@ -247,7 +248,7 @@ def test_snr_scaling_and_dominance():
 @criterion(9, "broadband: same bound as single mode (1e-10); averaged <= coherent")
 def test_multifrequency_consistency():
     total, mass = 220.0, 66.0
-    flat = spectrum.flat_white_spectrum(1.0, 2.0, 101, total, 0.9, mass_kda=mass)
+    flat = flat_white_spectrum(1.0, 2.0, 101, total, 0.9, mass_kda=mass)
     multi = fisher.qcrb(spectrum.qfi_multifrequency(flat, MASS))
     single = fisher.qcrb(fisher.qfi_coherent(math.sqrt(total) / mass + 0j))
     assert abs(multi - single) <= 1e-10 * single

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import output_digests
+from builders import flat_white_spectrum
 from conftest import (
     fig2_config,
     run_fresh,
@@ -57,6 +58,19 @@ class TestFisherCommand:
         assert data["report"]["saturation_ratio"] == 1.0
         assert data["setup"] == "iscat"
 
+    def test_negative_zero_phase_writes_zero(self, tmp_path):
+        # an angle in [0, 2*pi) holds no -0.0, which the JSON would spell out
+        cfg = json.loads((CONFIGS / "worked_example.json").read_text())
+        cfg["particle"]["phi_s"] = -0.0
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        assert main(["fisher", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert '"psi": 0.0,' in out.read_text()
+        manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+        phi_s = manifest["arguments"]["config"]["particle"]["phi_s"]
+        assert phi_s == 0.0 and math.copysign(1.0, phi_s) == 1.0
+
     def test_vacuum_config_exits_3(self, tmp_path, config_file):
         cfg_path = config_file(vacuum_config())
         out = tmp_path / "report.json"
@@ -73,18 +87,26 @@ class TestFisherCommand:
             ("alpha_r", "re", math.nan, "alpha_r.re"),
             ("particle", "phi_s", math.nan, "particle.phi_s"),
             (None, "alpha0_mag", math.inf, "alpha0_mag"),
+            ("alpha_r", "im", -math.inf, "alpha_r.im"),
+            ("particle", "mass_kda", math.inf, "particle.mass_kda"),
+            ("particle", "scale_per_kda", math.nan, "particle.scale_per_kda"),
+            ("reference", "mag", math.inf, "reference.mag"),
+            ("reference", "phi_i", -math.inf, "reference.phi_i"),
         ],
     )
     def test_non_finite_input_exits_2(
         self, tmp_path, capsys, section, key, value, field
     ):
         d = config_to_dict(fig2_config())
+        d["reference"] = {"mag": 4.5e-5, "phi_i": 0.0}
         (d[section] if section else d)[key] = value
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(d))  # writes NaN / Infinity tokens
         out = tmp_path / "report.json"
         assert main(["fisher", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert field in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {field} must be finite, got {value!r}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -94,6 +116,14 @@ class TestFisherCommand:
             ("particle", "scale_per_kda", 0,
              "particle.scale_per_kda must be > 0, got 0.0"),
             ("reference", "mag", -1.0, "reference.mag must be >= 0, got -1.0"),
+            # each bound at its edge: zero of either sign, the least negative
+            (None, "alpha0_mag", 0.0, "alpha0_mag must be > 0, got 0.0"),
+            (None, "alpha0_mag", -0.0, "alpha0_mag must be > 0, got -0.0"),
+            ("particle", "scale_per_kda", -1e-300,
+             "particle.scale_per_kda must be > 0, got -1e-300"),
+            ("particle", "mass_kda", -1e-300,
+             "particle.mass_kda must be >= 0, got -1e-300"),
+            ("reference", "mag", -1e-300, "reference.mag must be >= 0, got -1e-300"),
         ],
     )
     def test_out_of_range_field_exits_2_naming_it(
@@ -101,7 +131,7 @@ class TestFisherCommand:
     ):
         d = config_to_dict(fig2_config())
         d["reference"] = {"mag": 4.5e-5, "phi_i": 0.0}
-        d[section][key] = value
+        (d[section] if section else d)[key] = value
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(d))
         out = tmp_path / "report.json"
@@ -275,10 +305,12 @@ class TestScanCommand:
              "x and y axes both set 'phi_i'; scan it on one axis"),
             (["--x-axis", "phi_s:0:1:3", "--y-axis", ""],
              "axis spec '' is not NAME:LO:HI:STEPS[:log]"),
+            (["--x-axis", "alpha_r_mag:1e-3:1e-3:5:log"],
+             "log axis 'alpha_r_mag' needs 0 < lo < hi, got [0.001, 0.001]"),
         ],
         ids=[
             "negative_alpha_r_mag", "negative_mag_i", "same_parameter_twice",
-            "empty_y_axis",
+            "empty_y_axis", "log_axis_of_one_value",
         ],
     )
     def test_ill_posed_axis_exits_2(
@@ -362,6 +394,23 @@ class TestOptimizeCommand:
         out = tmp_path / "opt.json"
         assert main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["min_mag_i"] == 0.0
+
+    def test_zero_reference_magnitude_has_no_solutions(
+        self, tmp_path, capsys, config_file
+    ):
+        # a reference arm switched off is a valid setting, below min_mag_i
+        cfg = fig2_config()
+        cfg = FieldConfig(
+            alpha_r=cfg.alpha_r, particle=cfg.particle,
+            reference=ReferenceArm(0.0, 0.0),
+        )
+        out = tmp_path / "opt.json"
+        argv = ["optimize", "--config", str(config_file(cfg)), "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        data = json.loads(out.read_text())
+        assert data["reference_mag"] == 0.0
+        assert data["phi_solutions_at_reference_mag"] == []
 
     def test_over_budget_exits_2(self, tmp_path, capsys, config_file):
         cfg = FieldConfig(alpha_r=0.9, particle=ParticleModel(1.0, 1e-5, 0.0))
@@ -556,23 +605,30 @@ class TestSnrCommand:
         )
         assert list(tmp_path.iterdir()) == []
 
-    def test_negative_amplitude_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag, field", [("--e-r", "e_r"), ("--e-s", "e_s"), ("--e-i", "e_i")]
+    )
+    def test_negative_amplitude_exits_2(self, tmp_path, capsys, flag, field):
+        out = tmp_path / "x.csv"
         rc = main([
-            "snr", "--e-r", "-1.0",
-            "--sweep", "phi_i:0:6.28:5", "--out", str(tmp_path / "x.csv"),
+            "snr", flag, "-1.0", "--sweep", "phi_i:0:6.28:5", "--out", str(out),
         ])
         assert rc == 2
+        assert capsys.readouterr().err == f"error: {field} must be >= 0\n"
+        assert not out.exists()
 
 
     @pytest.mark.parametrize(
         "flag, value, field",
-        [("--e-r", "nan", "e_r"), ("--e-s", "inf", "e_s"), ("--phi-s", "-inf", "phi_s")],
+        [("--e-r", "nan", "e_r"), ("--e-s", "inf", "e_s"), ("--phi-s", "-inf", "phi_s"),
+         ("--e-i", "nan", "e_i"), ("--phi-i", "inf", "phi_i")],
     )
     def test_non_finite_field_exits_2(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "x.csv"
+        sweep = "phi_s:0:1:3" if field == "phi_i" else "phi_i:0:1:3"
         rc = main([
             "snr", f"{flag}={value}",
-            "--sweep", "phi_i:0:1:3", "--out", str(out),
+            "--sweep", sweep, "--out", str(out),
         ])
         assert rc == 2
         assert f"{field} must be finite" in capsys.readouterr().err
@@ -856,9 +912,7 @@ class TestSpectrumCommand:
         )
 
     def test_flat_band_reaches_half(self, tmp_path):
-        from iscat_metrology import spectrum as sp
-
-        f = sp.flat_white_spectrum(1.0, 2.0, 101, 220.0, 0.4, mass_kda=66.0)
+        f = flat_white_spectrum(1.0, 2.0, 101, 220.0, 0.4, mass_kda=66.0)
         path = tmp_path / "flat.csv"
         sp.spectrum_to_csv(f, path)
         out = tmp_path / "flat.json"
@@ -952,6 +1006,28 @@ class TestSpectrumCommand:
         assert message in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ({"omega": "1"}, "frequency grid must be strictly increasing"),
+            ({"weight": "0"}, "quadrature weights must be positive"),
+            ({"omega": "0.5"}, "frequency grid must be strictly increasing"),
+            ({"weight": "-1"}, "quadrature weights must be positive"),
+        ],
+        ids=["repeated_omega", "zero_weight", "decreasing_omega", "negative_weight"],
+    )
+    def test_ill_formed_grid_exits_2(self, tmp_path, capsys, rows, message):
+        # a second row, equal to the first apart from ``rows``
+        path = _spectrum_row(tmp_path)
+        header, row = path.read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")), omega="2")
+        cells.update(rows)
+        path.write_text(f"{header}\n{row}\n{','.join(cells.values())}\n")
+        out = tmp_path / "o.json"
+        assert main(["spectrum", "--spectrum", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", ["7", ""], ids=["cell", "trailing_comma"])
     def test_long_row_exits_2_naming_the_file_and_row(self, tmp_path, capsys, extra):
         path = _spectrum_row(tmp_path)
@@ -1017,9 +1093,18 @@ def _short_spectrum_row(tmp_path):
         (_config_with(lambda d: d["alpha_r"].update(im="1e-5")), "alpha_r.im"),
         (_config_with(lambda d: d["particle"].update(mass_kda=True)),
          "particle.mass_kda"),
+        (_config_with(lambda d: d.update(particle=None)), "particle"),
+        (_config_with(lambda d: d.__delitem__("alpha_r")), "alpha_r"),
+        (_config_with(lambda d: 3), "config"),
+        (_config_with(lambda d: d.update(reference={"mag": None, "phi_i": 0.0})),
+         "reference.mag"),
+        (_config_with(lambda d: d["particle"].update(scale_per_kda="1")),
+         "particle.scale_per_kda"),
     ],
     ids=["alpha_r_number", "null_mass", "top_level_list", "reference_number",
-         "short_spectrum_row", "bool_re", "string_im", "bool_mass"],
+         "short_spectrum_row", "bool_re", "string_im", "bool_mass", "null_particle",
+         "missing_alpha_r", "top_level_number", "null_reference_mag",
+         "string_scale"],
 )
 def test_malformed_input_shape_exits_2(tmp_path, capsys, write_input, name):
     out = tmp_path / "o.json"
@@ -1118,7 +1203,7 @@ def subcommand_argv(tmp_path, config_file, mc_saturated_cfg):
     """A small valid argv, without --out, for every subcommand."""
     cfg = str(config_file(fig2_config()))
     band = tmp_path / "band.csv"
-    sp.spectrum_to_csv(sp.flat_white_spectrum(1.0, 2.0, 5, 9.0, 0.4), band)
+    sp.spectrum_to_csv(flat_white_spectrum(1.0, 2.0, 5, 9.0, 0.4), band)
     mc_cfg = str(config_file(mc_saturated_cfg, "mc_config.json"))
     return {
         "fisher": ["fisher", "--config", cfg],

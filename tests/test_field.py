@@ -18,6 +18,7 @@ from iscat_metrology.field import (
     detector_amplitude,
     first_arm_magnitude,
     load_config,
+    phase,
     reference_amplitude,
     scattered_amplitude,
     target_derivative,
@@ -32,6 +33,11 @@ def test_wrap_angle_range():
     for theta in (-7.0, -1e-18, 0.0, 1.0, 2 * PI, 9.42, 1e9):
         w = wrap_angle(theta)
         assert 0.0 <= w < 2 * PI
+
+
+def test_phase_of_a_negative_zero_imaginary_part_is_positive_zero():
+    theta = phase(complex(1.0, -0.0))
+    assert theta == 0.0 and math.copysign(1.0, theta) == 1.0
 
 
 class TestScatteredAmplitude:

@@ -1,11 +1,13 @@
 import cmath
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import relative_mass_bound
 from conftest import EXTREME_FLOATS, same_bits
 from iscat_metrology import fisher
 from iscat_metrology.field import (
@@ -14,10 +16,13 @@ from iscat_metrology.field import (
     ParticleModel,
     ReferenceArm,
     detector_amplitude,
+    load_config,
+    scattered_amplitude,
 )
 from iscat_metrology.fisher import NotEstimableError
 
 PI = math.pi
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestQfiCoherent:
@@ -124,32 +129,17 @@ class TestBounds:
         with pytest.raises(NotEstimableError):
             fisher.qcrb(0.0)
 
-    def test_relative_bound_worked_example(self):
-        rel = fisher.relative_mass_bound(220.0)
-        assert rel == pytest.approx(0.03371, abs=5e-6)
-        assert 66.0 * rel == pytest.approx(2.2249, abs=1e-4)
-
-    def test_relative_bound_small_numbers(self):
-        assert fisher.relative_mass_bound(4.0) == 0.25
-
-    def test_relative_bound_with_mismatch(self):
-        assert fisher.relative_mass_bound(220.0, 0.25) == pytest.approx(
-            0.06742, abs=5e-6
+    @pytest.mark.parametrize("name", ["worked_example", "monte_carlo_quarter"])
+    def test_relative_bound_is_the_counting_crb_over_the_mass(self, name):
+        # the formula of README's fisher bullet, read off the library's report
+        # at a saturation ratio of 1 and of 1/4
+        cfg = load_config(ROOT / "configs" / f"{name}.json")
+        report = fisher.fisher_report(cfg, EstimationTarget.MASS)
+        n_s = abs(scattered_amplitude(cfg.particle)) ** 2
+        assert relative_mass_bound(n_s, report.saturation_ratio) == pytest.approx(
+            fisher.qcrb(report.cfi_photon_number) / cfg.particle.mass_kda,
+            rel=1e-12,
         )
-
-    def test_relative_bound_errors(self):
-        with pytest.raises(NotEstimableError):
-            fisher.relative_mass_bound(220.0, 0.0)
-        with pytest.raises(ValueError):
-            fisher.relative_mass_bound(0.0)
-
-    def test_relative_bound_rejects_saturation_above_one(self):
-        with pytest.raises(
-            ValueError, match=r"^saturation ratio must be <= 1, got 1\.5$"
-        ) as exc:
-            fisher.relative_mass_bound(220.0, 1.5)
-        assert type(exc.value) is ValueError  # exit 2, not 3
-        assert fisher.relative_mass_bound(220.0, 1.0 + 1e-13) > 0  # round-off
 
 
 def random_config(rng) -> FieldConfig:
@@ -281,5 +271,6 @@ class TestReportCsv:
         extreme = fisher.FisherReport(lo, top, lo, tiny, top)
         fisher.write_report_csv(path, cfg, EstimationTarget.MASS, extreme)
         cells = path.read_text().strip().split("\n")[1].split(",")
-        expected = [lo, tiny, tiny, top, lo, lo, tiny, lo, top, lo, tiny, top]
+        # ParticleModel wraps phi_s into [0, 2*pi), which holds no -0.0
+        expected = [lo, tiny, tiny, top, 0.0, lo, tiny, lo, top, lo, tiny, top]
         assert same_bits(cells[1:], expected)

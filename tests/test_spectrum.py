@@ -1,10 +1,10 @@
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import flat_white_spectrum
 from conftest import EXTREME_FLOATS, same_bits
 from iscat_metrology import fisher, spectrum
 from iscat_metrology.field import (
@@ -68,30 +68,24 @@ class TestWeights:
 
 class TestFlatWhiteSpectrum:
     def test_single_point_carries_all_photons(self):
-        f = spectrum.flat_white_spectrum(1.0, 2.0, 1, 220.0, 0.3)
+        f = flat_white_spectrum(1.0, 2.0, 1, 220.0, 0.3)
         assert abs(f.alpha_s[0]) ** 2 == pytest.approx(220.0)
         assert spectrum.scattered_photons(f) == pytest.approx(220.0)
 
     def test_flat_band_density_and_integral(self):
-        f = spectrum.flat_white_spectrum(1.0, 2.0, 101, 220.0, 0.3)
+        f = flat_white_spectrum(1.0, 2.0, 101, 220.0, 0.3)
         np.testing.assert_allclose(np.abs(f.alpha_s) ** 2, 220.0)
         assert spectrum.scattered_photons(f) == pytest.approx(220.0, abs=1e-12)
 
     def test_zero_total_gives_zero_amplitudes(self):
-        f = spectrum.flat_white_spectrum(1.0, 2.0, 11, 0.0, 0.0)
+        f = flat_white_spectrum(1.0, 2.0, 11, 0.0, 0.0)
         assert np.all(f.alpha_s == 0)
-
-    def test_invalid_band_rejected(self):
-        with pytest.raises(ValueError):
-            spectrum.flat_white_spectrum(2.0, 1.0, 5, 10.0, 0.0)
-        with pytest.raises(ValueError):
-            spectrum.flat_white_spectrum(0.0, 1.0, 5, 10.0, 0.0)
 
     @pytest.mark.parametrize("target", [MASS, PHASE])
     def test_single_point_with_both_arms_is_one_mode(self, target):
         # one mode holds each arm's whole photon number at its own phase
         total, mass, reflected, reference = 2.0, 66.0, 4.0, 3.0
-        f = spectrum.flat_white_spectrum(
+        f = flat_white_spectrum(
             1.0, 2.0, 1, total, 0.3, mass_kda=mass,
             reflected_photons=reflected, reference_photons=reference, phi_i=0.8,
         )
@@ -109,66 +103,8 @@ class TestFlatWhiteSpectrum:
             pytest.approx(report.cfi_photon_number, rel=1e-9)
         )
 
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"points": 0}, "points must be >= 1, got 0"),
-            ({"total_scattered_photons": -1.0},
-             "total_scattered_photons must be >= 0"),
-            ({"total_scattered_photons": math.nan},
-             "total_scattered_photons must be >= 0"),
-            ({"reflected_photons": -1.0}, "reflected_photons must be >= 0"),
-            ({"reflected_photons": -1.0, "points": 1},
-             "reflected_photons must be >= 0"),
-            ({"reflected_photons": math.nan}, "reflected_photons must be >= 0"),
-            ({"reference_photons": -1.0}, "reference_photons must be >= 0"),
-            ({"reference_photons": -1.0, "points": 1},
-             "reference_photons must be >= 0"),
-            ({"reference_photons": math.nan}, "reference_photons must be >= 0"),
-            ({"mass_kda": 0.0}, "mass_kda must be > 0"),
-            ({"omega_lo": math.nan}, "invalid band [nan, 2.0]"),
-            ({"omega_lo": math.inf}, "invalid band [inf, 2.0]"),
-            ({"omega_lo": 2.0, "omega_hi": 1.0}, "invalid band [2.0, 1.0]"),
-        ],
-        ids=[
-            "no_points", "negative_photons", "nan_photons",
-            "negative_reflected", "negative_reflected_one_point", "nan_reflected",
-            "negative_reference", "negative_reference_one_point", "nan_reference",
-            "zero_mass", "nan_band_edge", "infinite_lower_edge", "reversed_band",
-        ],
-    )
-    def test_invalid_argument_named(self, kwargs, message):
-        args = {"omega_lo": 1.0, "omega_hi": 2.0, "points": 5,
-                "total_scattered_photons": 10.0, **kwargs}
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            spectrum.flat_white_spectrum(phi_s=0.0, **args)
-
-    @pytest.mark.parametrize(
-        "name, value, points",
-        [
-            ("mass_kda", math.nan, 5), ("phi_s", math.nan, 5), ("phi_i", math.nan, 5),
-            ("total_scattered_photons", math.inf, 5), ("reflected_photons", math.inf, 5),
-            ("reference_photons", math.inf, 5),
-            # an infinite upper band edge passes 0 < omega_lo < omega_hi
-            ("omega_hi", math.inf, 5), ("omega_hi", math.inf, 1),
-        ],
-        ids=[
-            "mass_kda-nan", "phi_s-nan", "phi_i-nan", "total_scattered_photons-inf",
-            "reflected_photons-inf", "reference_photons-inf", "omega_hi-inf",
-            "omega_hi-inf-one_point",
-        ],
-    )
-    def test_non_finite_argument_named(self, name, value, points):
-        # checked before any arithmetic: no column message, no numpy warning
-        args = {"omega_lo": 1.0, "omega_hi": 2.0, "points": points,
-                "total_scattered_photons": 10.0, "phi_s": 0.0,
-                "reflected_photons": 1.0, "reference_photons": 1.0, name: value}
-        message = f"{name} must be finite, got {value!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            spectrum.flat_white_spectrum(**args)
-
     def test_source_arms_follow_white_envelope(self):
-        f = spectrum.flat_white_spectrum(
+        f = flat_white_spectrum(
             1.0, 2.0, 201, 10.0, 0.0, reflected_photons=7.0,
             reference_photons=3.0, phi_i=0.8,
         )
@@ -191,7 +127,7 @@ class TestQfiMultifrequency:
 
     def test_flat_mass_target_value(self):
         span = 3.0
-        f = spectrum.flat_white_spectrum(1.0, 1.0 + span, 301, 90.0, 0.2, mass_kda=5.0)
+        f = flat_white_spectrum(1.0, 1.0 + span, 301, 90.0, 0.2, mass_kda=5.0)
         s = f.scale_s[0]
         assert spectrum.qfi_multifrequency(f, MASS) == pytest.approx(
             4 * s * s * span, rel=1e-12
@@ -199,7 +135,7 @@ class TestQfiMultifrequency:
 
     def test_same_photons_same_bound_as_single_mode(self):
         total, mass = 220.0, 66.0
-        f = spectrum.flat_white_spectrum(1.0, 2.0, 101, total, 0.9, mass_kda=mass)
+        f = flat_white_spectrum(1.0, 2.0, 101, total, 0.9, mass_kda=mass)
         multi = fisher.qcrb(spectrum.qfi_multifrequency(f, MASS))
         single = fisher.qcrb(fisher.qfi_coherent(math.sqrt(total) / mass + 0j))
         assert multi == pytest.approx(single, rel=1e-12)
@@ -207,7 +143,7 @@ class TestQfiMultifrequency:
 
 class TestQfiPhaseAveraged:
     def test_aligned_equals_coherent(self):
-        f = spectrum.flat_white_spectrum(1.0, 2.0, 51, 30.0, 0.7)
+        f = flat_white_spectrum(1.0, 2.0, 51, 30.0, 0.7)
         pa = spectrum.qfi_multifrequency_phase_averaged(f, MASS)
         assert pa == pytest.approx(spectrum.qfi_multifrequency(f, MASS), rel=1e-12)
 
@@ -258,7 +194,7 @@ class TestQfiPhaseAveraged:
 
 class TestRelativeMassBound:
     def test_fully_aligned_is_half(self):
-        f = spectrum.flat_white_spectrum(1.0, 2.0, 31, 50.0, 1.2)
+        f = flat_white_spectrum(1.0, 2.0, 31, 50.0, 1.2)
         assert spectrum.relative_mass_bound_multifrequency(f) == pytest.approx(
             0.5, rel=1e-12
         )
@@ -294,8 +230,8 @@ class TestRelativeMassBound:
             spectrum.relative_mass_bound_multifrequency(f)
 
     def test_empty_scattering_errors(self):
-        f = spectrum.flat_white_spectrum(1.0, 2.0, 5, 0.0, 0.0)
-        with pytest.raises(NotEstimableError):
+        f = flat_white_spectrum(1.0, 2.0, 5, 0.0, 0.0)
+        with pytest.raises(NotEstimableError, match="^spectrum scatters no photons$"):
             spectrum.relative_mass_bound_multifrequency(f)
 
 
@@ -332,7 +268,7 @@ class TestInvariants:
         assert fine == pytest.approx(coarse, rel=1e-10)
 
     def test_photon_scaling(self):
-        f = spectrum.flat_white_spectrum(1.0, 2.0, 41, 30.0, 0.8, mass_kda=3.0)
+        f = flat_white_spectrum(1.0, 2.0, 41, 30.0, 0.8, mass_kda=3.0)
         c = 2.5
         scaled = make_field(
             f.omega, c * f.alpha_s, scale_s=f.scale_s, phi_s=f.phi_s,
@@ -351,8 +287,8 @@ class TestInvariants:
         )
 
     def test_disjoint_bands_add(self):
-        f1 = spectrum.flat_white_spectrum(1.0, 1.5, 11, 10.0, 0.0)
-        f2 = spectrum.flat_white_spectrum(2.0, 2.5, 11, 5.0, 0.0)
+        f1 = flat_white_spectrum(1.0, 1.5, 11, 10.0, 0.0)
+        f2 = flat_white_spectrum(2.0, 2.5, 11, 5.0, 0.0)
         joined = spectrum.SpectralField(
             omega=np.concatenate([f1.omega, f2.omega]),
             alpha_r=np.concatenate([f1.alpha_r, f2.alpha_r]),
@@ -367,7 +303,7 @@ class TestInvariants:
 
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
-        f = spectrum.flat_white_spectrum(
+        f = flat_white_spectrum(
             1.0, 2.0, 17, 25.0, 0.4, mass_kda=2.0,
             reflected_photons=1.0, reference_photons=0.5, phi_i=1.1,
         )
@@ -392,7 +328,7 @@ class TestSerialization:
                 assert same_bits(getattr(b, part), getattr(a, part)), name
 
     def test_columns_come_from_one_map(self):
-        f = spectrum.flat_white_spectrum(1.0, 2.0, 3, 9.0, 0.2, phi_i=0.3,
+        f = flat_white_spectrum(1.0, 2.0, 3, 9.0, 0.2, phi_i=0.3,
                                          reference_photons=1.0)
         columns = spectrum.spectrum_columns(f)
         assert list(columns) == spectrum.SPECTRUM_CSV_COLUMNS == [
