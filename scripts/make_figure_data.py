@@ -8,12 +8,12 @@ Usage: python scripts/make_figure_data.py [OUT_DIR]
 import sys
 from pathlib import Path
 
-from iscat_metrology.cli import SNR_PRESETS, main, scan_presets
+from iscat_metrology.cli import SCAN_PRESETS, SNR_PRESETS, main
 
 
 def presets():
     """(subcommand, preset name) of every figure preset the CLI defines."""
-    yield from (("scan", name) for name in scan_presets())
+    yield from (("scan", name) for name in SCAN_PRESETS)
     yield from (("snr", name) for name in SNR_PRESETS)
 
 

@@ -123,11 +123,6 @@ MUTANTS = [
         "if worst > bound:",
         "tests/test_field.py::TestValidateEnergy::test_boundary_tolerance",
     ),
-    Mutant(  # a scan preset's typed axes handed to the manifest
-        SRC + "cli.py", "args.x_axis = args.y_axis = None", "pass",
-        "tests/test_cli.py::TestManifestRoundTrip::"
-        "test_scan_preset_records_its_config_inline",
-    ),
     Mutant(  # a config recorded as the FieldConfig, not its JSON schema
         SRC + "cli.py", "return config_to_dict(value)", "return value",
         "tests/test_cli.py::TestFisherCommand::test_manifest_sidecar",
@@ -191,6 +186,37 @@ MUTANTS = [
     Mutant(  # a band that scatters nothing called orthogonal instead
         SRC + "spectrum.py", "if not (qfi > 0.0):", "if not (qfi >= 0.0):",
         "tests/test_spectrum.py::TestRelativeMassBound::test_empty_scattering_errors",
+    ),
+    Mutant(  # a config mass of -0.0 kept, and recorded, as -0.0
+        SRC + "field.py",
+        'object.__setattr__(self, "mass_kda", self.mass_kda + 0.0)  # -0.0 becomes 0.0',
+        'object.__setattr__(self, "mass_kda", self.mass_kda)',
+        "tests/test_cli.py::TestFisherCommand::test_negative_zero_mass_writes_zero",
+    ),
+    Mutant(  # a reference magnitude of -0.0 written as -0.0
+        SRC + "field.py",
+        'object.__setattr__(self, "mag", self.mag + 0.0)  # -0.0 becomes 0.0',
+        'object.__setattr__(self, "mag", self.mag)',
+        "tests/test_cli.py::TestOptimizeCommand::"
+        "test_negative_zero_reference_magnitude_writes_zero",
+    ),
+    Mutant(  # an axis of exactly MAX_CELLS steps refused
+        SRC + "tuner.py", "if steps > MAX_CELLS:", "if steps >= MAX_CELLS:",
+        "tests/test_tuner.py::TestScanGrid::"
+        "test_axis_steps_cap_admits_the_cap_itself",
+    ),
+    Mutant(  # an arm exactly at the bound plus its slack refused
+        SRC + "field.py", "if worst > bound + BUDGET_TOL * alpha0_mag:",
+        "if worst >= bound + BUDGET_TOL * alpha0_mag:",
+        "tests/test_field.py::TestValidateEnergy::"
+        "test_bound_plus_slack_is_admitted_and_the_next_double_is_not",
+    ),
+    Mutant(  # a listed axis value handed on unparsed
+        SRC + "cli.py",
+        'fields = [("value", text, float) for text in parts[1].split(",")]',
+        'fields = [("value", text, str) for text in parts[1].split(",")]',
+        "tests/test_cli.py::TestScanCommand::"
+        "test_hostile_listed_axis_exits_2[non_numeric_cell-scan]",
     ),
 ]
 

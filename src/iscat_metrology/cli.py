@@ -71,64 +71,36 @@ from .textio import dump_json
 PI = math.pi
 
 
-# --- presets (figure parameter sets) -------------------------------------------
-
-_PHASE_TRIPLE = [PI / 3.0, 2.0 * PI / 3.0, 5.0 * PI / 6.0]
+# --- presets: each the command line it stands for -----------------------------
 
 
-def _particle(mass_s: float, phi_s: float) -> ParticleModel:
+def _particle(phi_s: float) -> ParticleModel:
     # unit mass carrying the full scattered magnitude keeps |alpha_s| explicit
-    return ParticleModel(mass_kda=1.0, scale_per_kda=mass_s, phi_s=phi_s)
+    return ParticleModel(mass_kda=1.0, scale_per_kda=2e-5, phi_s=phi_s)
 
 
-#: The scan presets, named here so that the parser lists them without
-#: loading ``tuner``.
-SCAN_PRESET_NAMES = ("fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b")
+_ISCAT = FieldConfig(alpha_r=2.3e-5, particle=_particle(2.0 * PI / 3.0))
+_FIG2BC = FieldConfig(2.3e-5, _particle(5.0 * PI / 6.0), ReferenceArm(4.5e-5, 0.0))
+_FIG2D = FieldConfig(1e-2, _particle(5.0 * PI / 6.0), ReferenceArm(4.5e-5, 0.0))
+_FIG3B = FieldConfig(1e-2, _particle(5.0 * PI / 6.0), ReferenceArm(0.045, 0.0))
+_R_MAG = "alpha_r_mag:1e-06:0.1:121:log"
+# pi/3, 2*pi/3 and 5*pi/6, as repr writes them
+_PHASES = "phi_s:1.0471975511965976,2.0943951023931953,2.6179938779914944"
+_PHI_S = "phi_s:0:6.283185307179586:73"
+_PHI_I = "phi_i:0:6.283185307179586:721"
 
-
-def scan_presets() -> dict:
-    """name: option values (``config``, ``target``, ``x_axis``, ``y_axis``).
-
-    ``target`` is its option string; no option string expresses these configs
-    or the three-phase ``phi_s`` axis, so the config and axes are typed.
-    """
-    from . import tuner
-
-    iscat_base = FieldConfig(
-        alpha_r=2.3e-5, particle=_particle(2e-5, 2.0 * PI / 3.0)
-    )
-    fig2bc_base = FieldConfig(
-        alpha_r=2.3e-5,
-        particle=_particle(2e-5, 5.0 * PI / 6.0),
-        reference=ReferenceArm(4.5e-5, 0.0),
-    )
-    fig2d_base = FieldConfig(
-        alpha_r=1e-2,
-        particle=_particle(2e-5, 5.0 * PI / 6.0),
-        reference=ReferenceArm(4.5e-5, 0.0),
-    )
-    fig3b_base = FieldConfig(
-        alpha_r=1e-2,
-        particle=_particle(2e-5, 5.0 * PI / 6.0),
-        reference=ReferenceArm(0.045, 0.0),
-    )
-    linspace, logspace = tuner.AxisSpec.linspace, tuner.AxisSpec.logspace
-    phases = tuner.AxisSpec("phi_s", np.array(_PHASE_TRIPLE))
-    phi_s = linspace("phi_s", 0.0, 2.0 * PI, 73)
-    phi_i = linspace("phi_i", 0.0, 2.0 * PI, 721)
-    r_mag = logspace("alpha_r_mag", 1e-6, 1e-1, 121)
-    mag_i_2c = linspace("mag_i", 0.0, 9e-5, 181)
-    mag_i_2d = linspace("mag_i", 0.0, 2e-2, 201)
-    options = [  # in SCAN_PRESET_NAMES order
-        dict(config=iscat_base, target="mass", x_axis=r_mag, y_axis=phases),
-        dict(config=fig2bc_base, target="mass", x_axis=phi_s, y_axis=phi_i),
-        dict(config=fig2bc_base, target="mass", x_axis=mag_i_2c, y_axis=phi_i),
-        dict(config=fig2d_base, target="mass", x_axis=mag_i_2d, y_axis=phi_i),
-        dict(config=iscat_base, target="phase", x_axis=r_mag, y_axis=phases),
-        dict(config=fig3b_base, target="phase", x_axis=phi_s, y_axis=phi_i),
-    ]
-    return dict(zip(SCAN_PRESET_NAMES, options, strict=True))
-
+#: name: the scan options a preset stands for, as option strings but
+#: ``config``, which no option string holds: it is the loaded config.
+SCAN_PRESETS = {
+    "fig2a": dict(config=_ISCAT, target="mass", x_axis=_R_MAG, y_axis=_PHASES),
+    "fig2b": dict(config=_FIG2BC, target="mass", x_axis=_PHI_S, y_axis=_PHI_I),
+    "fig2c": dict(config=_FIG2BC, target="mass", x_axis="mag_i:0:9e-05:181",
+                  y_axis=_PHI_I),
+    "fig2d": dict(config=_FIG2D, target="mass", x_axis="mag_i:0:0.02:201",
+                  y_axis=_PHI_I),
+    "fig3a": dict(config=_ISCAT, target="phase", x_axis=_R_MAG, y_axis=_PHASES),
+    "fig3b": dict(config=_FIG3B, target="phase", x_axis=_PHI_S, y_axis=_PHI_I),
+}
 
 #: name: the snr options a preset stands for; the others keep their defaults.
 SNR_PRESETS = {
@@ -167,21 +139,28 @@ def _apply_preset(args, presets: dict, defaults: dict):
 
 
 def _parse_axis(spec: str):
-    """Axis argument NAME:LO:HI:STEPS[:log] as a ``tuner.AxisSpec``."""
+    """Axis argument as a ``tuner.AxisSpec``: NAME:LO:HI:STEPS[:log], STEPS
+    values from LO to HI, or NAME:V1,V2[,...], the values listed."""
     from . import tuner
 
     parts = spec.split(":")
-    if len(parts) not in (4, 5):
+    listed = len(parts) == 2 and "," in parts[1]
+    if not listed and len(parts) not in (4, 5):
         raise ValueError(
             f"axis spec {spec!r} is not NAME:LO:HI:STEPS[:log]"
         )
     name, numbers = parts[0], []
-    for label, text, kind in zip(("LO", "HI", "STEPS"), parts[1:], (float, float, int)):
+    fields = zip(("LO", "HI", "STEPS"), parts[1:], (float, float, int))
+    if listed:
+        fields = [("value", text, float) for text in parts[1].split(",")]
+    for label, text, kind in fields:
         try:
             numbers.append(kind(text))
         except ValueError:
             what = f"a valid {kind.__name__}"
             raise ValueError(f"axis {name!r}: {label} {text!r} is not {what}") from None
+    if listed:
+        return tuner.AxisSpec(name, numbers)
     lo, hi, steps = numbers
     if len(parts) == 5:
         if parts[4] != "log":
@@ -222,19 +201,15 @@ def run_scan(args):
     from . import tuner
 
     defaults = {"config": None, "target": "mass", "x_axis": None, "y_axis": None}
-    _apply_preset(args, scan_presets(), defaults)
+    _apply_preset(args, SCAN_PRESETS, defaults)
     if args.config is None or args.x_axis is None:
         raise ValueError("scan needs either --preset or --config + --x-axis")
     target = EstimationTarget(args.target)
-    if args.preset is not None:
-        base, x, y = args.config, args.x_axis, args.y_axis
-        # typed axes, which no option string holds: the manifest records null
-        args.x_axis = args.y_axis = None
-    else:
-        base = args.config = load_config(args.config)
-        x = _parse_axis(args.x_axis)
-        y = _parse_axis(args.y_axis) if args.y_axis is not None else None
-    grid = tuner.scan_ratio_grid(base, target, x, y)
+    if args.preset is None:  # a preset's config is loaded already
+        args.config = load_config(args.config)
+    x = _parse_axis(args.x_axis)
+    y = _parse_axis(args.y_axis) if args.y_axis is not None else None
+    grid = tuner.scan_ratio_grid(args.config, target, x, y)
     header = grid.header_dict()
     if args.format == "json":
         ratio = [
@@ -291,7 +266,7 @@ def run_snr(args):
         flag = "--" + sweep_var.replace("_", "-")
         raise ValueError(f"--sweep over {sweep_var} conflicts with {flag}")
     setattr(args, sweep_var, None)  # no single value: the sweep gives its values
-    axis = _parse_axis(args.sweep)  # reuse NAME:LO:HI:STEPS[:log]
+    axis = _parse_axis(args.sweep)  # the scan axis grammar
     log_scale = axis.scale == "log"
     sweep = sweep_fn(triple, axis.values)
     for name, values in sweep.items():
@@ -363,7 +338,7 @@ _SHARED = {
     "--format": {"choices": ["csv", "json"]},
 }
 _REQUIRED = {"required": True}
-_AXIS = "NAME:LO:HI:STEPS[:log]"
+_AXIS = "NAME:LO:HI:STEPS[:log] or NAME:V1,V2[,...]"
 
 # name: (runner, help, options beyond --out and --threads)
 SUBCOMMANDS = {
@@ -378,7 +353,7 @@ SUBCOMMANDS = {
         {
             "--config": {},
             "--target": {"default": None},
-            "--preset": {"help": "|".join(SCAN_PRESET_NAMES)},
+            "--preset": {"help": "|".join(SCAN_PRESETS)},
             "--x-axis": {"help": _AXIS},
             "--y-axis": {"help": _AXIS},
             "--format": {"default": "csv"},
@@ -399,8 +374,8 @@ SUBCOMMANDS = {
             "--e-i": {"type": float},
             "--phi-s": {"type": float},
             "--phi-i": {"type": float},
-            "--sweep": {"help": "VAR:LO:HI:STEPS[:log] over phi_i (mass SNR) "
-                                "or phi_s (small-phase SNR)"},
+            "--sweep": {"help": "VAR:LO:HI:STEPS[:log] or VAR:V1,V2[,...] over "
+                                "phi_i (mass SNR) or phi_s (small-phase SNR)"},
             "--format": {"default": "csv"},
         },
     ),

@@ -104,6 +104,7 @@ class ParticleModel:
             raise ValueError(
                 f"particle.scale_per_kda must be > 0, got {self.scale_per_kda}"
             )
+        object.__setattr__(self, "mass_kda", self.mass_kda + 0.0)  # -0.0 becomes 0.0
         object.__setattr__(self, "phi_s", wrap_angle(self.phi_s))
 
 
@@ -120,6 +121,7 @@ class ReferenceArm:
         )
         if not (self.mag >= 0.0):
             raise ValueError(f"reference.mag must be >= 0, got {self.mag}")
+        object.__setattr__(self, "mag", self.mag + 0.0)  # -0.0 becomes 0.0
         object.__setattr__(self, "phi_i", wrap_angle(self.phi_i))
 
 

@@ -22,7 +22,7 @@ from conftest import (
     worked_example_config,
 )
 from iscat_metrology import cli, spectrum as sp, tuner
-from iscat_metrology.cli import main, scan_presets
+from iscat_metrology.cli import SCAN_PRESETS, main
 from iscat_metrology.field import (
     FieldConfig,
     ParticleModel,
@@ -70,6 +70,17 @@ class TestFisherCommand:
         manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
         phi_s = manifest["arguments"]["config"]["particle"]["phi_s"]
         assert phi_s == 0.0 and math.copysign(1.0, phi_s) == 1.0
+
+    def test_negative_zero_mass_writes_zero(self, tmp_path):
+        # a mass of -0.0 is the mass 0.0, which the JSON would spell "-0.0"
+        cfg = json.loads((CONFIGS / "two_arm_baseline.json").read_text())
+        cfg["particle"]["mass_kda"] = -0.0
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        assert main(["fisher", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = (tmp_path / "report.json.manifest.json").read_text()
+        assert '"mass_kda": 0.0,' in manifest and "-0.0" not in manifest
 
     def test_vacuum_config_exits_3(self, tmp_path, config_file):
         cfg_path = config_file(vacuum_config())
@@ -330,7 +341,57 @@ class TestScanCommand:
         with pytest.raises(SystemExit):
             main(["scan", "--help"])
         listed = re.search(r"--preset PRESET\s+(\S+)", capsys.readouterr().out)[1]
-        assert listed.split("|") == list(scan_presets())
+        assert listed.split("|") == list(SCAN_PRESETS)
+
+    @pytest.mark.parametrize("preset", list(SCAN_PRESETS))
+    def test_preset_is_the_command_line_it_stands_for(self, tmp_path, preset):
+        options = SCAN_PRESETS[preset]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config_to_dict(options["config"])))
+        explicit = [
+            "--config", str(cfg_path), "--target", options["target"],
+            "--x-axis", options["x_axis"], "--y-axis", options["y_axis"],
+        ]
+        runs = []
+        for name, given in (("preset", ["--preset", preset]), ("explicit", explicit)):
+            out = tmp_path / f"{name}.csv"
+            assert main(["scan", *given, "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+            data = [Path(path).read_bytes() for path in manifest["outputs"]]
+            runs.append((data, manifest["arguments"]))
+        (preset_data, preset_args), (explicit_data, explicit_args) = runs
+        assert preset_data == explicit_data
+        assert (preset_args.pop("preset"), explicit_args.pop("preset")) == (preset, None)
+        assert preset_args == explicit_args
+
+    @pytest.mark.parametrize("subcommand", ["scan", "snr"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("phi_s:1,,2", "axis 'phi_s': value '' is not a valid float"),
+            ("phi_s:1,x", "axis 'phi_s': value 'x' is not a valid float"),
+            ("phi_s:1,1e999", "axis 'phi_s' needs finite values: [ 1. inf]"),
+            ("bogus:1,2", None),
+        ],
+        ids=["empty_cell", "non_numeric_cell", "non_finite_cell", "unknown_name"],
+    )
+    def test_hostile_listed_axis_exits_2(
+        self, tmp_path, capsys, config_file, subcommand, spec, message
+    ):
+        argv = {
+            "scan": ["scan", "--config", str(config_file(fig2_config())), "--x-axis"],
+            "snr": ["snr", "--sweep"],
+        }[subcommand]
+        if message is None:  # snr names its two phases before parsing the axis
+            message = {
+                "scan": "unknown axis 'bogus'; expected one of "
+                        "('alpha_r_mag', 'phi_s', 'mag_i', 'phi_i')",
+                "snr": "--sweep runs over phi_i or phi_s, not 'bogus'",
+            }[subcommand]
+        before = _snapshot(tmp_path)
+        assert main([*argv, spec, "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert _snapshot(tmp_path) == before
 
     def test_over_budget_axis_exits_2(self, tmp_path, capsys, config_file):
         cfg_path = config_file(fig2_config())
@@ -411,6 +472,15 @@ class TestOptimizeCommand:
         data = json.loads(out.read_text())
         assert data["reference_mag"] == 0.0
         assert data["phi_solutions_at_reference_mag"] == []
+
+    def test_negative_zero_reference_magnitude_writes_zero(self, tmp_path):
+        cfg = json.loads((CONFIGS / "two_arm_baseline.json").read_text())
+        cfg["reference"]["mag"] = -0.0
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert '"reference_mag": 0.0,' in out.read_text()
 
     def test_over_budget_exits_2(self, tmp_path, capsys, config_file):
         cfg = FieldConfig(alpha_r=0.9, particle=ParticleModel(1.0, 1e-5, 0.0))
@@ -1305,13 +1375,12 @@ def test_output_that_is_the_input_exits_2(
 
 
 def replay_argv(manifest: dict, directory: Path) -> list:
-    """The argv of a run, without --out, rebuilt from its manifest alone: a
-    preset run from its preset and format, any other run from its non-null
-    arguments, with an inline config written to ``directory``."""
+    """The argv of a run, without --out, rebuilt from its manifest alone: its
+    non-null arguments but ``preset``, which they spell out, with an inline
+    config written to ``directory``."""
     options = dict(manifest["arguments"])
-    if options.get("preset") is not None:
-        options = {"preset": options["preset"], "format": options["format"]}
-    elif options.get("config") is not None:
+    options.pop("preset", None)
+    if options.get("config") is not None:
         path = directory / "replayed_config.json"
         path.write_text(json.dumps(options["config"]))
         options["config"] = str(path)
@@ -1426,11 +1495,11 @@ class TestManifestRoundTrip:
         assert main(["scan", "--preset", "fig2a", "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "fig2a.csv.manifest.json").read_text())
         assert manifest["arguments"] == {
-            "config": config_to_dict(scan_presets()["fig2a"]["config"]),
+            "config": config_to_dict(SCAN_PRESETS["fig2a"]["config"]),
             "target": "mass",
             "preset": "fig2a",
-            "x_axis": None,
-            "y_axis": None,
+            "x_axis": "alpha_r_mag:1e-06:0.1:121:log",
+            "y_axis": "phi_s:1.0471975511965976,2.0943951023931953,2.6179938779914944",
             "format": "csv",
         }
 

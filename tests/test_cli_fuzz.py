@@ -5,7 +5,7 @@ double (NaN, the infinities and +-1e308 included) or by a value of the wrong
 JSON type.  Spectrum CSVs get hostile cells, shuffled, duplicated, extra or
 missing columns, comment and blank lines, short and long rows and cells over
 the ``csv`` module's field limit.  Scan axes and SNR sweeps get hostile
-NAME:LO:HI:STEPS[:log] specs.  Whatever the input, ``main`` returns 0, 2 or
+NAME:LO:HI:STEPS[:log] specs and NAME:V1,V2[,...] lists.  Whatever the input, ``main`` returns 0, 2 or
 3 and raises nothing; a success writes only finite numbers, and a failure
 writes no file.  A config field that is not a JSON number (null, a bool, a
 string or a list), and a config key the schema does not name, always exit 2.
@@ -343,14 +343,30 @@ AXIS_STEPS = st.one_of(
 )
 
 
+#: A listed value: in range twice as often, or empty, text or non-finite.
+LIST_CELLS = st.one_of(
+    IN_RANGE,
+    IN_RANGE,
+    st.floats().map(repr),
+    st.sampled_from(["", "x", "nan", "inf", "1e999"]),
+    SAFE_TEXT.filter(lambda text: "," not in text),
+)
+
+
 def axis_specs(names):
-    return st.tuples(
+    ranges = st.tuples(
         st.sampled_from(names),
         AXIS_BOUNDS,
         AXIS_BOUNDS,
         AXIS_STEPS,
         st.sampled_from(["", "", "", ":log", ":lin", ":log:x"]),
     ).map(lambda parts: ":".join(parts[:4]) + parts[4])
+    lists = st.tuples(
+        st.sampled_from(names),
+        st.lists(LIST_CELLS, min_size=2, max_size=5),
+        st.sampled_from(["", "", ","]),  # a trailing comma: an empty last value
+    ).map(lambda parts: f"{parts[0]}:{','.join(parts[1])}{parts[2]}")
+    return st.one_of(ranges, lists)
 
 
 AXES = axis_specs([*AXIS_NAMES, "bogus", ""])
@@ -368,6 +384,7 @@ AXES = axis_specs([*AXIS_NAMES, "bogus", ""])
 @example(x="phi_i:0:1.7976931348623157e+308:19", y=None,
          reference=VALID["reference"], target="mass")
 @example(x="phi_s:-1e308:1e308:3", y=None, reference=None, target="mass")
+@example(x="mag_i:0,1e-5,2e-5", y="phi_s:1,2,", reference=None, target="mass")
 def test_scan_hostile_axes(x, y, reference, target):
     # JSON output: the ratio of an undefined (vacuum) cell is null there
     options = ["--target", target, "--format", "json", f"--x-axis={x}"]
@@ -381,6 +398,7 @@ def test_scan_hostile_axes(x, y, reference, target):
 @given(sweep=axis_specs(["phi_i", "phi_s", "bogus"]))
 @example(sweep="phi_i:0:6.3:50")
 @example(sweep="phi_s:1e-4:1e-2:50:log")
+@example(sweep="phi_i:0,1.5,3,1e999")
 # numpy overflows building these axes: exit 2 and exit 0, with no warning
 @example(sweep="phi_i:0.0625:1.7976931348622105e+308:2:log")
 @example(sweep="phi_i:0.0:1.7976931348623157e+308:19")

@@ -1,13 +1,16 @@
 import cmath
 import json
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import quarter_ratio_mc_config, saturated_mc_config
 from iscat_metrology.field import (
+    BUDGET_TOL,
     EstimationTarget,
     FieldConfig,
     ParticleModel,
@@ -111,6 +114,20 @@ class TestValidateEnergy:
             alpha_r=0.5 + 1e-15, particle=ParticleModel(0.0, 1.0, 0.0)
         )
         check_budget(first_arm_magnitude(cfg), cfg.arm.mag, cfg.alpha0_mag)
+
+    @pytest.mark.parametrize("alpha0_mag", [1.0, 3.0])
+    def test_bound_plus_slack_is_admitted_and_the_next_double_is_not(self, alpha0_mag):
+        edge = 0.5 * alpha0_mag + BUDGET_TOL * alpha0_mag
+        check_budget(edge, edge, alpha0_mag)
+        over = float(np.nextafter(edge, math.inf))
+        bound = 0.5 * alpha0_mag
+        message = (
+            f"sample arm |alpha_r + alpha_s| = {over!r} exceeds the bound "
+            f"alpha0_mag/2 = {bound!r}; reference arm |alpha_i| = {over!r} "
+            f"exceeds the bound alpha0_mag/2 = {bound!r}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_budget(over, over, alpha0_mag)
 
     def test_sample_arm_violation_named(self):
         cfg = FieldConfig(alpha_r=0.7, particle=ParticleModel(0.0, 1.0, 0.0))

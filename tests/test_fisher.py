@@ -271,6 +271,7 @@ class TestReportCsv:
         extreme = fisher.FisherReport(lo, top, lo, tiny, top)
         fisher.write_report_csv(path, cfg, EstimationTarget.MASS, extreme)
         cells = path.read_text().strip().split("\n")[1].split(",")
-        # ParticleModel wraps phi_s into [0, 2*pi), which holds no -0.0
-        expected = [lo, tiny, tiny, top, 0.0, lo, tiny, lo, top, lo, tiny, top]
+        # ParticleModel wraps phi_s into [0, 2*pi), and ReferenceArm adds 0.0
+        # to its magnitude: neither holds -0.0
+        expected = [lo, tiny, tiny, top, 0.0, 0.0, tiny, lo, top, lo, tiny, top]
         assert same_bits(cells[1:], expected)

@@ -11,7 +11,7 @@ from conftest import (
     EXTREME_FLOATS, fig2_config, oracle_csv, read_csv_columns, same_bits
 )
 from iscat_metrology import fisher, tuner
-from iscat_metrology.cli import main, scan_presets
+from iscat_metrology.cli import SCAN_PRESETS, _parse_axis, main
 from iscat_metrology.field import (
     BUDGET_TOL,
     EstimationTarget,
@@ -450,6 +450,13 @@ class TestScanGrid:
         with pytest.raises(ValueError, match="axis 'phi_s': 10000001 steps exceed"):
             make("phi_s", 1.0, 2.0, tuner.MAX_CELLS + 1)
 
+    def test_axis_steps_cap_admits_the_cap_itself(self):
+        # only the range check runs: no axis of 10**7 values is allocated
+        assert tuner.AxisSpec._check_range("phi_s", 0.0, 1.0, tuner.MAX_CELLS) is None
+        message = "axis 'phi_s': 10000001 steps exceed the cap of 10000000"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tuner.AxisSpec._check_range("phi_s", 0.0, 1.0, tuner.MAX_CELLS + 1)
+
     def test_grid_cells_capped_before_computing(self, fig2_cfg, monkeypatch):
         # cap + 1 = 11 x 909091 cells from two small axes
         x = tuner.AxisSpec.linspace("phi_s", 0.0, 1.0, 11)
@@ -502,14 +509,14 @@ class TestScanGrid:
         assert read_csv_columns(path)["y"] == [""] * 5
 
 
-@pytest.mark.parametrize("preset", sorted(scan_presets()))
+@pytest.mark.parametrize("preset", sorted(SCAN_PRESETS))
 def test_preset_csv_matches_cell_by_cell_oracle(tmp_path, preset):
     out = tmp_path / f"{preset}.csv"
     assert main(["scan", "--preset", preset, "--out", str(out)]) == 0
-    options = scan_presets()[preset]
+    options = SCAN_PRESETS[preset]
     grid = tuner.scan_ratio_grid(
-        options["config"], EstimationTarget(options["target"]), options["x_axis"],
-        options["y_axis"],
+        options["config"], EstimationTarget(options["target"]),
+        _parse_axis(options["x_axis"]), _parse_axis(options["y_axis"]),
     )
     assert out.read_bytes() == oracle_scan_csv(grid)
 
