@@ -172,8 +172,8 @@ MUTANTS = [
     ),
     Mutant(  # a repeated frequency accepted
         SRC + "spectrum.py",
-        "if len(self.omega) > 1 and not np.all(np.diff(self.omega) > 0):",
-        "if len(self.omega) > 1 and not np.all(np.diff(self.omega) >= 0):",
+        "if not np.all(np.diff(self.omega) > 0):",
+        "if not np.all(np.diff(self.omega) >= 0):",
         "tests/test_cli.py::TestSpectrumCommand::"
         "test_ill_formed_grid_exits_2[repeated_omega]",
     ),
@@ -217,6 +217,34 @@ MUTANTS = [
         'fields = [("value", text, str) for text in parts[1].split(",")]',
         "tests/test_cli.py::TestScanCommand::"
         "test_hostile_listed_axis_exits_2[non_numeric_cell-scan]",
+    ),
+    Mutant(  # the finiteness rule naming the last bad value, not the first
+        SRC + "field.py",
+        'raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")',
+        'raise ValueError(f"{name} must be finite, got {float(bad[-1])!r}")',
+        "tests/test_field.py::TestRequireFinite::"
+        "test_names_the_first_non_finite_value_as_a_float[first_of_two]",
+    ),
+    Mutant(  # a numpy value reported as np.float64(inf)
+        SRC + "field.py",
+        'raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")',
+        'raise ValueError(f"{name} must be finite, got {bad[0]!r}")',
+        "tests/test_field.py::TestRequireFinite::"
+        "test_names_the_first_non_finite_value_as_a_float[float64]",
+    ),
+    Mutant(  # a listed axis that needs a comma, so one value cannot be listed
+        SRC + "cli.py", "listed = len(parts) == 2",
+        'listed = len(parts) == 2 and "," in parts[1]',
+        "tests/test_cli.py::TestScanCommand::"
+        "test_one_listed_value_is_the_one_step_range[scan_x_axis]",
+    ),
+    Mutant(  # the band QFI read off the whole kernel again
+        SRC + "spectrum.py",
+        "return f.integrate(fisher.qfi_coherent(f.derivative(target)))",
+        "return f.integrate(fisher.information(f.detector(), "
+        "f.derivative(target)).qfi_coherent)",
+        "tests/test_spectrum.py::TestQfiMultifrequency::"
+        "test_needs_no_detector_field[EstimationTarget.MASS]",
     ),
 ]
 

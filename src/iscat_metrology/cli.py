@@ -54,8 +54,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, fisher
 from .field import (
     EstimationTarget,
@@ -140,15 +138,13 @@ def _apply_preset(args, presets: dict, defaults: dict):
 
 def _parse_axis(spec: str):
     """Axis argument as a ``tuner.AxisSpec``: NAME:LO:HI:STEPS[:log], STEPS
-    values from LO to HI, or NAME:V1,V2[,...], the values listed."""
+    values from LO to HI, or NAME:V1[,V2,...], the one or more values listed."""
     from . import tuner
 
     parts = spec.split(":")
-    listed = len(parts) == 2 and "," in parts[1]
+    listed = len(parts) == 2
     if not listed and len(parts) not in (4, 5):
-        raise ValueError(
-            f"axis spec {spec!r} is not NAME:LO:HI:STEPS[:log]"
-        )
+        raise ValueError(f"axis spec {spec!r} is not {_AXIS}")
     name, numbers = parts[0], []
     fields = zip(("LO", "HI", "STEPS"), parts[1:], (float, float, int))
     if listed:
@@ -269,9 +265,7 @@ def run_snr(args):
     axis = _parse_axis(args.sweep)  # the scan axis grammar
     log_scale = axis.scale == "log"
     sweep = sweep_fn(triple, axis.values)
-    for name, values in sweep.items():
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"snr column {name} overflows a double")
+    _require_finite({f"snr column {name}": values for name, values in sweep.items()})
     if args.format == "json":
         columns = {name: values.tolist() for name, values in sweep.items()}
         write = _json({"mode": mode, "log_scale": log_scale, "sweep": columns})
@@ -338,7 +332,7 @@ _SHARED = {
     "--format": {"choices": ["csv", "json"]},
 }
 _REQUIRED = {"required": True}
-_AXIS = "NAME:LO:HI:STEPS[:log] or NAME:V1,V2[,...]"
+_AXIS = "NAME:LO:HI:STEPS[:log] or NAME:V1[,V2,...]"
 
 # name: (runner, help, options beyond --out and --threads)
 SUBCOMMANDS = {
@@ -374,8 +368,8 @@ SUBCOMMANDS = {
             "--e-i": {"type": float},
             "--phi-s": {"type": float},
             "--phi-i": {"type": float},
-            "--sweep": {"help": "VAR:LO:HI:STEPS[:log] or VAR:V1,V2[,...] over "
-                                "phi_i (mass SNR) or phi_s (small-phase SNR)"},
+            "--sweep": {"help": _AXIS + ", NAME phi_i (mass SNR) or phi_s "
+                                "(small-phase SNR)"},
             "--format": {"default": "csv"},
         },
     ),

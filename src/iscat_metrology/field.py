@@ -55,10 +55,17 @@ def wrap_angle(theta: float) -> float:
 
 
 def _require_finite(fields: dict) -> None:
-    """Raise ValueError naming the first non-finite entry of ``fields``."""
+    """The finiteness rule: raise ValueError naming the first entry of
+    ``fields`` (a number or an array) that holds a non-finite value, and its
+    first such value, as ``NAME must be finite, got V``."""
     for name, value in fields.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        if isinstance(value, (int, float)):  # no numpy call for a number
+            bad = () if math.isfinite(value) else (value,)
+        else:
+            value = np.asarray(value)
+            bad = value[~np.isfinite(value)]
+        if len(bad):
+            raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
 
 
 def magnitude(z):

@@ -38,6 +38,7 @@ from .field import (
     VACUUM_TOL,
     EstimationTarget,
     FieldConfig,
+    _require_finite,
     detector_amplitude,
     magnitude,
     phase,
@@ -141,10 +142,8 @@ def fisher_report(cfg: FieldConfig, target: EstimationTarget) -> FisherReport:
             "detector field is vacuum; chi = arg(alpha_d) and the counting "
             "CFI are undefined"
         )
-    for name in ("qfi_coherent", "cfi_photon_number"):
-        value = getattr(report, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} = {value!r} is not finite")
+    names = ("qfi_coherent", "cfi_photon_number")
+    _require_finite({name: getattr(report, name) for name in names})
     return report
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import magnitude
+from .field import _require_finite, magnitude
 from .fisher import real_projection
 from .textio import write_csv
 
@@ -55,9 +55,8 @@ class RealFieldTriple:
     phi_i: float = 0.0
 
     def __post_init__(self):
-        for name in ("e_r", "e_s", "e_i", "phi_s", "phi_i"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+        names = ("e_r", "e_s", "e_i", "phi_s", "phi_i")
+        _require_finite({name: getattr(self, name) for name in names})
         for name in ("e_r", "e_s", "e_i"):
             if np.any(np.asarray(getattr(self, name)) < 0):
                 raise ValueError(f"{name} must be >= 0")
@@ -72,8 +71,7 @@ def _checked_sqrt(intensity, context: str):
         raise ValueError(
             f"total destructive interference: zero intensity in {context}"
         )
-    if not np.all(np.isfinite(intensity)):
-        raise ValueError(f"noise intensity in {context} overflows a double")
+    _require_finite({f"noise intensity in {context}": intensity})
     return np.sqrt(intensity)
 
 

@@ -9,7 +9,7 @@ case.
 
 Because frequencies are uncorrelated, the information quantities are plain
 integrals of their single-mode counterparts, whose densities come from
-``fisher.information`` at every grid point:
+``fisher.qfi_coherent`` (F_q) and ``fisher.information`` (F_pa) at each point:
 
     F_q  = 4 * integral |d(alpha_s)(omega)|^2 d(omega)
     F_pa = 4 * integral Re[(conj(alpha_d)/|alpha_d|) * d(alpha_s)]^2 d(omega)
@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fisher
-from .field import EstimationTarget
+from .field import EstimationTarget, _require_finite
 from .textio import write_csv
 
 #: CSV column -> (SpectralField attribute, part of a complex arm or None).
@@ -79,12 +79,11 @@ class SpectralField:
                 dtype = complex if field.name.startswith("alpha") else float
                 object.__setattr__(self, field.name, np.asarray(values, dtype))
         # checked per CSV column, so a bad file names the column at fault
-        for column, values in spectrum_columns(self).items():
-            if values is not None and not np.all(np.isfinite(values)):
-                raise ValueError(f"spectrum column {column} must be finite")
+        named = {f"spectrum column {c}": v for c, v in spectrum_columns(self).items()}
+        _require_finite({name: v for name, v in named.items() if v is not None})
         if len(self.omega) == 0:
             raise ValueError("empty frequency grid")
-        if len(self.omega) > 1 and not np.all(np.diff(self.omega) > 0):
+        if not np.all(np.diff(self.omega) > 0):
             raise ValueError("frequency grid must be strictly increasing")
         for field in fields(self)[1:]:
             values = getattr(self, field.name)
@@ -119,9 +118,10 @@ def scattered_photons(f: SpectralField) -> float:
 
 
 def qfi_multifrequency(f: SpectralField, target: EstimationTarget) -> float:
-    """Coherent-state QFI of the broadband field."""
-    info = fisher.information(f.detector(), f.derivative(target))
-    return f.integrate(info.qfi_coherent)
+    """Coherent-state QFI of the broadband field, which needs no detector
+    field (inf, with no warning, on overflow)."""
+    with np.errstate(over="ignore"):
+        return f.integrate(fisher.qfi_coherent(f.derivative(target)))
 
 
 def qfi_multifrequency_phase_averaged(
@@ -157,8 +157,7 @@ def relative_mass_bound_multifrequency(f: SpectralField) -> float:
             "every frequency is orthogonal; the mass cannot be estimated"
         )
     bound = 0.5 * math.sqrt(qfi / cfi)
-    if not math.isfinite(bound):  # F_q/F_pa overflows a double
-        raise ValueError(f"relative mass bound {bound!r} is not finite")
+    _require_finite({"relative mass bound": bound})  # F_q/F_pa overflows a double
     return bound
 
 

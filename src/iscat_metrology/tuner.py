@@ -36,6 +36,7 @@ from .field import (
     VACUUM_TOL,
     EstimationTarget,
     FieldConfig,
+    _require_finite,
     check_budget,
     config_to_dict,
     first_arm_amplitude,
@@ -136,8 +137,9 @@ class AxisSpec:
                 f"unknown axis {self.name!r}; expected one of {AXIS_NAMES}"
             )
         values = np.asarray(self.values, dtype=float)
-        if values.size == 0 or not np.all(np.isfinite(values)):
-            raise ValueError(f"axis {self.name!r} needs finite values: {values}")
+        if values.size == 0:
+            raise ValueError(f"axis {self.name!r} has no values")
+        _require_finite({f"axis {self.name!r} value": values})
         object.__setattr__(self, "values", values)
 
     @staticmethod

@@ -315,7 +315,7 @@ class TestScanCommand:
             (["--x-axis", "phi_i:0:6:4", "--y-axis", "phi_i:0:1:3"],
              "x and y axes both set 'phi_i'; scan it on one axis"),
             (["--x-axis", "phi_s:0:1:3", "--y-axis", ""],
-             "axis spec '' is not NAME:LO:HI:STEPS[:log]"),
+             "axis spec '' is not NAME:LO:HI:STEPS[:log] or NAME:V1[,V2,...]"),
             (["--x-axis", "alpha_r_mag:1e-3:1e-3:5:log"],
              "log axis 'alpha_r_mag' needs 0 < lo < hi, got [0.001, 0.001]"),
         ],
@@ -370,7 +370,7 @@ class TestScanCommand:
         [
             ("phi_s:1,,2", "axis 'phi_s': value '' is not a valid float"),
             ("phi_s:1,x", "axis 'phi_s': value 'x' is not a valid float"),
-            ("phi_s:1,1e999", "axis 'phi_s' needs finite values: [ 1. inf]"),
+            ("phi_s:1,1e999", "axis 'phi_s' value must be finite, got inf"),
             ("bogus:1,2", None),
         ],
         ids=["empty_cell", "non_numeric_cell", "non_finite_cell", "unknown_name"],
@@ -392,6 +392,44 @@ class TestScanCommand:
         assert main([*argv, spec, "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert _snapshot(tmp_path) == before
+
+    def test_long_listed_axis_names_its_one_non_finite_value(
+        self, tmp_path, capsys, config_file
+    ):
+        # one line whatever the axis length: the value, not the array, is named
+        values = ["0.5"] * 10**6
+        values[654_321] = "inf"
+        argv = ["scan", "--config", str(config_file(fig2_config())),
+                "--x-axis", "phi_s:" + ",".join(values)]
+        before = _snapshot(tmp_path)
+        assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: axis 'phi_s' value must be finite, got inf\n"
+        )
+        assert _snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "subcommand, options",
+        [
+            ("scan", ["--x-axis", "phi_s:1"]),
+            ("scan", ["--x-axis", "phi_i:0:1:3", "--y-axis", "phi_s:1"]),
+            ("snr", ["--sweep", "phi_i:1"]),
+        ],
+        ids=["scan_x_axis", "scan_y_axis", "snr_sweep"],
+    )
+    def test_one_listed_value_is_the_one_step_range(
+        self, tmp_path, config_file, subcommand, options
+    ):
+        argv = [subcommand]
+        if subcommand == "scan":
+            argv += ["--config", str(config_file(fig2_config()))]
+        data = []
+        for name, spec in (("listed", options[-1]), ("range", options[-1] + ":1:1")):
+            out = tmp_path / f"{name}.csv"
+            assert main([*argv, *options[:-1], spec, "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+            data.append([Path(path).read_bytes() for path in manifest["outputs"]])
+        assert data[0] == data[1]
 
     def test_over_budget_axis_exits_2(self, tmp_path, capsys, config_file):
         cfg_path = config_file(fig2_config())
@@ -579,7 +617,7 @@ class TestSnrCommand:
                    "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == "error: snr column snr_iscat overflows a double\n"
+        assert err == "error: snr column snr_iscat must be finite, got inf\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
@@ -603,7 +641,7 @@ class TestSnrCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == (
-            f"error: noise intensity in snr_phase_small_{form} overflows a double\n"
+            f"error: noise intensity in snr_phase_small_{form} must be finite, got inf\n"
         )
         assert not out.exists()
 
@@ -1060,7 +1098,7 @@ class TestSpectrumCommand:
              "qfi_phase_averaged must be finite, got nan"),
             # alpha_d nearly orthogonal to dalpha: F_q/F_pa = 1e320
             ({"alpha_r_re": "1e-160", "alpha_r_im": "1"},
-             "relative mass bound inf is not finite"),
+             "relative mass bound must be finite, got inf"),
             # a finite integrand whose quadrature overflows: 1e308 * 4
             ({"weight": "1e308", "alpha_r_re": "0.02"},
              "qfi_coherent must be finite, got inf"),

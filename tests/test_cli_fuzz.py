@@ -363,7 +363,7 @@ def axis_specs(names):
     ).map(lambda parts: ":".join(parts[:4]) + parts[4])
     lists = st.tuples(
         st.sampled_from(names),
-        st.lists(LIST_CELLS, min_size=2, max_size=5),
+        st.lists(LIST_CELLS, min_size=1, max_size=5),
         st.sampled_from(["", "", ","]),  # a trailing comma: an empty last value
     ).map(lambda parts: f"{parts[0]}:{','.join(parts[1])}{parts[2]}")
     return st.one_of(ranges, lists)

@@ -15,6 +15,7 @@ from iscat_metrology.field import (
     FieldConfig,
     ParticleModel,
     ReferenceArm,
+    _require_finite,
     check_budget,
     config_from_dict,
     config_to_dict,
@@ -28,6 +29,7 @@ from iscat_metrology.field import (
     with_target_value,
     wrap_angle,
 )
+from iscat_metrology import field
 from iscat_metrology.textio import dump_json
 
 PI = math.pi
@@ -244,6 +246,52 @@ class TestValidation:
     def test_nonpositive_alpha0_rejected(self):
         with pytest.raises(ValueError):
             FieldConfig(alpha_r=0j, particle=ParticleModel(1, 1, 0), alpha0_mag=0.0)
+
+
+class TestRequireFinite:
+    """The one finiteness rule, for numbers and arrays alike."""
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+            (np.float64(np.inf), "inf"),
+            (np.array(-np.inf), "-inf"),
+            (np.array([1.0, np.nan, np.inf]), "nan"),
+            (np.array([[0.0, 2.0], [-np.inf, np.nan]]), "-inf"),
+            ([1.0, np.inf], "inf"),
+            (np.array([1.0, np.inf], dtype=np.float32), "inf"),
+        ],
+        ids=[
+            "inf", "minus_inf", "nan", "float64", "zero_d_array", "first_of_two",
+            "2d_array", "list", "float32",
+        ],
+    )
+    def test_names_the_first_non_finite_value_as_a_float(self, value, shown):
+        # the entries before pass; the one after is never reached
+        fields = {"a": 1.0, "b": np.arange(3.0), "c": value, "d": math.nan}
+        with pytest.raises(ValueError) as exc:
+            _require_finite(fields)
+        assert str(exc.value) == f"c must be finite, got {shown}"
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -1.7976931348623157e308, 5, np.float64(2.0), np.array(1.0),
+         np.zeros(0), np.arange(4.0).reshape(2, 2)],
+        ids=["zero", "most_negative", "int", "float64", "zero_d_array", "empty", "2d"],
+    )
+    def test_finite_values_pass(self, value):
+        assert _require_finite({"x": value}) is None
+
+    def test_a_config_needs_no_numpy_call(self, monkeypatch):
+        # FieldConfig.arm builds a ReferenceArm in every Monte Carlo trial
+        monkeypatch.setattr(field, "np", None)
+        cfg = FieldConfig(0.3 + 0j, ParticleModel(1.0, 0.2, 0.5), ReferenceArm(0.1, 1))
+        assert cfg.arm.mag == 0.1
+        with pytest.raises(ValueError, match=r"^reference\.phi_i must be finite, got nan$"):
+            ReferenceArm(0.1, math.nan)
 
 
 class TestWithTargetValue:

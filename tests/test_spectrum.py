@@ -133,6 +133,18 @@ class TestQfiMultifrequency:
             4 * s * s * span, rel=1e-12
         )
 
+    @pytest.mark.parametrize("target", [MASS, PHASE])
+    def test_needs_no_detector_field(self, monkeypatch, target):
+        # F_q = 4*integral |d(alpha_s)|^2 leaves alpha_r and alpha_i out
+        f = flat_white_spectrum(1.0, 2.0, 11, 90.0, 0.2, mass_kda=5.0)
+
+        def information(*args, **kwargs):
+            raise AssertionError("fisher.information evaluated")
+
+        monkeypatch.setattr(fisher, "information", information)
+        expected = 4.0 * np.sum(f.weights * np.abs(f.derivative(target)) ** 2)
+        assert spectrum.qfi_multifrequency(f, target) == pytest.approx(expected, rel=1e-12)
+
     def test_same_photons_same_bound_as_single_mode(self):
         total, mass = 220.0, 66.0
         f = flat_white_spectrum(1.0, 2.0, 101, total, 0.9, mass_kda=mass)

@@ -444,6 +444,10 @@ class TestScanGrid:
         with pytest.raises(ValueError, match="axis 'phi_s'"):
             make()
 
+    def test_empty_axis_message(self):
+        with pytest.raises(ValueError, match=r"^axis 'phi_s' has no values$"):
+            tuner.AxisSpec("phi_s", np.array([]))
+
     @pytest.mark.parametrize("scale", ["linspace", "logspace"])
     def test_axis_steps_capped_before_allocating(self, scale):
         make = getattr(tuner.AxisSpec, scale)
