@@ -149,10 +149,6 @@ MUTANTS = [
         "if not args.out:",
         "tests/test_cli.py::test_out_without_a_file_name_exits_2",
     ),
-    Mutant(  # a config phase of -0.0 kept, and recorded, as -0.0
-        SRC + "field.py", "return r + 0.0  # -0.0 becomes 0.0", "return r",
-        "tests/test_cli.py::TestFisherCommand::test_negative_zero_phase_writes_zero",
-    ),
     Mutant(  # arg(1 - 0j) reported as -0.0
         SRC + "field.py",
         "return np.where(theta >= TAU, 0.0, theta) + 0.0  # -0.0 becomes 0.0",
@@ -245,6 +241,24 @@ MUTANTS = [
         "f.derivative(target)).qfi_coherent)",
         "tests/test_spectrum.py::TestQfiMultifrequency::"
         "test_needs_no_detector_field[EstimationTarget.MASS]",
+    ),
+    Mutant(  # a tiny negative angle wrapped to TAU, not to 0.0
+        SRC + "field.py",
+        "return r - TAU * (r >= TAU)  # a tiny negative can round up to TAU exactly",
+        "return r - TAU * (r > TAU)  # a tiny negative can round up to TAU exactly",
+        "tests/test_field.py::TestWrapAngle::"
+        "test_hostile_angle_wraps_to_the_written_value[-1e-17]",
+    ),
+    Mutant(  # the scan kernel's amplitudes turned by sin for cos
+        SRC + "field.py",
+        "z.real, z.imag = r * np.cos(phi), r * np.sin(phi)",
+        "z.real, z.imag = r * np.sin(phi), r * np.cos(phi)",
+        "tests/test_tuner.py::TestScanGrid::test_cells_match_sequential_apply_axis",
+    ),
+    Mutant(  # an earlier run's manifest left to list files a failed move removed
+        SRC + "cli.py", "os.remove(manifest)  # that a failed move removes", "pass",
+        "tests/test_cli.py::TestFilesAppearTogether::"
+        "test_failed_manifest_move_removes_the_moved_files[earlier]",
     ),
 ]
 

@@ -455,10 +455,10 @@ def _input(option: str, path: str) -> dict:
 
 
 def _commit(files: dict, inputs: dict) -> None:
-    """Write each path's file under a staged name beside it, then move each
-    into place in order; refuse first a path that is one of ``inputs``
-    (option: path).  On any exception, remove every file staged or moved
-    and re-raise; an OSError names the path, not its staged name."""
+    """Write each path's file under a staged name beside it, remove the earlier
+    manifest (the last path), then move each into place in order; refuse first
+    a path in ``inputs`` (option: path).  On any exception, remove every file
+    staged or moved and re-raise; an OSError names the path, not its staged name."""
     for path in files:  # os.replace would replace a device node too
         if os.path.exists(path) and not os.path.isfile(path):
             raise ValueError(f"{path} exists and is not a regular file")
@@ -470,6 +470,8 @@ def _commit(files: dict, inputs: dict) -> None:
     try:
         for name, write in zip(staged, files.values()):
             write(name)
+        if os.path.exists(manifest := list(files)[-1]):  # it would list files
+            os.remove(manifest)  # that a failed move removes
         for name, path in staged.items():
             os.replace(name, path)
             placed += 1

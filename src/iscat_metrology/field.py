@@ -44,14 +44,11 @@ BUDGET_TOL = 1e-12
 VACUUM_TOL = 1e-12
 
 
-def wrap_angle(theta: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    r = math.fmod(theta, TAU)
-    if r < 0.0:
-        r += TAU
-    if r >= TAU:  # fmod of a tiny negative can round up to TAU exactly
-        r = 0.0
-    return r + 0.0  # -0.0 becomes 0.0
+def wrap_angle(theta):
+    """Reduce an angle, a number or an array, to [0, 2*pi): Python's and numpy's
+    ``%`` both take fmod, add TAU to a negative remainder and give +0.0 for zero."""
+    r = theta % TAU
+    return r - TAU * (r >= TAU)  # a tiny negative can round up to TAU exactly
 
 
 def _require_finite(fields: dict) -> None:
@@ -71,6 +68,13 @@ def _require_finite(fields: dict) -> None:
 def magnitude(z):
     """|z| of a complex array; np.abs on complex may round differently."""
     return np.hypot(z.real, z.imag)
+
+
+def rect(r, phi):
+    """``cmath.rect``'s r*cos(phi) + i*r*sin(phi) of finite broadcast arrays."""
+    z = np.empty(np.broadcast(r, phi).shape, dtype=complex)
+    z.real, z.imag = r * np.cos(phi), r * np.sin(phi)
+    return z
 
 
 def phase(z):

@@ -36,9 +36,11 @@ from .field import (
     VACUUM_TOL,
     EstimationTarget,
     FieldConfig,
+    _require_finite,
     check_budget,
     detector_amplitude,
     magnitude,
+    rect,
     reference_amplitude,
     target_derivative,
     target_value,
@@ -222,7 +224,8 @@ def crb_validation(
     try:
         lam = abs(detector_amplitude(cfg)) ** 2
     except OverflowError:
-        raise ValueError("detector mean |alpha_d|^2 overflows a double") from None
+        lam = math.inf
+    _require_finite({"detector mean |alpha_d|^2": lam})
     if lam > POISSON_LAM_MAX:
         raise ValueError(
             f"detector mean |alpha_d|^2 = {lam!r} exceeds numpy's Poisson limit"
@@ -325,7 +328,7 @@ def mean_sensitivity_scan(
         points = sol.line_points(mag)
         (low, t_low), (high, _) = points[0], points[-1]
         vacuum = np.abs(t_low + root - root[0]) <= VACUUM_TOL * cfg_base.alpha0_mag
-        arm = np.where(vacuum, cmath.rect(mag, high), cmath.rect(mag, low))
+        arm = rect(mag, np.where(vacuum, high, low))
     # mean(P) = |A|^2 + 2*sqrt(P)*Re[conj(A)*e^(i*phi_s)] + P,
     # with A the mass-independent arms alpha_r + alpha_i
     other_arms = cfg_base.alpha_r + arm

@@ -43,6 +43,7 @@ from .field import (
     first_arm_magnitude,
     magnitude,
     phase,
+    rect,
     wrap_angle,
 )
 from .textio import Indexed, write_csv
@@ -241,9 +242,9 @@ def scan_ratio_grid(
     Each axis sets only its own parameter of ``base`` (ValueError if both
     axes set the same one), as one configuration would: a magnitude must be
     >= 0 (ValueError names the first negative value, y axis first), and an
-    angle is wrapped.  Each term of a cell is computed once per value of the
-    axis it depends on, the photon budget included (ValueError names the
-    bound); only the detector label and the ratio span the grid.
+    angle is wrapped.  Each axis is one row (x) or column (y) array, and each
+    term an array expression over the axes it depends on, the photon budget
+    included (ValueError names the bound); only alpha_d and the ratio span the grid.
     """
     if y is not None and y.name == x.name:
         raise ValueError(f"x and y axes both set {x.name!r}; scan it on one axis")
@@ -254,40 +255,28 @@ def scan_ratio_grid(
             f"{y.name if y else None!r}) exceeds the cap of {MAX_CELLS}"
         )
     p, arm, z = base.particle, base.arm, base.alpha_r
-    m_s = p.mass_kda * p.scale_per_kda  # |alpha_s|, as field.scattered_amplitude
-    angle = math.atan2(z.imag, z.real) if z != 0 else 0.0
-    # each parameter's value in base, and the value an axis value sets
-    params = {
-        "alpha_r_mag": (z, lambda v: cmath.rect(v, angle)),
-        "phi_s": (p.phi_s, wrap_angle),
-        "mag_i": (arm.mag, float),
-        "phi_i": (arm.phi_i, wrap_angle),
-    }
-    axes = {}
+    # each parameter as base sets it, or as its axis does, angles wrapped
+    at = {"phi_s": p.phi_s, "mag_i": arm.mag, "phi_i": arm.phi_i}
     for axis, shape in ((y, (-1, 1)), (x, (1, -1))):
         if axis is None:
             continue
-        negative = axis.values[axis.values < 0.0]
-        if axis.name in ("alpha_r_mag", "mag_i") and negative.size:
+        values = axis.values.reshape(shape)
+        if axis.name in ("phi_s", "phi_i"):
+            values = wrap_angle(values)
+        elif (values < 0.0).any():
             # a negative magnitude would turn alpha_r or the arm by pi
-            bad = float(negative[0])
+            bad = float(values[values < 0.0][0])
             raise ValueError(f"axis {axis.name!r} needs magnitudes >= 0, got {bad!r}")
-        axes[axis.name] = list(map(params[axis.name][1], axis.values.tolist())), shape
-
-    def column(name, term=lambda v: v):  # per value of name's axis, else base's
-        if name not in axes:
-            return term(params[name][0])
-        values, shape = axes[name]
-        return np.array(list(map(term, values))).reshape(shape)
-
-    def derivative(phi):  # field.target_derivative at phi_s = phi
-        d = cmath.rect(p.scale_per_kda, phi)
-        return d if target is EstimationTarget.MASS else 1j * p.mass_kda * d
-
-    first = column("alpha_r_mag") + column("phi_s", lambda phi: cmath.rect(m_s, phi))
-    mag_i = column("mag_i")
-    check_budget(magnitude(first), mag_i, base.alpha0_mag)
-    alpha_d = first + mag_i * column("phi_i", lambda phi: cmath.rect(1.0, phi))
-    dalpha = column("phi_s", derivative)
+        if axis.name == "alpha_r_mag":  # alpha_r keeps its angle
+            z = rect(values, math.atan2(z.imag, z.real) if z != 0 else 0.0)
+        else:
+            at[axis.name] = values
+    with np.errstate(over="ignore", invalid="ignore"):  # an arm past a double is inf
+        first = z + rect(p.mass_kda * p.scale_per_kda, at["phi_s"])
+        check_budget(magnitude(first), at["mag_i"], base.alpha0_mag)
+    alpha_d = first + at["mag_i"] * rect(1.0, at["phi_i"])
+    dalpha = rect(p.scale_per_kda, at["phi_s"])
+    if target is EstimationTarget.SCATTER_PHASE:
+        dalpha = 1j * p.mass_kda * dalpha
     info = fisher.information(alpha_d, dalpha, VACUUM_TOL * base.alpha0_mag)
     return ScanGrid(x, y, base, target, info.saturation_ratio)

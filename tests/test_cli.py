@@ -1635,9 +1635,14 @@ class TestFilesAppearTogether:
         if earlier is not None:
             assert out.read_text() == earlier
 
+    @pytest.mark.parametrize("earlier", [False, True], ids=["none", "earlier"])
     def test_failed_manifest_move_removes_the_moved_files(
-        self, tmp_path, monkeypatch, capsys, subcommand_argv
+        self, tmp_path, monkeypatch, capsys, subcommand_argv, earlier
     ):
+        out = tmp_path / "grid.csv"
+        before = sorted(tmp_path.iterdir())
+        if earlier:  # a whole earlier run, whose files the failed run replaced
+            assert main(subcommand_argv["scan"] + ["--out", str(out)]) == 0
         real_replace = os.replace
 
         def replace(src, dst):
@@ -1646,12 +1651,11 @@ class TestFilesAppearTogether:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
-        out = tmp_path / "grid.csv"
-        before = sorted(tmp_path.iterdir())
         assert main(subcommand_argv["scan"] + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         message = f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}: '{out}.manifest.json'"
         assert err == f"error: {message}\n"
+        # no manifest is left to list the files the failed run removed
         assert sorted(tmp_path.iterdir()) == before
 
 
@@ -1738,6 +1742,30 @@ def test_first_arm_magnitude_past_a_double_exits_2(tmp_path, capsys, subcommand)
     path.write_text(json.dumps(d))
     out = tmp_path / "o.json"
     assert main([subcommand, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: sample arm |alpha_r + alpha_s| = inf exceeds the bound "
+        "alpha0_mag/2 = 0.5\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["phi_s:0:1:2", "mag_i:0:1e-5:2", "phi_i:0:1:2"])
+@pytest.mark.parametrize(
+    "arm", [
+        {"alpha_r": {"re": 1.2711610061536464e308, "im": 1.2711610061536462e308}},
+        # |alpha_s| = m*s is inf, turned by phi_s = 0 as well
+        {"particle": {"mass_kda": 1e200, "scale_per_kda": 1e200, "phi_s": 0.0}},
+    ],
+    ids=["alpha_r", "alpha_s"],
+)
+@pytest.mark.filterwarnings("error")
+def test_scan_arm_past_a_double_exits_2(tmp_path, capsys, arm, axis):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**config_to_dict(fig2_config()), **arm}))
+    out = tmp_path / "o.csv"
+    argv = ["scan", "--config", str(path), "--x-axis", axis, "--out", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == (
         "error: sample arm |alpha_r + alpha_s| = inf exceeds the bound "

@@ -222,7 +222,8 @@ def test_overflowing_information_exits_2(capsys, subcommand, options):
 def test_overflowing_detector_mean_exits_2(capsys):
     options = ["--trials", "3", "--samples", "3", "--seed", "1"]
     assert run_cli("montecarlo", HUGE_MEAN, options) == 2
-    assert "detector mean" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: detector mean |alpha_d|^2 must be finite, got inf\n"
 
 
 def test_detector_mean_over_poisson_limit_exits_2(capsys):

@@ -23,13 +23,14 @@ from iscat_metrology.field import (
     first_arm_magnitude,
     load_config,
     phase,
+    rect,
     reference_amplitude,
     scattered_amplitude,
     target_derivative,
     with_target_value,
     wrap_angle,
 )
-from iscat_metrology import field
+from iscat_metrology import cli, field
 from iscat_metrology.textio import dump_json
 
 PI = math.pi
@@ -43,6 +44,90 @@ def test_wrap_angle_range():
 def test_phase_of_a_negative_zero_imaginary_part_is_positive_zero():
     theta = phase(complex(1.0, -0.0))
     assert theta == 0.0 and math.copysign(1.0, theta) == 1.0
+
+
+TAU = 2 * PI
+
+#: Hostile angles and the value each wraps to, written out: what fmod
+#: followed by adding TAU to a negative remainder gives, and +0.0 where the
+#: remainder is zero or a tiny negative rounds up to TAU.
+WRAPPED = [
+    (-0.0, 0.0),
+    (5e-324, 5e-324),
+    (-5e-324, 0.0),
+    (-1e-17, 0.0),
+    (TAU, 0.0),
+    (-TAU, 0.0),
+    (2 * TAU, 0.0),
+    (-2 * TAU, 0.0),
+    (7.0, 0.7168146928204138),
+    (-7.0, 5.5663706143591725),
+    (1e16, 2.637242432414304),
+    (-1e16, 3.6459428747652822),
+]
+
+
+class TestWrapAngle:
+    """One rule for a number and an array, bit for bit: the scan kernel wraps
+    its axes as arrays and a config wraps its phases as numbers."""
+
+    @pytest.mark.parametrize(
+        "theta, wrapped", WRAPPED, ids=[f"{t!r}" for t, _ in WRAPPED]
+    )
+    def test_hostile_angle_wraps_to_the_written_value(self, theta, wrapped):
+        number, array = wrap_angle(theta), wrap_angle(np.array([theta]))
+        assert type(number) is float
+        assert np.array([number]).tobytes() == array.tobytes()
+        assert array.tobytes() == np.array([wrapped]).tobytes()  # +0.0, never -0.0
+        assert 0.0 <= number < TAU
+
+    def test_array_is_each_number_wrapped(self):
+        rng = np.random.default_rng(20241025)
+        theta = np.concatenate([
+            [t for t, _ in WRAPPED],
+            np.arange(-50, 51) * TAU,
+            rng.uniform(-1e-15, 1e-15, 1000),
+            rng.normal(0.0, 10.0, 10**5),
+            rng.normal(0.0, 1e12, 1000),
+        ])
+        wrapped = wrap_angle(theta)
+        each = np.array([wrap_angle(t) for t in theta.tolist()])
+        assert wrapped.tobytes() == each.tobytes()
+        assert np.all((wrapped >= 0.0) & (wrapped < TAU))
+        assert not np.signbit(wrapped).any()
+
+
+def _cmath_rect(r, phi):
+    r, phi = (v.ravel().tolist() for v in np.broadcast_arrays(r, phi))
+    return np.array([cmath.rect(a, b) for a, b in zip(r, phi)])
+
+
+class TestRect:
+    """``field.rect`` is ``cmath.rect`` bit for bit, so the scan kernel's
+    arrays hold the numbers a config's own amplitudes do."""
+
+    @pytest.mark.parametrize("preset", sorted(cli.SCAN_PRESETS))
+    def test_every_preset_axis_value(self, preset):
+        opts = cli.SCAN_PRESETS[preset]
+        p, z = opts["config"].particle, opts["config"].alpha_r
+        for spec in (opts["x_axis"], opts["y_axis"]):
+            values = cli._parse_axis(spec).values
+            # the axis as the angles of each magnitude the kernel turns, and
+            # as the magnitudes of alpha_r at its angle
+            magnitudes = (1.0, p.mass_kda * p.scale_per_kda, p.scale_per_kda)
+            calls = [(r, wrap_angle(values)) for r in magnitudes]
+            calls.append((values, cmath.phase(z)))
+            for r, phi in calls:
+                assert rect(r, phi).tobytes() == _cmath_rect(r, phi).tobytes()
+
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(20241025)
+        r = 10.0 ** rng.uniform(-9.0, 2.0, 10**5)
+        phi = rng.uniform(-4 * TAU, 4 * TAU, 10**5)
+        phi[:4] = (0.0, -0.0, 5e-324, -5e-324)
+        assert rect(r, phi).tobytes() == _cmath_rect(r, phi).tobytes()
+        for a, b in zip(r[:1000].tolist(), phi[:1000].tolist()):  # one number each
+            assert rect(a, b).tobytes() == np.array(cmath.rect(a, b)).tobytes()
 
 
 class TestScatteredAmplitude:
